@@ -13,7 +13,6 @@ from .assembly import (
     Kernel,
     OperatorCache,
     assemble_gram,
-    assemble_rhs,
     data_coefficients,
     error_budget,
     exponential_kernel,
@@ -85,7 +84,6 @@ __all__ = [
     "TaylorPartition",
     "add_noise",
     "assemble_gram",
-    "assemble_rhs",
     "avg_error",
     "closed_form_iterate",
     "data_coefficients",

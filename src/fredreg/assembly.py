@@ -31,7 +31,7 @@ from .haar import (
     synthesis_matrix,
     _gauss_cell_nodes,
 )
-from .quadrature import TaylorPartition, simpson_rule, taylor_partition
+from .quadrature import simpson_rule, taylor_partition
 
 __all__ = [
     "Kernel",
@@ -39,7 +39,6 @@ __all__ = [
     "ErrorBudget",
     "exponential_kernel",
     "assemble_gram",
-    "assemble_rhs",
     "data_coefficients",
     "error_budget",
     "galerkin_matrix",
@@ -70,7 +69,7 @@ class Kernel:
         absent, slices are projected by per-cell Gauss quadrature.
     has_exp_slices : bool
         True when the slices are exponentials ``exp(-c t)``, enabling
-        the Taylor-expansion adjoint of :func:`assemble_rhs`.
+        the Taylor-expansion adjoint of :meth:`OperatorCache.rhs`.
     """
 
     eval: Callable
@@ -200,29 +199,6 @@ def _moments(samples, partition):
     return h * (blocks @ w0), h * h * (blocks @ w1)
 
 
-def assemble_rhs(kernel, partition, f_samples, m):
-    """Coefficients ``v_i = <Km* f, Phi_i>`` of the approximate adjoint.
-
-    The adjoint of the exponential kernel is replaced on each
-    subinterval ``D_j`` of the partition by the first-order expansion
-    ``exp(-d_{j-1} t) [1 - t (s - d_{j-1})]``; the s-integrals over
-    ``D_j`` use the trapezoid rule on the supplied samples (the sample
-    grid must refine the partition) and the t-integrals against the
-    basis are the closed forms of :mod:`.haar`.
-    """
-    if not kernel.has_exp_slices:
-        raise ValueError(
-            "the Taylor-expansion adjoint is defined for exponential kernels only"
-        )
-    if not isinstance(partition, TaylorPartition):
-        raise TypeError("partition must be a TaylorPartition")
-    m0, m1 = _moments(f_samples, partition)
-    c = partition.left_endpoints
-    e0 = exp_haar_matrix(c, m)
-    e1 = exp_t_haar_matrix(c, m)
-    return e0.T @ m0 - e1.T @ m1
-
-
 def data_coefficients(f_samples, m):
     """Haar coefficients ``g_i = <f, Phi_i>`` of sampled data (length ``2**m``)."""
     return project(f_samples, m).values
@@ -296,6 +272,16 @@ class OperatorCache:
         return self._adjoint[m]
 
     def rhs(self, f_samples, m):
+        """Coefficients ``v_i = <Km* f, Phi_i>`` of the approximate adjoint.
+
+        The adjoint of the exponential kernel is replaced on each
+        subinterval ``D_j`` of the level-``m`` Taylor partition by the
+        first-order expansion ``exp(-d_{j-1} t) [1 - t (s - d_{j-1})]``;
+        the s-integrals over ``D_j`` use the trapezoid rule on the
+        samples (the sample grid must refine the partition) and the
+        t-integrals against the basis are the cached closed-form moment
+        matrices of :mod:`.haar`, ``2 * 180 * 4**m`` doubles per level.
+        """
         if not self.kernel.has_exp_slices:
             raise ValueError(
                 "the Taylor-expansion adjoint is defined for exponential kernels only"

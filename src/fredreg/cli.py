@@ -8,7 +8,8 @@ Two subcommands drive the built-in problem:
   printing median-aggregated results and optionally writing the row CSV.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when any run
-stopped for a reason other than the discrepancy rule.
+stopped for a reason other than the discrepancy rule, 4 on a numerical
+breakdown (a shifted system that Cholesky cannot factor).
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .experiment import (
     sample_grid,
 )
 from .iteration import SolverConfig, run_adaptive, run_fixed
+from .shifted import FactorizationError
 
 _OK_STOPS = ("discrepancy_met", "initial_below_threshold")
 
@@ -187,6 +189,10 @@ def main(argv=None):
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_table(args)
+    except FactorizationError as exc:
+        # a LinAlgError, hence a ValueError: catch it first
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

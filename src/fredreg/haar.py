@@ -43,6 +43,9 @@ _SMALL_C_WIDTH = 1e-6
 # Branch point for the j = 1 moment integrals (shared with the benchmark
 # right-hand side, which is the same function).
 _SMALL_C_MOMENT = 1e-3
+# Rows per block of the wavelet-column fill; bounds the temporary arrays of
+# one block at 2**(m-1) * _FILL_ROWS doubles each.
+_FILL_ROWS = 256
 
 
 def split_index(j):
@@ -116,6 +119,55 @@ def haar_eval(j, x):
 # inner products against exponentials
 # ---------------------------------------------------------------------------
 
+def _rates(c):
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if np.any(c < 0) or not np.all(np.isfinite(c)):
+        raise ValueError("decay rates must be finite and >= 0")
+    return c
+
+
+def _wavelet_levels(m):
+    """Per level ``l = 1..m``: column slice, amplitude, piece and support width.
+
+    Amplitude and widths are constant within a level (the widths are
+    exact dyadic numbers), so the level's first column of :func:`_tables`
+    gives them for every column of the level, bit for bit.
+    """
+    amp, left, mid, right = _tables(m)
+    for l in range(1, m + 1):
+        j = 2 ** (l - 1)
+        yield slice(j, 2 * j), amp[j], mid[j] - left[j], right[j] - left[j]
+
+
+def _row_blocks(n_rows):
+    for r0 in range(0, n_rows, _FILL_ROWS):
+        yield slice(r0, r0 + _FILL_ROWS)
+
+
+def _taylor_exp(C, A, T1, H):
+    # A * (int_{T1-H}^{T1} - int_{T1}^{T1+H}) exp(-c t) dt, truncated Taylor in c
+    return A * C * H ** 2 * (
+        1.0
+        - C * T1
+        + C ** 2 * (T1 ** 2 / 2.0 + H ** 2 / 12.0)
+        - C ** 3 * (T1 ** 3 / 6.0 + T1 * H ** 2 / 12.0)
+    )
+
+
+def _taylor_exp_t(C, A, T0, T1, T2):
+    def moment(a, b):
+        # int_a^b t exp(-c t) dt, truncated Taylor in c
+        return (
+            (b ** 2 - a ** 2) / 2.0
+            - C * (b ** 3 - a ** 3) / 3.0
+            + C ** 2 * (b ** 4 - a ** 4) / 8.0
+            - C ** 3 * (b ** 5 - a ** 5) / 30.0
+            + C ** 4 * (b ** 6 - a ** 6) / 144.0
+        )
+
+    return A * (moment(T0, T1) - moment(T1, T2))
+
+
 def exp_haar_matrix(c, m):
     """Matrix of ``int_0^1 exp(-c_k t) Phi_j(t) dt`` for ``j = 1..2**m``.
 
@@ -127,13 +179,19 @@ def exp_haar_matrix(c, m):
         Span level; the result has shape ``(len(c), 2**m)``.
 
     The wavelet columns use the cancellation-free form
-    ``(A/c) * exp(-c*mid) * 4*sinh(c*h/2)**2`` (``h`` the piece width),
-    with a Taylor branch when ``c`` times the support width is below
-    1e-6. Column ``j = 1`` is ``-expm1(-c)/c``.
+    ``((A/c) * exp(-c*mid) * 4) * sinh(c*h/2)**2`` (``A`` the amplitude,
+    ``h`` the piece width), with a Taylor branch when ``c`` times the
+    support width is below 1e-6. Column ``j = 1`` is ``-expm1(-c)/c``.
+
+    The wavelet columns are filled level by level and in blocks of
+    rows, straight into the result: ``A/c`` and ``sinh(c*h/2)**2`` are
+    evaluated once per row and level, ``exp`` once per entry, and the
+    Taylor branch only on the rows below the threshold. Every entry
+    keeps the operation sequence of the elementwise formula, so the
+    result is bit-identical to it; peak memory is the result plus
+    the temporaries of one block.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if np.any(c < 0) or not np.all(np.isfinite(c)):
-        raise ValueError("decay rates must be finite and >= 0")
+    c = _rates(c)
     n = 2 ** m
     out = np.empty((len(c), n))
     cs = np.where(c == 0.0, 1.0, c)
@@ -142,23 +200,24 @@ def exp_haar_matrix(c, m):
         1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0,
         -np.expm1(-cs) / cs,
     )
-    if n == 1:
-        return out
-    amp, left, mid, right = _tables(m)
-    A = amp[None, 1:]
-    T1 = mid[None, 1:]
-    H = (mid - left)[None, 1:]          # constant-piece width
-    W = (right - left)[None, 1:]        # support width
+    amp, left, mid, _ = _tables(m)
     C = c[:, None]
-    Cs = np.where(C == 0.0, 1.0, C)
-    stable = (A / Cs) * np.exp(-C * T1) * 4.0 * np.sinh(C * H / 2.0) ** 2
-    taylor = A * C * H ** 2 * (
-        1.0
-        - C * T1
-        + C ** 2 * (T1 ** 2 / 2.0 + H ** 2 / 12.0)
-        - C ** 3 * (T1 ** 3 / 6.0 + T1 * H ** 2 / 12.0)
-    )
-    out[:, 1:] = np.where(C * W < _SMALL_C_WIDTH, taylor, stable)
+    Cs = cs[:, None]
+    neg = -C
+    for cols, a, h, w in _wavelet_levels(m):
+        T1 = mid[None, cols]
+        scale = a / Cs
+        s2 = np.sinh(C * h / 2.0) ** 2
+        for rows in _row_blocks(len(c)):
+            e = np.exp(neg[rows] * T1)
+            e *= scale[rows]
+            e *= 4.0
+            np.multiply(e, s2[rows], out=out[rows, cols])
+        small = c * w < _SMALL_C_WIDTH
+        if small.any():
+            out[small, cols] = _taylor_exp(
+                C[small], amp[None, cols], T1, (mid - left)[None, cols]
+            )
     return out
 
 
@@ -166,11 +225,16 @@ def exp_t_haar_matrix(c, m):
     """Matrix of ``int_0^1 t exp(-c_k t) Phi_j(t) dt``, shape ``(len(c), 2**m)``.
 
     Companion of :func:`exp_haar_matrix` for the t-weighted moment that
-    appears in the first-order Taylor replacement of the adjoint.
+    appears in the first-order Taylor replacement of the adjoint. The
+    wavelet columns are ``((A/c**2) * exp(-c*mid)) * bracket`` with
+    ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
+    filled level by level and in blocks of rows like
+    :func:`exp_haar_matrix`: ``A/c**2``, ``sinh(c*h/2)**2`` and
+    ``2*c*h*sinh(c*h)`` once per row and level, ``exp`` once per entry,
+    the Taylor branch only below the threshold, and the result
+    bit-identical to the elementwise formula.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if np.any(c < 0) or not np.all(np.isfinite(c)):
-        raise ValueError("decay rates must be finite and >= 0")
+    c = _rates(c)
     n = 2 ** m
     out = np.empty((len(c), n))
     cs = np.where(c == 0.0, 1.0, c)
@@ -179,32 +243,29 @@ def exp_t_haar_matrix(c, m):
         0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
     )
     out[:, 0] = np.where(c < _SMALL_C_MOMENT, taylor1, direct)
-    if n == 1:
-        return out
     amp, left, mid, right = _tables(m)
-    A = amp[None, 1:]
-    T0 = left[None, 1:]
-    T1 = mid[None, 1:]
-    T2 = right[None, 1:]
-    H = T1 - T0
-    W = T2 - T0
     C = c[:, None]
-    Cs = np.where(C == 0.0, 1.0, C)
-    bracket = (C * T1 + 1.0) * 4.0 * np.sinh(C * H / 2.0) ** 2 - 2.0 * C * H * np.sinh(C * H)
-    stable = (A / Cs ** 2) * np.exp(-C * T1) * bracket
-
-    def moment(a, b):
-        # int_a^b t exp(-c t) dt, truncated Taylor in c
-        return (
-            (b ** 2 - a ** 2) / 2.0
-            - C * (b ** 3 - a ** 3) / 3.0
-            + C ** 2 * (b ** 4 - a ** 4) / 8.0
-            - C ** 3 * (b ** 5 - a ** 5) / 30.0
-            + C ** 4 * (b ** 6 - a ** 6) / 144.0
-        )
-
-    taylor = A * (moment(T0, T1) - moment(T1, T2))
-    out[:, 1:] = np.where(C * W < _SMALL_C_WIDTH, taylor, stable)
+    Cs = cs[:, None]
+    neg = -C
+    for cols, a, h, w in _wavelet_levels(m):
+        T1 = mid[None, cols]
+        scale = a / Cs ** 2
+        s2 = np.sinh(C * h / 2.0) ** 2
+        corr = 2.0 * C * h * np.sinh(C * h)
+        for rows in _row_blocks(len(c)):
+            x = neg[rows] * T1              # -(c * mid), exactly
+            e = np.exp(x)
+            np.subtract(1.0, x, out=x)      # c * mid + 1.0, exactly
+            x *= 4.0
+            x *= s2[rows]
+            x -= corr[rows]
+            e *= scale[rows]
+            np.multiply(e, x, out=out[rows, cols])
+        small = c * w < _SMALL_C_WIDTH
+        if small.any():
+            out[small, cols] = _taylor_exp_t(
+                C[small], amp[None, cols], left[None, cols], T1, right[None, cols]
+            )
     return out
 
 

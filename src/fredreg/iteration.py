@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .haar import HaarCoefficients
+from .haar import HaarCoefficients, _level_of
 from .shifted import solve_spd_shifted
 
 __all__ = [
@@ -125,7 +125,6 @@ class IterationState:
     m: int
     u: np.ndarray
     G: float
-    history: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -188,13 +187,6 @@ def rank_schedule(a, c1, eta, m_cap=None):
     return m
 
 
-def _level_of_length(length):
-    m = int(length).bit_length() - 1
-    if 2 ** m != length:
-        raise ValueError(f"coefficient length must be a power of two, got {length}")
-    return m
-
-
 def dsm_step(state, zeta, q):
     """One blend step: ``u_new = q * pad(u_prev) + (1 - q) * zeta``.
 
@@ -204,7 +196,7 @@ def dsm_step(state, zeta, q):
     endpoints remain usable in algebraic tests.
     """
     zeta = np.asarray(zeta, dtype=float)
-    m_new = _level_of_length(len(zeta))
+    m_new = _level_of(len(zeta))
     if m_new < state.m:
         raise ValueError(f"level must not shrink: {state.m} -> {m_new}")
     padded = np.zeros(len(zeta))
@@ -227,7 +219,15 @@ def discrepancy_update(g_prev, a, gamma_norm, q, variant="formal"):
     return q * g_prev + factor * a * gamma_norm
 
 
-def _run_loop(ops, f_samples, delta, config, fixed_n, step_systems):
+def _check_data(f_samples, delta):
+    """Reject non-finite samples and a non-finite noise bound at entry."""
+    if not np.all(np.isfinite(np.asarray(f_samples, dtype=float))):
+        raise ValueError("data samples must be finite")
+    if delta is not None and not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+
+
+def _run_loop(delta, config, fixed_n, step_systems):
     """Shared driver: step_systems(n, a, state) -> (m_raw, m, A, v, B, g)."""
     if fixed_n is None:
         if delta is None or not delta > 0:
@@ -254,17 +254,17 @@ def _run_loop(ops, f_samples, delta, config, fixed_n, step_systems):
         g_new = discrepancy_update(state.G, a, gamma_norm, config.q, config.gnm_variant)
         record = StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=g_new)
         history.append(record)
-        state = replace(state, G=g_new, history=tuple(history))
+        state = replace(state, G=g_new)
         if threshold is not None and g_new <= threshold:
             reason = "discrepancy_met" if n > 1 else "initial_below_threshold"
-            return _outcome(state, reason, delta, threshold, capped)
+            return _outcome(state, history, reason, delta, threshold, capped)
     if threshold is None:
-        return _outcome(state, "fixed_n", delta, None, capped)
+        return _outcome(state, history, "fixed_n", delta, None, capped)
     reason = "m_cap" if capped else "max_iter"
-    return _outcome(state, reason, delta, threshold, capped)
+    return _outcome(state, history, reason, delta, threshold, capped)
 
 
-def _outcome(state, reason, delta, threshold, capped):
+def _outcome(state, history, reason, delta, threshold, capped):
     solution = HaarCoefficients(level=state.m, values=state.u)
     return SolveOutcome(
         solution=solution,
@@ -272,7 +272,7 @@ def _outcome(state, reason, delta, threshold, capped):
         m_final=state.m,
         G_final=state.G,
         stop_reason=reason,
-        trace=state.history,
+        trace=tuple(history),
         delta_abs=delta,
         threshold=threshold,
         capped=capped,
@@ -300,7 +300,10 @@ def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
     Returns
     -------
     SolveOutcome
+
+    Raises ``ValueError`` on non-finite samples or a non-finite ``delta``.
     """
+    _check_data(f_samples, delta)
     c1 = ops.kernel.c1
     rhs_cache = {}
     data_cache = {}
@@ -315,7 +318,7 @@ def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
         b_mat = ops.gram(m, side="range").entries
         return m_raw, m, a_mat, rhs_cache[m], b_mat, data_cache[m]
 
-    return _run_loop(ops, f_samples, delta, config, fixed_n, systems)
+    return _run_loop(delta, config, fixed_n, systems)
 
 
 def run_fixed(ops, f_samples, delta, config, m, fixed_n=None):
@@ -324,8 +327,9 @@ def run_fixed(ops, f_samples, delta, config, m, fixed_n=None):
     At every iteration the same exact Galerkin matrix ``K_m`` of the
     operator is used: the update solves ``(a_n I + K_m^T K_m) z =
     K_m^T g`` and the discrepancy solve uses ``K_m K_m^T``. Stopping is
-    identical to :func:`run_adaptive`.
+    identical to :func:`run_adaptive`, and so is the check of the inputs.
     """
+    _check_data(f_samples, delta)
     if m < 1:
         raise ValueError(f"fixed level must be >= 1, got {m}")
     k = ops.galerkin(m)
@@ -337,7 +341,7 @@ def run_fixed(ops, f_samples, delta, config, m, fixed_n=None):
     def systems(n, a, state):
         return m, m, normal, v, gram_range, g
 
-    return _run_loop(ops, f_samples, delta, config, fixed_n, systems)
+    return _run_loop(delta, config, fixed_n, systems)
 
 
 def closed_form_iterate(ops, f_samples, n, m_schedule, config):

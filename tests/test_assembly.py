@@ -8,13 +8,12 @@ from fredreg.assembly import (
     Kernel,
     OperatorCache,
     assemble_gram,
-    assemble_rhs,
     data_coefficients,
     error_budget,
     exponential_kernel,
     galerkin_matrix,
 )
-from fredreg.haar import exp_haar_matrix, haar_eval, synthesis_matrix
+from fredreg.haar import exp_haar_matrix, exp_t_haar_matrix, haar_eval, synthesis_matrix
 from fredreg.quadrature import simpson_rule, taylor_partition
 
 C1 = 16.0 / 180.0
@@ -164,18 +163,18 @@ class TestGramAssembly:
 class TestAdjointRhs:
     def test_zero_data(self):
         part = taylor_partition(2)
-        samples = np.zeros(720 * 4 + 1)
-        v = assemble_rhs(exponential_kernel(), part, samples, 2)
+        samples = np.zeros(part.n_subintervals * 4 + 1)
+        v = OperatorCache(exponential_kernel()).rhs(samples, 2)
         assert np.max(np.abs(v)) == 0.0
 
     def test_constant_data_first_coefficient(self):
         # oracle: <K* 1, Phi_1> = int_0^1 int_0^1 e^{-st} ds dt
         oracle = quad(lambda t: -math.expm1(-t) / t if t > 0 else 1.0, 0, 1)[0]
         assert oracle == pytest.approx(0.7965995992970532, abs=1e-12)
+        ops = OperatorCache(exponential_kernel())
         for m in (1, 3):
-            part = taylor_partition(m)
-            samples = np.ones(part.n_subintervals * 4 + 1)
-            v = assemble_rhs(exponential_kernel(), part, samples, m)
+            samples = np.ones(ops.partition(m).n_subintervals * 4 + 1)
+            v = ops.rhs(samples, m)
             assert v[0] == pytest.approx(oracle, abs=1.0 / (2 ** (2 * m) * 180))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -186,8 +185,7 @@ class TestAdjointRhs:
         prob = exact_problem()
         grid = sample_grid(6)
         samples = prob.exact_rhs(grid)
-        part = taylor_partition(m)
-        v = assemble_rhs(prob.kernel, part, samples, m)
+        v = OperatorCache(prob.kernel).rhs(samples, m)
         # exact adjoint coefficients by dense Gauss quadrature in s
         gx, gw = np.polynomial.legendre.leggauss(12)
         ncell = 256
@@ -205,11 +203,10 @@ class TestAdjointRhs:
             c1=1.0,
             sup_bound=2.0,
         )
-        part = taylor_partition(1)
         with pytest.raises(ValueError):
-            assemble_rhs(generic, part, np.ones(361), 1)
+            OperatorCache(generic).rhs(np.ones(361), 1)
         with pytest.raises(ValueError):
-            assemble_rhs(exponential_kernel(), part, np.ones(181), 1)
+            OperatorCache(exponential_kernel()).rhs(np.ones(181), 1)
 
 
 class TestDataCoefficients:
@@ -315,10 +312,24 @@ class TestOperatorCache:
         assert ops.partition(2) is ops.partition(2)
 
     def test_cached_rhs_matches_direct_assembly(self):
+        # direct: closed-form moment matrices against per-subinterval
+        # trapezoid moments M0_j = int_{D_j} f, M1_j = int_{D_j} (s - d_j) f
         ops = OperatorCache(exponential_kernel())
         n = 360 * 8
         grid = np.arange(n + 1) / n
         samples = np.exp(-grid)
+        d = taylor_partition(1).left_endpoints
+        k = n // len(d)
+
+        def trapezoid(y, x):
+            return float(np.sum((y[1:] + y[:-1]) / 2.0 * np.diff(x)))
+
+        pieces = [slice(j * k, (j + 1) * k + 1) for j in range(len(d))]
+        m0 = np.array([trapezoid(samples[p], grid[p]) for p in pieces])
+        m1 = np.array(
+            [trapezoid((grid[p] - dj) * samples[p], grid[p]) for p, dj in zip(pieces, d)]
+        )
+        v_direct = exp_haar_matrix(d, 1).T @ m0 - exp_t_haar_matrix(d, 1).T @ m1
         v_cached = ops.rhs(samples, 1)
-        v_direct = assemble_rhs(exponential_kernel(), taylor_partition(1), samples, 1)
-        np.testing.assert_array_equal(v_cached, v_direct)
+        np.testing.assert_allclose(v_cached, v_direct, rtol=1e-13, atol=1e-16)
+        np.testing.assert_array_equal(ops.rhs(samples, 1), v_cached)

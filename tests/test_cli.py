@@ -94,3 +94,11 @@ def test_failed_stop_reason_exit_code(capsys):
         "--max-iter", "1",
     ])
     assert code == 3
+
+
+def test_numerical_breakdown_exit_code(capsys):
+    # a noise bound far below the roundoff floor of the Gram matrices drives
+    # the shift under it before the rule fires: Cholesky breaks down -> 4
+    assert main(["solve", "--noise", "1e-17", "--seed", "0"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical breakdown" in err and "configuration error" not in err

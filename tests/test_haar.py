@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from fredreg.haar import (
     project,
     split_index,
     synthesis_matrix,
+    _FILL_ROWS,
+    _SMALL_C_MOMENT,
+    _SMALL_C_WIDTH,
+    _gauss_cell_nodes,
+    _tables,
 )
+from fredreg.quadrature import simpson_rule, taylor_partition
 
 
 def quad_inner(f, j):
@@ -27,6 +34,94 @@ def quad_inner(f, j):
     w = 1.0 / 2 ** (l - 1)
     t0, t1, t2 = (p - 1) * w, (p - 1) * w + w / 2, p * w
     return a * (quad(f, t0, t1, limit=200)[0] - quad(f, t1, t2, limit=200)[0])
+
+
+def _exp_haar_matrix_ref(c, m):
+    """Elementwise formula of ``exp_haar_matrix``: the bit-identity oracle."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    n = 2 ** m
+    out = np.empty((len(c), n))
+    cs = np.where(c == 0.0, 1.0, c)
+    out[:, 0] = np.where(
+        c < _SMALL_C_WIDTH,
+        1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0,
+        -np.expm1(-cs) / cs,
+    )
+    if n == 1:
+        return out
+    amp, left, mid, right = _tables(m)
+    A = amp[None, 1:]
+    T1 = mid[None, 1:]
+    H = (mid - left)[None, 1:]
+    W = (right - left)[None, 1:]
+    C = c[:, None]
+    Cs = np.where(C == 0.0, 1.0, C)
+    stable = (A / Cs) * np.exp(-C * T1) * 4.0 * np.sinh(C * H / 2.0) ** 2
+    taylor = A * C * H ** 2 * (
+        1.0
+        - C * T1
+        + C ** 2 * (T1 ** 2 / 2.0 + H ** 2 / 12.0)
+        - C ** 3 * (T1 ** 3 / 6.0 + T1 * H ** 2 / 12.0)
+    )
+    out[:, 1:] = np.where(C * W < _SMALL_C_WIDTH, taylor, stable)
+    return out
+
+
+def _exp_t_haar_matrix_ref(c, m):
+    """Elementwise formula of ``exp_t_haar_matrix``: the bit-identity oracle."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    n = 2 ** m
+    out = np.empty((len(c), n))
+    cs = np.where(c == 0.0, 1.0, c)
+    direct = np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2
+    taylor1 = (
+        0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
+    )
+    out[:, 0] = np.where(c < _SMALL_C_MOMENT, taylor1, direct)
+    if n == 1:
+        return out
+    amp, left, mid, right = _tables(m)
+    A = amp[None, 1:]
+    T0 = left[None, 1:]
+    T1 = mid[None, 1:]
+    T2 = right[None, 1:]
+    H = T1 - T0
+    W = T2 - T0
+    C = c[:, None]
+    Cs = np.where(C == 0.0, 1.0, C)
+    bracket = (C * T1 + 1.0) * 4.0 * np.sinh(C * H / 2.0) ** 2 - 2.0 * C * H * np.sinh(C * H)
+    stable = (A / Cs ** 2) * np.exp(-C * T1) * bracket
+
+    def moment(a, b):
+        return (
+            (b ** 2 - a ** 2) / 2.0
+            - C * (b ** 3 - a ** 3) / 3.0
+            + C ** 2 * (b ** 4 - a ** 4) / 8.0
+            - C ** 3 * (b ** 5 - a ** 5) / 30.0
+            + C ** 4 * (b ** 6 - a ** 6) / 144.0
+        )
+
+    taylor = A * (moment(T0, T1) - moment(T1, T2))
+    out[:, 1:] = np.where(C * W < _SMALL_C_WIDTH, taylor, stable)
+    return out
+
+
+def _hand_rates():
+    """Unsorted rates: 0, a value under the Taylor threshold of every level
+    (and one just over it), ordinary values and c = 50; the count is not a
+    multiple of the fill block."""
+    rng = np.random.default_rng(21)
+    widths = 1.0 / 2.0 ** np.arange(10)  # support widths of levels 1..10
+    c = np.concatenate([
+        [0.0, 50.0, 1.0, 0.5],
+        0.5 * _SMALL_C_WIDTH / widths,
+        1.5 * _SMALL_C_WIDTH / widths,
+        rng.uniform(0.0, 2.0, 300),
+        10.0 ** rng.uniform(-12.0, 1.0, 300),
+    ])
+    rng.shuffle(c)
+    assert len(c) % _FILL_ROWS != 0
+    return c
 
 
 class TestIndexing:
@@ -135,6 +230,38 @@ class TestExponentialInnerProducts:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             exp_haar_inner(-1.0, 1)
+
+
+class TestMomentMatrixFill:
+    """The blocked per-level fill against the elementwise formulas."""
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_bit_identical_to_elementwise_formula(self, m):
+        inputs = {
+            "partition": taylor_partition(m).left_endpoints,
+            "simpson": simpson_rule(m).points,
+            "gauss": _gauss_cell_nodes(m, 4)[0],
+            "hand": _hand_rates(),
+        }
+        for name, c in inputs.items():
+            # the formulas are row-wise, so compare in row chunks to bound
+            # the oracle's temporaries (ten full-size arrays)
+            for rows in np.array_split(np.arange(len(c)), max(1, len(c) // 3000)):
+                for fill, ref in ((exp_haar_matrix, _exp_haar_matrix_ref),
+                                  (exp_t_haar_matrix, _exp_t_haar_matrix_ref)):
+                    got = fill(c[rows], m)
+                    assert np.array_equal(got, ref(c[rows], m)), (fill.__name__, name)
+
+    def test_peak_memory_is_the_output(self):
+        c = taylor_partition(8).left_endpoints
+        _tables(8)
+        tracemalloc.start()
+        try:
+            out = exp_haar_matrix(c, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
 
 class TestProjection:

@@ -299,3 +299,27 @@ class TestRunFixed:
         _, ops, samples = bench
         with pytest.raises(ValueError):
             run_fixed(ops, samples, 0.1, SolverConfig(), 0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ops, f, delta: run_adaptive(ops, f, delta, SolverConfig()),
+        lambda ops, f, delta: run_fixed(ops, f, delta, SolverConfig(), 4),
+    ],
+    ids=["adaptive", "fixed"],
+)
+class TestNonFiniteInputs:
+    def test_rejects_nan_sample(self, bench, run):
+        # a NaN sample made G NaN, so the stopping rule could never fire
+        _, ops, samples = bench
+        bad = samples.copy()
+        bad[17] = np.nan
+        with pytest.raises(ValueError, match="samples must be finite"):
+            run(ops, bad, 1e-3)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_rejects_non_finite_delta(self, bench, run, delta):
+        _, ops, samples = bench
+        with pytest.raises(ValueError, match="delta must be finite"):
+            run(ops, samples, delta)
