@@ -30,20 +30,9 @@ from .haar import (
     project,
     synthesis_matrix,
     _gauss_cell_nodes,
+    _trapezoid_blocks,
 )
 from .quadrature import simpson_rule, taylor_partition
-
-__all__ = [
-    "Kernel",
-    "GramMatrix",
-    "ErrorBudget",
-    "exponential_kernel",
-    "assemble_gram",
-    "data_coefficients",
-    "error_budget",
-    "galerkin_matrix",
-    "OperatorCache",
-]
 
 
 @dataclass(frozen=True)
@@ -180,28 +169,11 @@ def _moments(samples, partition):
     Returns ``(M0, M1)`` with ``M0_j ~ int_{D_j} f`` and
     ``M1_j ~ int_{D_j} (s - d_{j-1}) f(s) ds``.
     """
-    samples = np.asarray(samples, dtype=float)
-    npart = partition.n_subintervals
-    nsub = len(samples) - 1
-    if nsub < npart or nsub % npart != 0:
-        raise ValueError(
-            f"sample grid with {nsub} subintervals does not refine the "
-            f"partition with {npart} subintervals"
-        )
-    k = nsub // npart
-    h = 1.0 / nsub
-    idx = np.arange(npart)[:, None] * k + np.arange(k + 1)[None, :]
-    blocks = samples[idx]
-    w0 = np.ones(k + 1)
-    w0[0] = w0[-1] = 0.5
+    blocks, h, w0 = _trapezoid_blocks(samples, partition.n_subintervals)
+    k = len(w0) - 1
     w1 = np.arange(k + 1, dtype=float)
     w1[-1] = k / 2.0
     return h * (blocks @ w0), h * h * (blocks @ w1)
-
-
-def data_coefficients(f_samples, m):
-    """Haar coefficients ``g_i = <f, Phi_i>`` of sampled data (length ``2**m``)."""
-    return project(f_samples, m).values
 
 
 def error_budget(kernel, m):
@@ -291,7 +263,8 @@ class OperatorCache:
         return e0.T @ m0 - e1.T @ m1
 
     def data(self, f_samples, m):
-        return data_coefficients(f_samples, m)
+        """Haar coefficients ``g_i = <f, Phi_i>`` of sampled data (length ``2**m``)."""
+        return project(f_samples, m).values
 
     def galerkin(self, m):
         if m not in self._galerkin:

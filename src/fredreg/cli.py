@@ -27,8 +27,7 @@ from .experiment import (
     run_table,
     sample_grid,
 )
-from .iteration import SolverConfig, run_adaptive, run_fixed
-from .shifted import FactorizationError
+from .iteration import FactorizationError, SolverConfig, run_adaptive, run_fixed
 
 _OK_STOPS = ("discrepancy_met", "initial_below_threshold")
 
@@ -37,11 +36,15 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _seed_list(text):
-    seeds = [int(tok) for tok in text.split(",") if tok]
-    if any(s < 0 for s in seeds):
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
         raise argparse.ArgumentTypeError("seeds must be non-negative integers")
-    return seeds
+    return seed
+
+
+def _seed_list(text):
+    return [_seed(tok) for tok in text.split(",") if tok]
 
 
 def build_parser():
@@ -65,19 +68,12 @@ def build_parser():
             default="formal",
             help="discrepancy recursion variant (keep or drop the 1-q factor)",
         )
-        p.add_argument(
-            "--preset",
-            choices=("paper",),
-            default=None,
-            help="named constant preset (the defaults already match it)",
-        )
         p.add_argument("--out", default=None, help="output CSV path")
 
     solve = sub.add_parser("solve", help="run a single reconstruction")
     add_common(solve)
-    solve.add_argument("--noise", type=_float_list, default=[0.05], help="relative noise level")
-    solve.add_argument("--seed", type=_seed_list, default=[0], help="RNG seed")
-    solve.add_argument("--seeds", type=int, default=None, help="unsupported for solve")
+    solve.add_argument("--noise", type=float, default=0.05, help="relative noise level")
+    solve.add_argument("--seed", type=_seed, default=0, help="RNG seed")
     solve.add_argument(
         "--scheme", choices=("adaptive", "fixed", "both"), default="adaptive"
     )
@@ -99,18 +95,16 @@ def build_parser():
     return parser
 
 
-def _cmd_solve(args):
-    if len(args.noise) != 1 or len(args.seed) != 1:
-        print("solve takes exactly one --noise level and one --seed", file=sys.stderr)
-        return 2
-    if args.seeds is not None:
-        print("solve does not accept --seeds; use --seed", file=sys.stderr)
-        return 2
-    config = SolverConfig(
+def _config(args):
+    return SolverConfig(
         alpha0=args.alpha0, q=args.q, C=args.C, eps=args.eps, eta=args.eta,
         max_iter=args.max_iter, m_cap=args.m_cap, gnm_variant=args.gnm_variant,
     )
-    level, seed = args.noise[0], args.seed[0]
+
+
+def _cmd_solve(args):
+    config = _config(args)
+    level, seed = args.noise, args.seed
     problem = exact_problem()
     ops = OperatorCache(problem.kernel)
     grid = sample_grid(config.m_cap)
@@ -150,10 +144,7 @@ def _cmd_solve(args):
 
 
 def _cmd_table(args):
-    config = SolverConfig(
-        alpha0=args.alpha0, q=args.q, C=args.C, eps=args.eps, eta=args.eta,
-        max_iter=args.max_iter, m_cap=args.m_cap, gnm_variant=args.gnm_variant,
-    )
+    config = _config(args)
     if args.seed is not None and args.seeds is not None:
         print("give either --seed or --seeds, not both", file=sys.stderr)
         return 2

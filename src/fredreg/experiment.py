@@ -24,23 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import Kernel, OperatorCache, exponential_kernel
+from .haar import exp_t_haar_matrix
 from .iteration import SolverConfig, run_adaptive, run_fixed
-
-__all__ = [
-    "Problem",
-    "NoiseSpec",
-    "ExperimentRow",
-    "exact_problem",
-    "sample_grid",
-    "trapezoid_norm",
-    "add_noise",
-    "avg_error",
-    "run_table",
-    "rows_to_csv",
-    "rows_from_csv",
-    "CSV_COLUMNS",
-    "PAPER_NOISE_LEVELS",
-]
 
 PAPER_NOISE_LEVELS = (0.05, 0.01, 0.005, 0.0005)
 
@@ -55,8 +40,6 @@ CSV_COLUMNS = (
     "wall_seconds",
     "stop_reason",
 )
-
-_ACCEPTED_STOPS = ("discrepancy_met", "initial_below_threshold")
 
 
 @dataclass(frozen=True)
@@ -84,13 +67,13 @@ class Problem:
 
 
 def _benchmark_rhs(s):
-    """``f(s) = (1 - (s+1) e^{-s}) / s**2`` with a series branch near 0."""
-    s = np.asarray(s, dtype=float)
-    ss = np.where(s == 0.0, 1.0, s)
-    direct = np.exp(-ss) * (np.expm1(ss) - ss) / ss ** 2
-    series = 0.5 - s / 3.0 + s ** 2 / 8.0 - s ** 3 / 30.0 + s ** 4 / 144.0 - s ** 5 / 840.0
-    out = np.where(s < 1e-3, series, direct)
-    return float(out) if np.isscalar(s) or s.ndim == 0 else out
+    """``f(s) = int_0^1 t exp(-s t) dt = (1 - (s+1) e^{-s}) / s**2``.
+
+    That is the ``Phi_1`` column of :func:`~fredreg.haar.exp_t_haar_matrix`
+    (series branch near 0); scalar input gives a scalar.
+    """
+    out = exp_t_haar_matrix(np.ravel(s), 0)[:, 0].reshape(np.shape(s))
+    return float(out) if out.ndim == 0 else out
 
 
 def exact_problem():

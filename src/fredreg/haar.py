@@ -18,24 +18,10 @@ samples onto the span, and a small coefficient container with exact
 zero-padding embedding into finer spans.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-__all__ = [
-    "HaarCoefficients",
-    "split_index",
-    "join_index",
-    "haar_eval",
-    "exp_haar_inner",
-    "exp_t_haar_inner",
-    "exp_haar_matrix",
-    "exp_t_haar_matrix",
-    "project",
-    "synthesis_matrix",
-]
 
 # Below this value of c * (support width), the exponential inner products
 # switch to truncated Taylor expansions of the piece integrals.
@@ -90,6 +76,14 @@ def _tables(m):
     return amp, left, mid, right
 
 
+def _unit_points(x):
+    """``x`` as a float array; raises unless every point (no NaN) is in [0, 1]."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
+        raise ValueError("evaluation points must lie in [0, 1]")
+    return xa
+
+
 def haar_eval(j, x):
     """Evaluate ``Phi_j`` at points ``x`` in [0,1].
 
@@ -99,9 +93,7 @@ def haar_eval(j, x):
     j = int(j)
     if j < 1:
         raise ValueError(f"basis index must be >= 1, got {j}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
+    xa = _unit_points(x)
     if j == 1:
         out = np.ones_like(xa)
         return float(out) if np.isscalar(x) else out
@@ -269,30 +261,6 @@ def exp_t_haar_matrix(c, m):
     return out
 
 
-def exp_haar_inner(c, j):
-    """Closed form of ``int_0^1 exp(-c t) Phi_j(t) dt`` for a single index."""
-    c = float(c)
-    if not math.isfinite(c) or c < 0:
-        raise ValueError(f"decay rate must be finite and >= 0, got {c}")
-    j = int(j)
-    if j < 1:
-        raise ValueError(f"basis index must be >= 1, got {j}")
-    m = 0 if j == 1 else (j - 1).bit_length()
-    return float(exp_haar_matrix(np.array([c]), m)[0, j - 1])
-
-
-def exp_t_haar_inner(c, j):
-    """Closed form of ``int_0^1 t exp(-c t) Phi_j(t) dt`` for a single index."""
-    c = float(c)
-    if not math.isfinite(c) or c < 0:
-        raise ValueError(f"decay rate must be finite and >= 0, got {c}")
-    j = int(j)
-    if j < 1:
-        raise ValueError(f"basis index must be >= 1, got {j}")
-    m = 0 if j == 1 else (j - 1).bit_length()
-    return float(exp_t_haar_matrix(np.array([c]), m)[0, j - 1])
-
-
 # ---------------------------------------------------------------------------
 # synthesis and projection
 # ---------------------------------------------------------------------------
@@ -362,9 +330,7 @@ class HaarCoefficients:
 
     def evaluate(self, x):
         """Pointwise evaluation on [0,1]; ``x = 1`` takes the left limit."""
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < 0.0) or np.any(xa > 1.0):
-            raise ValueError("evaluation points must lie in [0, 1]")
+        xa = _unit_points(x)
         n = 2 ** self.level
         idx = np.minimum((xa * n).astype(int), n - 1)
         out = self.cell_values()[idx]
@@ -382,6 +348,30 @@ def _gauss_cell_nodes(m, nodes_per_cell):
     t = (np.arange(n)[:, None] * w + (gx[None, :] + 1.0) * w / 2.0).ravel()
     tw = np.tile(gw * w / 2.0, n)
     return t, tw
+
+
+def _trapezoid_blocks(samples, n_cells):
+    """Cut uniform-grid samples into the blocks of ``n_cells`` equal cells.
+
+    Returns ``(blocks, h, w)``: ``blocks[i]`` holds the ``k + 1`` samples
+    on cell ``i`` (end samples shared with the neighbours), ``h`` is the
+    grid step and ``w`` the trapezoid weights, so that ``h * (blocks @ w)``
+    integrates the samples over every cell. The grid must refine the cells.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1 or len(samples) < 2:
+        raise ValueError("samples must be a 1-d array of at least 2 values")
+    nsub = len(samples) - 1
+    if nsub % n_cells != 0:
+        raise ValueError(
+            f"sample grid with {nsub} subintervals does not refine the "
+            f"grid of {n_cells} cells"
+        )
+    k = nsub // n_cells
+    idx = np.arange(n_cells)[:, None] * k + np.arange(k + 1)[None, :]
+    w = np.ones(k + 1)
+    w[0] = w[-1] = 0.5
+    return samples[idx], 1.0 / nsub, w
 
 
 def project(f, m, nodes_per_cell=4):
@@ -413,21 +403,7 @@ def project(f, m, nodes_per_cell=4):
         nodes_total = nodes_per_cell
         cell_ints = (vals * tw).reshape(n, nodes_total).sum(axis=1)
     else:
-        samples = np.asarray(f, dtype=float)
-        if samples.ndim != 1 or len(samples) < 2:
-            raise ValueError("samples must be a 1-d array of at least 2 values")
-        nsub = len(samples) - 1
-        if nsub % n != 0:
-            raise ValueError(
-                f"sample grid with {nsub} subintervals does not refine the "
-                f"level-{m} dyadic grid"
-            )
-        k = nsub // n
-        h = 1.0 / nsub
-        idx = np.arange(n)[:, None] * k + np.arange(k + 1)[None, :]
-        blocks = samples[idx]
-        w = np.ones(k + 1)
-        w[0] = w[-1] = 0.5
+        blocks, h, w = _trapezoid_blocks(f, n)
         cell_ints = h * (blocks @ w)
     coeffs = synthesis_matrix(m) @ cell_ints
     return HaarCoefficients(level=m, values=coeffs)

@@ -28,25 +28,55 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .haar import HaarCoefficients, _level_of
-from .shifted import solve_spd_shifted
-
-__all__ = [
-    "SolverConfig",
-    "IterationState",
-    "StepRecord",
-    "SolveOutcome",
-    "geometric_weights",
-    "rank_schedule",
-    "dsm_step",
-    "discrepancy_update",
-    "run_adaptive",
-    "run_fixed",
-    "closed_form_iterate",
-]
 
 _GNM_VARIANTS = ("formal", "listing")
+
+
+class FactorizationError(np.linalg.LinAlgError):
+    """Cholesky breakdown; ``pivot`` is the 1-based offending leading minor.
+
+    Possible only when the matrix violates the positive semidefinite
+    contract upstream (the shift makes honest Gram inputs definite).
+    """
+
+    def __init__(self, pivot):
+        self.pivot = int(pivot)
+        super().__init__(
+            f"Cholesky factorization failed at pivot {self.pivot}; "
+            "matrix is not positive definite"
+        )
+
+
+def solve_spd_shifted(a_matrix, shift, rhs):
+    """Solve ``(shift I + A) x = b`` for symmetric PSD ``A`` by Cholesky.
+
+    Every linear solve of the scheme has this form. With ``shift > 0``
+    the system matrix has smallest eigenvalue at least ``shift``, so
+    plain Cholesky is backward stable; identical inputs give
+    bit-identical solutions.
+    """
+    a_matrix = np.asarray(a_matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if not shift > 0:
+        raise ValueError(f"shift must be positive, got {shift}")
+    n = a_matrix.shape[0]
+    if a_matrix.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {a_matrix.shape}")
+    if rhs.shape[0] != n:
+        raise ValueError(f"dimension mismatch: matrix {n}, rhs {rhs.shape[0]}")
+    shifted = a_matrix + shift * np.eye(n)
+    factor, info = dpotrf(shifted, lower=1, overwrite_a=1)
+    if info > 0:
+        raise FactorizationError(info)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the factorization")
+    x, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"triangular solve failed with status {info}")
+    return x
 
 
 @dataclass(frozen=True)

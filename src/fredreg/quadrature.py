@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "TaylorPartition", "simpson_rule", "taylor_partition"]
-
 
 def _frozen(a):
     a = np.ascontiguousarray(a, dtype=float)

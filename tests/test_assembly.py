@@ -8,7 +8,6 @@ from fredreg.assembly import (
     Kernel,
     OperatorCache,
     assemble_gram,
-    data_coefficients,
     error_budget,
     exponential_kernel,
     galerkin_matrix,
@@ -210,9 +209,11 @@ class TestAdjointRhs:
 
 
 class TestDataCoefficients:
+    data = staticmethod(OperatorCache(exponential_kernel()).data)
+
     def test_constant(self):
         samples = np.ones(8 * 16 + 1)
-        g = data_coefficients(samples, 3)
+        g = self.data(samples, 3)
         expected = np.zeros(8)
         expected[0] = 1.0
         np.testing.assert_allclose(g, expected, atol=1e-14)
@@ -220,7 +221,7 @@ class TestDataCoefficients:
     def test_wavelet_samples(self):
         n = 2880
         grid = np.arange(n + 1) / n
-        g = data_coefficients(haar_eval(2, grid), 2)
+        g = self.data(haar_eval(2, grid), 2)
         assert g[1] == pytest.approx(1.0, abs=1e-3)
 
     def test_noise_projection_is_contraction(self):
@@ -233,8 +234,8 @@ class TestDataCoefficients:
         e = rng.uniform(-1, 1, n + 1)
         e *= 1e-2 / trapezoid_norm(e)
         for m in (2, 4):
-            g0 = data_coefficients(f, m)
-            gd = data_coefficients(f + e, m)
+            g0 = self.data(f, m)
+            gd = self.data(f + e, m)
             assert np.linalg.norm(gd - g0) <= 1e-2 + 1e-6
 
 

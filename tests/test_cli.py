@@ -32,14 +32,22 @@ def test_solve_both_schemes(capsys):
 
 
 def test_solve_rejects_multiple_levels(capsys):
-    assert main(["solve", "--noise", "0.05,0.01", "--seed", "0"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--noise", "0.05,0.01", "--seed", "0"])
+    assert info.value.code == 2
+
+
+def test_solve_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--noise", "0.05", "--seed", "-1"])
+    assert info.value.code == 2
 
 
 def test_table_small_sweep(capsys, tmp_path):
     out = tmp_path / "rows.csv"
     code = main([
         "table", "--noise", "0.05,0.01", "--seeds", "2", "--scheme", "both",
-        "--preset", "paper", "--out", str(out),
+        "--out", str(out),
     ])
     captured = capsys.readouterr().out
     assert code == 0

@@ -7,9 +7,7 @@ from scipy.integrate import quad
 
 from fredreg.haar import (
     HaarCoefficients,
-    exp_haar_inner,
     exp_haar_matrix,
-    exp_t_haar_inner,
     exp_t_haar_matrix,
     haar_eval,
     join_index,
@@ -173,36 +171,44 @@ class TestEval:
             haar_eval(2, -0.01)
         with pytest.raises(ValueError):
             haar_eval(2, 1.01)
+        for j in (1, 2):
+            with pytest.raises(ValueError):
+                haar_eval(j, math.nan)
+
+
+def moment(matrix, c, j):
+    """Entry ``(c, Phi_j)`` of a moment matrix at the coarsest level holding ``Phi_j``."""
+    return float(matrix(np.array([c]), (j - 1).bit_length())[0, j - 1])
 
 
 class TestExponentialInnerProducts:
     def test_zero_rate(self):
-        assert exp_haar_inner(0.0, 1) == 1.0
+        assert moment(exp_haar_matrix, 0.0, 1) == 1.0
         for j in (2, 3, 7, 40):
-            assert exp_haar_inner(0.0, j) == 0.0
+            assert moment(exp_haar_matrix, 0.0, j) == 0.0
 
     def test_unit_rate_constant(self):
-        assert exp_haar_inner(1.0, 1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
+        assert moment(exp_haar_matrix, 1.0, 1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
 
     def test_against_quadrature_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             c = float(rng.uniform(0, 4))
             j = int(rng.integers(1, 256))
-            got = exp_haar_inner(c, j)
+            got = moment(exp_haar_matrix, c, j)
             want = quad_inner(lambda t: math.exp(-c * t), j)
             assert got == pytest.approx(want, abs=1e-13)
 
     def test_t_weighted_zero_rate(self):
-        assert exp_t_haar_inner(0.0, 1) == 0.5
-        assert exp_t_haar_inner(0.0, 2) == -0.25
+        assert moment(exp_t_haar_matrix, 0.0, 1) == 0.5
+        assert moment(exp_t_haar_matrix, 0.0, 2) == -0.25
 
     def test_t_weighted_against_quadrature_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
             c = float(rng.uniform(0, 4))
             j = int(rng.integers(1, 256))
-            got = exp_t_haar_inner(c, j)
+            got = moment(exp_t_haar_matrix, c, j)
             want = quad_inner(lambda t: t * math.exp(-c * t), j)
             assert got == pytest.approx(want, abs=1e-13)
 
@@ -212,24 +218,24 @@ class TestExponentialInnerProducts:
             width = 1.0 if j == 1 else 1.0 / 2 ** (split_index(j)[0] - 1)
             for c in (0.9e-6 / width, 1.1e-6 / width):
                 want = quad_inner(lambda t: math.exp(-c * t), j)
-                assert exp_haar_inner(c, j) == pytest.approx(want, abs=1e-16)
+                assert moment(exp_haar_matrix, c, j) == pytest.approx(want, abs=1e-16)
         for c in (0.999e-3, 1.001e-3):
             want = quad_inner(lambda t: t * math.exp(-c * t), 1)
-            assert exp_t_haar_inner(c, 1) == pytest.approx(want, abs=1e-12)
+            assert moment(exp_t_haar_matrix, c, 1) == pytest.approx(want, abs=1e-12)
 
     def test_matrix_matches_scalar(self):
+        # column j of the level-m matrix equals column j at level (j-1).bit_length()
         c = np.array([0.0, 0.3, 1.7])
         m = 4
-        e0 = exp_haar_matrix(c, m)
-        e1 = exp_t_haar_matrix(c, m)
-        for k, ck in enumerate(c):
+        for matrix in (exp_haar_matrix, exp_t_haar_matrix):
+            full = matrix(c, m)
             for j in range(1, 2 ** m + 1):
-                assert e0[k, j - 1] == pytest.approx(exp_haar_inner(ck, j), abs=1e-16)
-                assert e1[k, j - 1] == pytest.approx(exp_t_haar_inner(ck, j), abs=1e-16)
+                coarse = matrix(c, (j - 1).bit_length())
+                np.testing.assert_allclose(full[:, j - 1], coarse[:, j - 1], rtol=0, atol=1e-16)
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
-            exp_haar_inner(-1.0, 1)
+            exp_haar_matrix(np.array([-1.0]), 0)
 
 
 class TestMomentMatrixFill:
@@ -359,3 +365,9 @@ class TestSpanInvariants:
         coeffs = HaarCoefficients.from_values([1.0, 0.5, 0.25, 0.0])
         cells = coeffs.cell_values()
         assert coeffs.evaluate(1.0) == pytest.approx(cells[-1])
+
+    def test_evaluate_rejects_points_outside_unit_interval(self):
+        coeffs = HaarCoefficients.from_values([1.0, 0.5, 0.25, 0.0])
+        for x in (-0.01, 1.01, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError):
+                coeffs.evaluate(x)
