@@ -15,8 +15,10 @@ For a kernel ``k(s, t)`` on the unit square this module builds
   errors as a function of the level.
 
 Assembly is pure; matrices are immutable once built. The
-:class:`OperatorCache` memoizes the level-dependent pieces so that
-repeated solves (iterations, seeds) only pay for matrix-vector work.
+:class:`OperatorCache` memoizes the level-dependent pieces and the
+Cholesky factors of the shifted systems, so that repeated solves
+(iterations, seeds) only pay for matrix-vector work and triangular
+solves.
 """
 
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ from .haar import (
     _gauss_cell_nodes,
     _trapezoid_blocks,
 )
+from .iteration import factor_spd_shifted
 from .quadrature import simpson_rule, taylor_partition
 
 
@@ -216,7 +219,9 @@ class OperatorCache:
 
     One instance per kernel; safe to share across solver runs. The
     cached pieces (Gram matrices, adjoint moment matrices, partitions,
-    Galerkin matrices) depend only on the level, never on the data.
+    Galerkin matrices and their products, Cholesky factors of the
+    shifted systems) depend only on the level and the shift, never on
+    the data.
     """
 
     def __init__(self, kernel):
@@ -225,14 +230,19 @@ class OperatorCache:
         self._partition = {}
         self._adjoint = {}
         self._galerkin = {}
+        self._galerkin_product = {}
+        self._factor = {}
 
     def partition(self, m):
         if m not in self._partition:
             self._partition[m] = taylor_partition(m)
         return self._partition[m]
 
+    def _gram_key(self, m, side):
+        return (m, "domain" if (side == "range" and self.kernel.symmetric) else side)
+
     def gram(self, m, side="domain"):
-        key = (m, "domain" if (side == "range" and self.kernel.symmetric) else side)
+        key = self._gram_key(m, side)
         if key not in self._gram:
             self._gram[key] = assemble_gram(self.kernel, m, side=key[1])
         return self._gram[key]
@@ -270,3 +280,34 @@ class OperatorCache:
         if m not in self._galerkin:
             self._galerkin[m] = galerkin_matrix(self.kernel, m)
         return self._galerkin[m]
+
+    def galerkin_product(self, m, side="domain"):
+        """``K_m^T K_m`` (``side="domain"``) or ``K_m K_m^T`` (``"range"``), read-only."""
+        if side not in ("domain", "range"):
+            raise ValueError(f"side must be 'domain' or 'range', got {side!r}")
+        key = (m, side)
+        if key not in self._galerkin_product:
+            k = self.galerkin(m)
+            product = k.T @ k if side == "domain" else k @ k.T
+            product.setflags(write=False)
+            self._galerkin_product[key] = product
+        return self._galerkin_product[key]
+
+    def factor(self, m, side, a, galerkin=False):
+        """Factor of ``a I + M`` from :func:`.iteration.factor_spd_shifted`.
+
+        ``M`` is ``gram(m, side)``, or ``galerkin_product(m, side)`` with
+        ``galerkin``. The factor is memoized by the level, the side (the
+        range side shares the domain factor where ``gram`` shares the
+        matrix), the source and the exact shift ``a``: the shifts
+        ``a_n = alpha0 q**n`` and their levels do not depend on the
+        data, so every run of a configuration reuses the same factors,
+        ``8 * 4**m`` bytes each. A failed factorization stores nothing.
+        """
+        source = (m, side) if galerkin else self._gram_key(m, side)
+        key = (galerkin, *source, a)
+        factor = self._factor.get(key)
+        if factor is None:
+            matrix = self.galerkin_product(m, side) if galerkin else self.gram(m, side).entries
+            factor = self._factor[key] = factor_spd_shifted(matrix, a)
+        return factor

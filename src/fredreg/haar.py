@@ -96,7 +96,7 @@ def haar_eval(j, x):
     xa = _unit_points(x)
     if j == 1:
         out = np.ones_like(xa)
-        return float(out) if np.isscalar(x) else out
+        return float(out) if np.ndim(x) == 0 else out
     l, p = split_index(j)
     a = 2.0 ** ((l - 1) / 2.0)
     w = 1.0 / 2 ** (l - 1)
@@ -104,7 +104,7 @@ def haar_eval(j, x):
     # left limit at 1: fold x = 1 into the last cell of the support scale
     xs = np.where(xa == 1.0, np.nextafter(1.0, 0.0), xa)
     out = np.where((xs >= t0) & (xs < t1), a, np.where((xs >= t1) & (xs < t2), -a, 0.0))
-    return float(out) if np.isscalar(x) else out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ class HaarCoefficients:
         n = 2 ** self.level
         idx = np.minimum((xa * n).astype(int), n - 1)
         out = self.cell_values()[idx]
-        return float(out) if np.isscalar(x) else out
+        return float(out) if np.ndim(x) == 0 else out
 
     def norm(self):
         """L2 norm of the represented function (coefficient Euclidean norm)."""

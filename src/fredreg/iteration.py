@@ -50,29 +50,44 @@ class FactorizationError(np.linalg.LinAlgError):
         )
 
 
-def solve_spd_shifted(a_matrix, shift, rhs):
-    """Solve ``(shift I + A) x = b`` for symmetric PSD ``A`` by Cholesky.
+def factor_spd_shifted(matrix, shift):
+    """Read-only lower Cholesky factor of ``shift I + M`` for symmetric PSD ``M``.
 
-    Every linear solve of the scheme has this form. With ``shift > 0``
-    the system matrix has smallest eigenvalue at least ``shift``, so
-    plain Cholesky is backward stable; identical inputs give
-    bit-identical solutions.
+    With ``shift > 0`` the system matrix has smallest eigenvalue at
+    least ``shift``, so plain Cholesky is backward stable. The shift is
+    added to the diagonal of a copy of ``M``, which is bit-identical to
+    ``M + shift * np.eye(n)``. The factor is the ``dpotrf`` output: its
+    lower triangle holds ``L``, its strict upper triangle is left as it
+    was, and :func:`solve_spd_shifted` reads the lower triangle only.
     """
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     if not shift > 0:
         raise ValueError(f"shift must be positive, got {shift}")
-    n = a_matrix.shape[0]
-    if a_matrix.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {a_matrix.shape}")
-    if rhs.shape[0] != n:
-        raise ValueError(f"dimension mismatch: matrix {n}, rhs {rhs.shape[0]}")
-    shifted = a_matrix + shift * np.eye(n)
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
+    shifted = np.array(matrix, order="F")
+    diag = np.arange(n)
+    shifted[diag, diag] += shift
     factor, info = dpotrf(shifted, lower=1, overwrite_a=1)
     if info > 0:
         raise FactorizationError(info)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of the factorization")
+    factor.setflags(write=False)
+    return factor
+
+
+def solve_spd_shifted(factor, rhs):
+    """Solve ``(shift I + M) x = b`` given the factor of :func:`factor_spd_shifted`.
+
+    Every linear solve of the scheme has this form; identical inputs
+    give bit-identical solutions.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    n = factor.shape[0]
+    if rhs.shape[0] != n:
+        raise ValueError(f"dimension mismatch: matrix {n}, rhs {rhs.shape[0]}")
     x, info = dpotrs(factor, rhs, lower=1)
     if info != 0:
         raise ValueError(f"triangular solve failed with status {info}")
@@ -258,7 +273,10 @@ def _check_data(f_samples, delta):
 
 
 def _run_loop(delta, config, fixed_n, step_systems):
-    """Shared driver: step_systems(n, a, state) -> (m_raw, m, A, v, B, g)."""
+    """Shared driver: step_systems(n, a, state) -> (m_raw, m, L_A, v, L_B, g).
+
+    ``L_A`` and ``L_B`` are the factors of ``a I + A`` and ``a I + B``.
+    """
     if fixed_n is None:
         if delta is None or not delta > 0:
             raise ValueError("delta must be positive when the stopping rule is active")
@@ -275,10 +293,10 @@ def _run_loop(delta, config, fixed_n, step_systems):
     capped = False
     for n in range(1, n_max + 1):
         a = state.a * config.q
-        m_raw, m, a_mat, v, b_mat, g = step_systems(n, a, state)
+        m_raw, m, a_factor, v, b_factor, g = step_systems(n, a, state)
         capped = capped or (m_raw > config.m_cap)
-        zeta = solve_spd_shifted(a_mat, a, v)
-        gamma = solve_spd_shifted(b_mat, a, g)
+        zeta = solve_spd_shifted(a_factor, v)
+        gamma = solve_spd_shifted(b_factor, g)
         state = dsm_step(replace(state, a=a), zeta, config.q)
         gamma_norm = float(np.linalg.norm(gamma))
         g_new = discrepancy_update(state.G, a, gamma_norm, config.q, config.gnm_variant)
@@ -344,9 +362,9 @@ def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
         if m not in rhs_cache:
             rhs_cache[m] = ops.rhs(f_samples, m)
             data_cache[m] = ops.data(f_samples, m)
-        a_mat = ops.gram(m, side="domain").entries
-        b_mat = ops.gram(m, side="range").entries
-        return m_raw, m, a_mat, rhs_cache[m], b_mat, data_cache[m]
+        a_factor = ops.factor(m, "domain", a)
+        b_factor = ops.factor(m, "range", a)
+        return m_raw, m, a_factor, rhs_cache[m], b_factor, data_cache[m]
 
     return _run_loop(delta, config, fixed_n, systems)
 
@@ -362,14 +380,13 @@ def run_fixed(ops, f_samples, delta, config, m, fixed_n=None):
     _check_data(f_samples, delta)
     if m < 1:
         raise ValueError(f"fixed level must be >= 1, got {m}")
-    k = ops.galerkin(m)
-    normal = k.T @ k
-    gram_range = k @ k.T
     g = ops.data(f_samples, m)
-    v = k.T @ g
+    v = ops.galerkin(m).T @ g
 
     def systems(n, a, state):
-        return m, m, normal, v, gram_range, g
+        a_factor = ops.factor(m, "domain", a, galerkin=True)
+        b_factor = ops.factor(m, "range", a, galerkin=True)
+        return m, m, a_factor, v, b_factor, g
 
     return _run_loop(delta, config, fixed_n, systems)
 
@@ -397,6 +414,6 @@ def closed_form_iterate(ops, f_samples, n, m_schedule, config):
         a = a * config.q  # a_{j+1}, by repeated multiplication as in the recursion
         m_j = m_schedule[j]
         v = ops.rhs(f_samples, m_j)
-        term = solve_spd_shifted(ops.gram(m_j, side="domain").entries, a, v)
+        term = solve_spd_shifted(ops.factor(m_j, "domain", a), v)
         acc[: 2 ** m_j] += weights[j] * term
     return HaarCoefficients(level=m_final, values=acc)

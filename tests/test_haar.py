@@ -175,6 +175,12 @@ class TestEval:
             with pytest.raises(ValueError):
                 haar_eval(j, math.nan)
 
+    def test_zero_dim_array_gives_float(self):
+        for j, want in ((1, 1.0), (2, 1.0), (3, math.sqrt(2))):
+            got = haar_eval(j, np.array(0.125))
+            assert type(got) is float and got == pytest.approx(want)
+        assert isinstance(haar_eval(2, np.array([0.25])), np.ndarray)
+
 
 def moment(matrix, c, j):
     """Entry ``(c, Phi_j)`` of a moment matrix at the coarsest level holding ``Phi_j``."""
@@ -371,3 +377,11 @@ class TestSpanInvariants:
         for x in (-0.01, 1.01, math.nan, np.array([0.5, math.nan])):
             with pytest.raises(ValueError):
                 coeffs.evaluate(x)
+
+    def test_evaluate_zero_dim_array_gives_float(self):
+        coeffs = HaarCoefficients.from_values([1.0, 0.5, 0.25, 0.0])
+        cells = coeffs.cell_values()
+        for x in (np.array(0.1), np.float64(0.1), 0.1):
+            got = coeffs.evaluate(x)
+            assert type(got) is float and got == cells[0]
+        assert isinstance(coeffs.evaluate(np.array([0.1])), np.ndarray)

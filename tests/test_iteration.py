@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from fredreg.assembly import OperatorCache
+from fredreg import assembly, iteration
+from fredreg.assembly import OperatorCache, galerkin_matrix
 from fredreg.experiment import NoiseSpec, add_noise, exact_problem, sample_grid
 from fredreg.iteration import (
+    FactorizationError,
     IterationState,
     SolverConfig,
     closed_form_iterate,
@@ -323,3 +326,97 @@ class TestNonFiniteInputs:
         _, ops, samples = bench
         with pytest.raises(ValueError, match="delta must be finite"):
             run(ops, samples, delta)
+
+
+@pytest.fixture(scope="module")
+def deep():
+    """A run that reaches level 8, as in ``fredreg solve --noise 1e-5 --m-cap 8``."""
+    problem = exact_problem()
+    ops = OperatorCache(problem.kernel)
+    samples = problem.exact_rhs(sample_grid(8))
+    noisy, delta = add_noise(samples, NoiseSpec(rel_level=1e-5, seed=0))
+    return ops, noisy, delta
+
+
+def plain_solve(matrix, a, rhs):
+    """``(a I + A) x = b`` by dpotrf/dpotrs on ``A + a * np.eye(n)``, no cache."""
+    factor, info = dpotrf(matrix + a * np.eye(len(matrix)), lower=1)
+    assert info == 0
+    x, info = dpotrs(factor, rhs, lower=1)
+    assert info == 0
+    return x
+
+
+def spy(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list of [args, result] per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args):
+        call = [args, None]
+        calls.append(call)
+        call[1] = original(*args)
+        return call[1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+class TestFactorCache:
+    @pytest.mark.parametrize("scheme", ["adaptive", "fixed"])
+    def test_solves_match_plain_cholesky(self, deep, monkeypatch, scheme):
+        ops, noisy, delta = deep
+        solves = spy(monkeypatch, iteration, "solve_spd_shifted")
+        if scheme == "adaptive":
+            out = run_adaptive(ops, noisy, delta, SolverConfig(m_cap=8))
+            assert out.m_final == 8
+
+            def systems(m):
+                return ops.gram(m, "domain").entries, ops.gram(m, "range").entries
+        else:
+            out = run_fixed(ops, noisy, delta, SolverConfig(m_cap=8), 4)
+            k = galerkin_matrix(ops.kernel, 4)
+
+            def systems(m):
+                return k.T @ k, k @ k.T
+        assert len(solves) == 2 * out.n_delta
+        for rec, ((_, v), zeta), ((_, g), gamma) in zip(out.trace, solves[::2], solves[1::2]):
+            a_mat, b_mat = systems(rec.m)
+            assert np.array_equal(zeta, plain_solve(a_mat, rec.a, v))
+            assert np.array_equal(gamma, plain_solve(b_mat, rec.a, g))
+            assert rec.gamma_norm == float(np.linalg.norm(gamma))
+
+    def test_second_run_factors_nothing(self, deep, monkeypatch):
+        ops, noisy, delta = deep
+        factors = spy(monkeypatch, assembly, "factor_spd_shifted")
+        config = SolverConfig(m_cap=8)
+        first = run_adaptive(ops, noisy, delta, config)
+        first_fixed = run_fixed(ops, noisy, delta, config, 4)
+        filled = len(factors)
+        second = run_adaptive(ops, noisy, delta, config)
+        second_fixed = run_fixed(ops, noisy, delta, config, 4)
+        assert len(factors) == filled
+        assert np.array_equal(first.solution.values, second.solution.values)
+        assert np.array_equal(first_fixed.solution.values, second_fixed.solution.values)
+
+    def test_symmetric_kernel_shares_range_factor(self, bench):
+        _, ops, _ = bench
+        assert ops.factor(3, "range", 0.25 ** 5) is ops.factor(3, "domain", 0.25 ** 5)
+        fixed = ops.factor(3, "range", 0.25 ** 5, galerkin=True)
+        assert fixed is not ops.factor(3, "domain", 0.25 ** 5, galerkin=True)
+
+    def test_factors_are_read_only(self, bench):
+        _, ops, _ = bench
+        assert not ops.factor(2, "domain", 0.5).flags.writeable
+        assert not ops.galerkin_product(2, "range").flags.writeable
+
+    def test_breakdown_raises_every_call_and_stores_nothing(self, monkeypatch):
+        # a shift far below the roundoff floor of A_3 (smallest eigenvalue ~ -1e-19)
+        ops = OperatorCache(exact_problem().kernel)
+        factors = spy(monkeypatch, assembly, "factor_spd_shifted")
+        for _ in range(2):
+            with pytest.raises(FactorizationError):
+                ops.factor(3, "domain", 1e-20)
+        assert len(factors) == 2
+        assert not ops._factor
+        assert ops.factor(3, "domain", 1e-3) is ops.factor(3, "domain", 1e-3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fredreg.assembly import assemble_gram, exponential_kernel
-from fredreg.iteration import FactorizationError, solve_spd_shifted
+from fredreg.iteration import FactorizationError, factor_spd_shifted, solve_spd_shifted
 
 
 def random_psd(rng, n):
@@ -10,13 +10,17 @@ def random_psd(rng, n):
     return b @ b.T
 
 
+def factor_and_solve(a, shift, b):
+    return solve_spd_shifted(factor_spd_shifted(a, shift), b)
+
+
 def test_zero_matrix_diagonal_system():
-    x = solve_spd_shifted(np.zeros((2, 2)), 2.0, np.array([1.0, 0.0]))
+    x = factor_and_solve(np.zeros((2, 2)), 2.0, np.array([1.0, 0.0]))
     np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-16)
 
 
 def test_identity_matrix():
-    x = solve_spd_shifted(np.eye(2), 1.0, np.array([3.0, 3.0]))
+    x = factor_and_solve(np.eye(2), 1.0, np.array([3.0, 3.0]))
     np.testing.assert_allclose(x, [1.5, 1.5], atol=1e-15)
 
 
@@ -24,7 +28,7 @@ def test_solution_norm_bounded_by_rhs_over_shift():
     rng = np.random.default_rng(0)
     a = random_psd(rng, 8)
     b = rng.standard_normal(8)
-    x = solve_spd_shifted(a, 1e-3, b)
+    x = factor_and_solve(a, 1e-3, b)
     assert np.linalg.norm(x) <= np.linalg.norm(b) / 1e-3
 
 
@@ -34,7 +38,7 @@ def test_residual_is_small():
         a = random_psd(rng, n)
         b = rng.standard_normal(n)
         shift = 10.0 ** rng.uniform(-4, 0)
-        x = solve_spd_shifted(a, shift, b)
+        x = factor_and_solve(a, shift, b)
         resid = np.linalg.norm((a + shift * np.eye(n)) @ x - b)
         assert resid <= 1e-12 * (shift + np.linalg.norm(a, 2)) * np.linalg.norm(x)
 
@@ -43,8 +47,8 @@ def test_deterministic():
     rng = np.random.default_rng(2)
     a = random_psd(rng, 12)
     b = rng.standard_normal(12)
-    x1 = solve_spd_shifted(a, 0.1, b)
-    x2 = solve_spd_shifted(a.copy(), 0.1, b.copy())
+    x1 = factor_and_solve(a, 0.1, b)
+    x2 = factor_and_solve(a.copy(), 0.1, b.copy())
     np.testing.assert_array_equal(x1, x2)
 
 
@@ -55,8 +59,8 @@ def test_continuity_in_rhs():
     for _ in range(20):
         b1 = rng.standard_normal(10)
         b2 = b1 + 1e-4 * rng.standard_normal(10)
-        x1 = solve_spd_shifted(a, shift, b1)
-        x2 = solve_spd_shifted(a, shift, b2)
+        x1 = factor_and_solve(a, shift, b1)
+        x2 = factor_and_solve(a, shift, b2)
         assert np.linalg.norm(x1 - x2) <= np.linalg.norm(b1 - b2) / shift * (1 + 1e-12)
 
 
@@ -72,23 +76,25 @@ def test_inverse_norm_bound_on_assembled_grams(m, shift):
 def test_gram_matrix_accepted_directly():
     gram = assemble_gram(exponential_kernel(), 2)
     rhs = np.ones(gram.dim)
-    x = solve_spd_shifted(gram.entries, 0.5, rhs)
+    x = factor_and_solve(gram.entries, 0.5, rhs)
     resid = (gram.entries + 0.5 * np.eye(gram.dim)) @ x - rhs
     assert np.linalg.norm(resid) < 1e-12
 
 
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        solve_spd_shifted(np.eye(2), 0.0, np.ones(2))
+        factor_spd_shifted(np.eye(2), 0.0)
     with pytest.raises(ValueError):
-        solve_spd_shifted(np.eye(2), -1.0, np.ones(2))
+        factor_spd_shifted(np.eye(2), -1.0)
     with pytest.raises(ValueError):
-        solve_spd_shifted(np.eye(3), 1.0, np.ones(2))
+        factor_spd_shifted(np.ones((2, 3)), 1.0)
+    with pytest.raises(ValueError):
+        solve_spd_shifted(factor_spd_shifted(np.eye(3), 1.0), np.ones(2))
 
 
 def test_factorization_failure_reports_pivot():
     # violates the PSD contract: eigenvalues -2 and 1, shift too small
     bad = np.array([[1.0, 0.0], [0.0, -2.0]])
     with pytest.raises(FactorizationError) as info:
-        solve_spd_shifted(bad, 0.5, np.ones(2))
+        factor_spd_shifted(bad, 0.5)
     assert info.value.pivot == 2
