@@ -27,7 +27,7 @@ problem = exact_problem()
 ops = OperatorCache(problem.kernel)
 
 print("=== Gram matrix at level 2 ===")
-a2 = ops.gram(2).entries
+a2 = ops.gram(2)
 print(np.array2string(a2, precision=6, suppress_small=True))
 eigs = np.linalg.eigvalsh(a2)
 print("eigenvalues:", np.array2string(eigs, precision=3))

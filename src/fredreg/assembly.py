@@ -9,12 +9,12 @@ For a kernel ``k(s, t)`` on the unit square this module builds
   ``A_m`` for symmetric kernels),
 * the right-hand side ``v_i = <Km* f, Phi_i>`` where the adjoint is
   replaced by its first-order Taylor expansion on the fine partition
-  (exponential kernels only),
+  (the exponential kernel only),
 * the data coefficients ``g_i = <f, Phi_i>``, and
 * closed-form a-priori bounds on the three operator approximation
   errors as a function of the level.
 
-Assembly is pure; matrices are immutable once built. The
+Assembly is pure; Gram matrices are read-only ``(2**m, 2**m)`` arrays. The
 :class:`OperatorCache` memoizes the level-dependent pieces and the
 Cholesky factors of the shifted systems, so that repeated solves
 (iterations, seeds) only pay for matrix-vector work and triangular
@@ -59,9 +59,6 @@ class Kernel:
         coefficients of the kernel slices; ``axis=1`` projects
         ``t -> k(c, t)``, ``axis=0`` projects ``x -> k(x, c)``. When
         absent, slices are projected by per-cell Gauss quadrature.
-    has_exp_slices : bool
-        True when the slices are exponentials ``exp(-c t)``, enabling
-        the Taylor-expansion adjoint of :meth:`OperatorCache.rhs`.
     """
 
     eval: Callable
@@ -69,7 +66,6 @@ class Kernel:
     c1: float
     sup_bound: float
     slice_projector: Optional[Callable] = None
-    has_exp_slices: bool = False
 
     def __post_init__(self):
         if not self.c1 > 0:
@@ -78,35 +74,22 @@ class Kernel:
             raise ValueError(f"sup_bound must be positive, got {self.sup_bound}")
 
 
+_EXPONENTIAL_KERNEL = Kernel(
+    eval=lambda s, t: np.exp(-np.asarray(s) * np.asarray(t)),
+    symmetric=True,
+    c1=16.0 / 180.0,
+    sup_bound=1.0,
+    slice_projector=lambda c, m, axis: exp_haar_matrix(c, m),
+)
+
+
 def exponential_kernel():
-    """The kernel ``k(s, t) = exp(-s t)`` with its exact slice projections."""
-    return Kernel(
-        eval=lambda s, t: np.exp(-np.asarray(s) * np.asarray(t)),
-        symmetric=True,
-        c1=16.0 / 180.0,
-        sup_bound=1.0,
-        slice_projector=lambda c, m, axis: exp_haar_matrix(c, m),
-        has_exp_slices=True,
-    )
+    """The kernel ``k(s, t) = exp(-s t)`` with its exact slice projections.
 
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric positive semidefinite operator matrix at a dyadic level."""
-
-    level: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.ascontiguousarray(self.entries, dtype=float)
-        if e.shape != (2 ** self.level, 2 ** self.level):
-            raise ValueError(f"expected {2 ** self.level} square matrix, got {e.shape}")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def dim(self):
-        return 2 ** self.level
+    Always the same instance: :meth:`OperatorCache.rhs` hard-codes this
+    kernel's adjoint and accepts no other kernel object.
+    """
+    return _EXPONENTIAL_KERNEL
 
 
 @dataclass(frozen=True)
@@ -150,7 +133,8 @@ def assemble_gram(kernel, m, side="domain"):
     transposed slices ``k(., s_l)`` and represents the composition in
     the data space. Both use the compound Simpson weights, so the
     result is a sum of positively weighted rank-one terms: symmetric
-    and positive semidefinite by construction.
+    and positive semidefinite by construction. Returns a read-only
+    ``(2**m, 2**m)`` array.
     """
     if m < 1:
         raise ValueError(f"assembly requires level >= 1, got {m}")
@@ -163,7 +147,8 @@ def assemble_gram(kernel, m, side="domain"):
         raise ValueError("kernel produced non-finite slice projections")
     a = p.T @ (rule.weights[:, None] * p)
     a = 0.5 * (a + a.T)
-    return GramMatrix(level=int(m), entries=a)
+    a.setflags(write=False)
+    return a
 
 
 def _moments(samples, partition):
@@ -264,9 +249,9 @@ class OperatorCache:
         t-integrals against the basis are the cached closed-form moment
         matrices of :mod:`.haar`, ``2 * 180 * 4**m`` doubles per level.
         """
-        if not self.kernel.has_exp_slices:
+        if self.kernel is not _EXPONENTIAL_KERNEL:
             raise ValueError(
-                "the Taylor-expansion adjoint is defined for exponential kernels only"
+                "the Taylor-expansion adjoint is defined for exponential_kernel() only"
             )
         e0, e1 = self._adjoint_matrices(m)
         m0, m1 = _moments(f_samples, self.partition(m))
@@ -308,6 +293,6 @@ class OperatorCache:
         key = (galerkin, *source, a)
         factor = self._factor.get(key)
         if factor is None:
-            matrix = self.galerkin_product(m, side) if galerkin else self.gram(m, side).entries
+            matrix = self.galerkin_product(m, side) if galerkin else self.gram(m, side)
             factor = self._factor[key] = factor_spd_shifted(matrix, a)
         return factor

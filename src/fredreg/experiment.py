@@ -18,7 +18,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,18 +28,6 @@ from .haar import exp_t_haar_matrix
 from .iteration import SolverConfig, run_adaptive, run_fixed
 
 PAPER_NOISE_LEVELS = (0.05, 0.01, 0.005, 0.0005)
-
-CSV_COLUMNS = (
-    "delta_rel",
-    "scheme",
-    "seed",
-    "avg",
-    "m_final",
-    "n_iters",
-    "G_final",
-    "wall_seconds",
-    "stop_reason",
-)
 
 
 @dataclass(frozen=True)
@@ -108,32 +96,26 @@ def trapezoid_norm(values):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Relative noise level, RNG seed and perturbation distribution."""
+    """Relative noise level and RNG seed of a uniform perturbation."""
 
     rel_level: float
     seed: int
-    distribution: str = "uniform"
 
     def __post_init__(self):
         if not 0.0 < self.rel_level < 1.0:
             raise ValueError(f"rel_level must lie in (0, 1), got {self.rel_level}")
-        if self.distribution not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
 def add_noise(f_samples, spec):
     """Perturb samples so the discrete L2 noise norm is exact.
 
-    Draws i.i.d. noise from the requested distribution, rescales it so
-    that ``||e|| = rel_level * ||f||`` holds to machine precision, and
+    Draws i.i.d. noise uniform on ``[-1, 1]``, rescales it so that
+    ``||e|| = rel_level * ||f||`` holds to machine precision, and
     returns ``(f + e, delta_abs)``. Deterministic given the seed.
     """
     f_samples = np.asarray(f_samples, dtype=float)
     rng = np.random.default_rng(spec.seed)
-    if spec.distribution == "uniform":
-        e = rng.uniform(-1.0, 1.0, size=len(f_samples))
-    else:
-        e = rng.standard_normal(len(f_samples))
+    e = rng.uniform(-1.0, 1.0, size=len(f_samples))
     delta_abs = spec.rel_level * trapezoid_norm(f_samples)
     e *= delta_abs / trapezoid_norm(e)
     return f_samples + e, delta_abs
@@ -159,6 +141,11 @@ class ExperimentRow:
     G_final: float
     wall_seconds: float
     stop_reason: str
+
+
+# The CSV schema: one column per row field, parsed by the field's type.
+_CSV_FIELDS = fields(ExperimentRow)
+CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
 
 
 def _run_one(ops, problem, f_exact_samples, level, seed, scheme, config, fixed_m):
@@ -263,41 +250,31 @@ def rows_to_csv(rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow(
-            [
-                repr(float(r.delta_rel)),
-                r.scheme,
-                int(r.seed),
-                repr(float(r.avg)),
-                int(r.m_final),
-                int(r.n_iters),
-                repr(float(r.G_final)),
-                repr(float(r.wall_seconds)),
-                r.stop_reason,
-            ]
-        )
+        writer.writerow([_csv_cell(getattr(r, f.name), f.type) for f in _CSV_FIELDS])
     return buf.getvalue()
 
 
+def _csv_cell(value, kind):
+    """A field as written: floats in shortest round-trip form."""
+    return repr(float(value)) if kind is float else kind(value)
+
+
 def rows_from_csv(text):
-    """Parse the output of :func:`rows_to_csv` back into row objects."""
+    """Parse the output of :func:`rows_to_csv` back into row objects.
+
+    Raises ``ValueError`` on a foreign header or on a record whose field
+    count differs from the header's.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header: {header}")
     rows = []
     for rec in reader:
-        rows.append(
-            ExperimentRow(
-                delta_rel=float(rec[0]),
-                scheme=rec[1],
-                seed=int(rec[2]),
-                avg=float(rec[3]),
-                m_final=int(rec[4]),
-                n_iters=int(rec[5]),
-                G_final=float(rec[6]),
-                wall_seconds=float(rec[7]),
-                stop_reason=rec[8],
+        if len(rec) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"CSV line {reader.line_num} has {len(rec)} fields, "
+                f"expected {len(CSV_COLUMNS)}"
             )
-        )
+        rows.append(ExperimentRow(*(f.type(cell) for f, cell in zip(_CSV_FIELDS, rec))))
     return rows

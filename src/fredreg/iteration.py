@@ -24,7 +24,7 @@ recursion.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -162,17 +162,6 @@ class StepRecord:
 
 
 @dataclass(frozen=True)
-class IterationState:
-    """Full state after ``n`` steps of the recursion."""
-
-    n: int
-    a: float
-    m: int
-    u: np.ndarray
-    G: float
-
-
-@dataclass(frozen=True)
 class SolveOutcome:
     """Result of a complete run, including the full trace.
 
@@ -232,22 +221,21 @@ def rank_schedule(a, c1, eta, m_cap=None):
     return m
 
 
-def dsm_step(state, zeta, q):
-    """One blend step: ``u_new = q * pad(u_prev) + (1 - q) * zeta``.
+def dsm_step(u, zeta, q):
+    """One blend step: returns ``q * pad(u) + (1 - q) * zeta``.
 
-    ``zeta`` has length ``2**m_n``; the previous iterate is zero-padded
-    into the (nested) finer span before blending. Level shrinkage is
-    rejected. ``q`` is not range-checked here so the degenerate
-    endpoints remain usable in algebraic tests.
+    ``zeta`` has length ``2**m_n``; the previous iterate ``u`` is
+    zero-padded into the (nested) finer span before blending. Level
+    shrinkage is rejected. ``q`` is not range-checked here so the
+    degenerate endpoints remain usable in algebraic tests.
     """
     zeta = np.asarray(zeta, dtype=float)
-    m_new = _level_of(len(zeta))
-    if m_new < state.m:
-        raise ValueError(f"level must not shrink: {state.m} -> {m_new}")
+    m_prev, m_new = _level_of(len(u)), _level_of(len(zeta))
+    if m_new < m_prev:
+        raise ValueError(f"level must not shrink: {m_prev} -> {m_new}")
     padded = np.zeros(len(zeta))
-    padded[: len(state.u)] = state.u
-    u_new = q * padded + (1.0 - q) * zeta
-    return replace(state, n=state.n + 1, m=m_new, u=u_new)
+    padded[: len(u)] = u
+    return q * padded + (1.0 - q) * zeta
 
 
 def discrepancy_update(g_prev, a, gamma_norm, q, variant="formal"):
@@ -272,8 +260,8 @@ def _check_data(f_samples, delta):
         raise ValueError(f"delta must be finite, got {delta}")
 
 
-def _run_loop(delta, config, fixed_n, step_systems):
-    """Shared driver: step_systems(n, a, state) -> (m_raw, m, L_A, v, L_B, g).
+def _run_loop(delta, config, systems, fixed_n=None):
+    """Shared driver: systems(a, m_prev) -> (m_raw, m, L_A, v, L_B, g).
 
     ``L_A`` and ``L_B`` are the factors of ``a I + A`` and ``a I + B``.
     """
@@ -288,39 +276,34 @@ def _run_loop(delta, config, fixed_n, step_systems):
         threshold = None
         n_max = fixed_n
 
-    state = IterationState(n=0, a=config.alpha0, m=0, u=np.zeros(1), G=0.0)
-    history = []
+    a, m, u, G = config.alpha0, 0, np.zeros(1), 0.0
+    trace = []
     capped = False
     for n in range(1, n_max + 1):
-        a = state.a * config.q
-        m_raw, m, a_factor, v, b_factor, g = step_systems(n, a, state)
+        a = a * config.q
+        m_raw, m, a_factor, v, b_factor, g = systems(a, m)
         capped = capped or (m_raw > config.m_cap)
         zeta = solve_spd_shifted(a_factor, v)
         gamma = solve_spd_shifted(b_factor, g)
-        state = dsm_step(replace(state, a=a), zeta, config.q)
+        u = dsm_step(u, zeta, config.q)
         gamma_norm = float(np.linalg.norm(gamma))
-        g_new = discrepancy_update(state.G, a, gamma_norm, config.q, config.gnm_variant)
-        record = StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=g_new)
-        history.append(record)
-        state = replace(state, G=g_new)
-        if threshold is not None and g_new <= threshold:
+        G = discrepancy_update(G, a, gamma_norm, config.q, config.gnm_variant)
+        trace.append(StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=G))
+        if threshold is not None and G <= threshold:
             reason = "discrepancy_met" if n > 1 else "initial_below_threshold"
-            return _outcome(state, history, reason, delta, threshold, capped)
-    if threshold is None:
-        return _outcome(state, history, "fixed_n", delta, None, capped)
-    reason = "m_cap" if capped else "max_iter"
-    return _outcome(state, history, reason, delta, threshold, capped)
-
-
-def _outcome(state, history, reason, delta, threshold, capped):
-    solution = HaarCoefficients(level=state.m, values=state.u)
+            break
+    else:
+        if threshold is None:
+            reason = "fixed_n"
+        else:
+            reason = "m_cap" if capped else "max_iter"
     return SolveOutcome(
-        solution=solution,
-        n_delta=state.n,
-        m_final=state.m,
-        G_final=state.G,
+        solution=HaarCoefficients(level=m, values=u),
+        n_delta=len(trace),
+        m_final=m,
+        G_final=G,
         stop_reason=reason,
-        trace=tuple(history),
+        trace=tuple(trace),
         delta_abs=delta,
         threshold=threshold,
         capped=capped,
@@ -356,9 +339,9 @@ def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
     rhs_cache = {}
     data_cache = {}
 
-    def systems(n, a, state):
+    def systems(a, m_prev):
         m_raw = rank_schedule(a, c1, config.eta)
-        m = max(min(m_raw, config.m_cap), state.m, 1)
+        m = max(min(m_raw, config.m_cap), m_prev)
         if m not in rhs_cache:
             rhs_cache[m] = ops.rhs(f_samples, m)
             data_cache[m] = ops.data(f_samples, m)
@@ -366,10 +349,10 @@ def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
         b_factor = ops.factor(m, "range", a)
         return m_raw, m, a_factor, rhs_cache[m], b_factor, data_cache[m]
 
-    return _run_loop(delta, config, fixed_n, systems)
+    return _run_loop(delta, config, systems, fixed_n)
 
 
-def run_fixed(ops, f_samples, delta, config, m, fixed_n=None):
+def run_fixed(ops, f_samples, delta, config, m):
     """Run the constant-level baseline scheme.
 
     At every iteration the same exact Galerkin matrix ``K_m`` of the
@@ -383,12 +366,12 @@ def run_fixed(ops, f_samples, delta, config, m, fixed_n=None):
     g = ops.data(f_samples, m)
     v = ops.galerkin(m).T @ g
 
-    def systems(n, a, state):
+    def systems(a, m_prev):
         a_factor = ops.factor(m, "domain", a, galerkin=True)
         b_factor = ops.factor(m, "range", a, galerkin=True)
         return m, m, a_factor, v, b_factor, g
 
-    return _run_loop(delta, config, fixed_n, systems)
+    return _run_loop(delta, config, systems)
 
 
 def closed_form_iterate(ops, f_samples, n, m_schedule, config):

@@ -124,7 +124,7 @@ def test_criterion_4_shifted_inverse_bound():
     ok = True
     worst_margin = np.inf
     for m in range(1, 7):
-        a_m = assemble_gram(kernel, m).entries
+        a_m = assemble_gram(kernel, m)
         for shift in (1.0, 1e-2, 1e-4):
             eig_min = float(np.linalg.eigvalsh(a_m + shift * np.eye(len(a_m))).min())
             ok = ok and eig_min >= shift / 2.0

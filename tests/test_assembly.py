@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestKernel:
         assert k.symmetric
         assert k.c1 == pytest.approx(16 / 180)
         assert k.sup_bound == 1.0
-        assert k.has_exp_slices
+        assert k is exponential_kernel()
 
     def test_symmetry_holds_on_grid(self):
         k = exponential_kernel()
@@ -62,8 +63,8 @@ class TestGramAssembly:
     def test_domain_equals_range_for_symmetric_kernel(self):
         k = exponential_kernel()
         for m in (1, 2, 4):
-            a = assemble_gram(k, m, side="domain").entries
-            b = assemble_gram(k, m, side="range").entries
+            a = assemble_gram(k, m, side="domain")
+            b = assemble_gram(k, m, side="range")
             assert np.max(np.abs(a - b)) < 1e-13
 
     def test_zero_kernel_gives_zero_matrix(self):
@@ -73,11 +74,11 @@ class TestGramAssembly:
             c1=1.0,
             sup_bound=1.0,
         )
-        a = assemble_gram(k, 3).entries
+        a = assemble_gram(k, 3)
         assert np.max(np.abs(a)) == 0.0
 
     def test_first_entry_against_dense_oracle(self):
-        a = assemble_gram(exponential_kernel(), 1).entries
+        a = assemble_gram(exponential_kernel(), 1)
         # closed form: sum_l beta_l (int e^{-s_l t} dt)^2 at s = (0, 1/2, 1)
         e0 = np.array([1.0, 2 * (1 - math.exp(-0.5)), 1 - math.exp(-1)])
         want = float(np.dot([1 / 6, 2 / 3, 1 / 6], e0 ** 2))
@@ -88,13 +89,13 @@ class TestGramAssembly:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_entries_against_dense_oracle(self, m):
-        a = assemble_gram(exponential_kernel(), m).entries
+        a = assemble_gram(exponential_kernel(), m)
         oracle = dense_gram_oracle(m)
         assert np.max(np.abs(a - oracle)) < 1e-6
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_symmetric_psd(self, m):
-        a = assemble_gram(exponential_kernel(), m).entries
+        a = assemble_gram(exponential_kernel(), m)
         assert np.max(np.abs(a - a.T)) < 1e-13
         assert np.linalg.eigvalsh(a).min() >= -1e-10
 
@@ -104,8 +105,8 @@ class TestGramAssembly:
             eval=closed.eval, symmetric=True, c1=closed.c1, sup_bound=closed.sup_bound
         )
         for m in (1, 3):
-            a = assemble_gram(closed, m).entries
-            b = assemble_gram(generic, m).entries
+            a = assemble_gram(closed, m)
+            b = assemble_gram(generic, m)
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_asymmetric_kernel_sides_differ(self):
@@ -116,8 +117,8 @@ class TestGramAssembly:
             c1=1.0,
             sup_bound=2.0,
         )
-        a = assemble_gram(k, 2, side="domain").entries
-        b = assemble_gram(k, 2, side="range").entries
+        a = assemble_gram(k, 2, side="domain")
+        b = assemble_gram(k, 2, side="range")
         assert np.max(np.abs(a - b)) > 1e-3
         for mat in (a, b):
             assert np.linalg.eigvalsh(mat).min() >= -1e-10
@@ -142,8 +143,8 @@ class TestGramAssembly:
                         slice_projector=projector)
         generic = Kernel(eval=evaluate, symmetric=False, c1=1.0, sup_bound=2.0)
         for side in ("domain", "range"):
-            a = assemble_gram(closed, 2, side=side).entries
-            b = assemble_gram(generic, 2, side=side).entries
+            a = assemble_gram(closed, 2, side=side)
+            b = assemble_gram(generic, 2, side=side)
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_rejects_level_zero_and_nonfinite(self):
@@ -206,6 +207,18 @@ class TestAdjointRhs:
             OperatorCache(generic).rhs(np.ones(361), 1)
         with pytest.raises(ValueError):
             OperatorCache(exponential_kernel()).rhs(np.ones(181), 1)
+
+    def test_rejects_copy_with_other_exponential_slices(self):
+        # slices exp(-2st) with their closed-form projector: the adjoint
+        # hard-codes exp(-st), so this kernel's right-hand side would be
+        # about 20 % off a dense quadrature of its true adjoint
+        doubled = dataclasses.replace(
+            exponential_kernel(),
+            eval=lambda s, t: np.exp(-2.0 * np.asarray(s) * np.asarray(t)),
+            slice_projector=lambda c, m, axis: exp_haar_matrix(2.0 * np.asarray(c), m),
+        )
+        with pytest.raises(ValueError, match="exponential_kernel"):
+            OperatorCache(doubled).rhs(np.ones(361), 1)
 
 
 class TestDataCoefficients:
@@ -310,6 +323,7 @@ class TestOperatorCache:
         ops = OperatorCache(exponential_kernel())
         assert ops.gram(3) is ops.gram(3)
         assert ops.gram(3, side="range") is ops.gram(3)  # symmetric kernel
+        assert not ops.gram(3).flags.writeable
         assert ops.partition(2) is ops.partition(2)
 
     def test_cached_rhs_matches_direct_assembly(self):

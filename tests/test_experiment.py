@@ -91,19 +91,11 @@ class TestAddNoise:
         noisy, dabs = add_noise(f, NoiseSpec(rel_level=1e-9, seed=0))
         assert np.max(np.abs(noisy - f)) < 1e-8
 
-    def test_gaussian_distribution(self):
-        grid = sample_grid(5)
-        f = exact_problem().exact_rhs(grid)
-        noisy, dabs = add_noise(f, NoiseSpec(rel_level=0.01, seed=0, distribution="gaussian"))
-        assert trapezoid_norm(noisy - f) == pytest.approx(dabs, abs=1e-12)
-
     def test_rejects_out_of_range_levels(self):
         with pytest.raises(ValueError):
             NoiseSpec(rel_level=0.0, seed=0)
         with pytest.raises(ValueError):
             NoiseSpec(rel_level=1.0, seed=0)
-        with pytest.raises(ValueError):
-            NoiseSpec(rel_level=0.1, seed=0, distribution="poisson")
 
 
 class TestAvgError:
@@ -151,6 +143,18 @@ class TestRunTable:
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
         parsed = rows_from_csv(text)
         assert parsed == small_rows
+
+    def test_csv_rejects_short_record(self, small_rows):
+        lines = rows_to_csv(small_rows).splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        with pytest.raises(ValueError, match="line 3 has 8 fields, expected 9"):
+            rows_from_csv("\n".join(lines) + "\n")
+
+    def test_csv_rejects_extra_field(self, small_rows):
+        lines = rows_to_csv(small_rows).splitlines()
+        lines[1] += ",extra"
+        with pytest.raises(ValueError, match="line 2 has 10 fields, expected 9"):
+            rows_from_csv("\n".join(lines) + "\n")
 
     def test_seed_determinism(self, small_rows):
         again = run_table(

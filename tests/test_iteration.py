@@ -9,7 +9,6 @@ from fredreg.assembly import OperatorCache, galerkin_matrix
 from fredreg.experiment import NoiseSpec, add_noise, exact_problem, sample_grid
 from fredreg.iteration import (
     FactorizationError,
-    IterationState,
     SolverConfig,
     closed_form_iterate,
     discrepancy_update,
@@ -105,38 +104,31 @@ class TestRankSchedule:
 
 
 class TestDsmStep:
-    def make_state(self, u):
-        u = np.asarray(u, dtype=float)
-        m = int(len(u)).bit_length() - 1
-        return IterationState(n=3, a=0.1, m=m, u=u, G=0.2)
-
     def test_first_step_from_zero(self):
-        state = IterationState(n=0, a=1.0, m=0, u=np.zeros(1), G=0.0)
         zeta = np.array([1.0, 2.0, 3.0, 4.0])
-        new = dsm_step(state, zeta, 0.25)
-        np.testing.assert_allclose(new.u, 0.75 * zeta, atol=0)
-        assert new.n == 1 and new.m == 2
+        new = dsm_step(np.zeros(1), zeta, 0.25)
+        np.testing.assert_allclose(new, 0.75 * zeta, atol=0)
 
     def test_fixed_point(self):
         u = np.array([1.0, -2.0])
-        new = dsm_step(self.make_state(u), u, 0.25)
-        np.testing.assert_allclose(new.u, u, atol=1e-16)
+        new = dsm_step(u, u, 0.25)
+        np.testing.assert_allclose(new, u, atol=1e-16)
 
     def test_degenerate_blend_q_zero(self):
         u = np.array([1.0, -2.0])
         zeta = np.array([5.0, 6.0])
-        new = dsm_step(self.make_state(u), zeta, 0.0)
-        np.testing.assert_array_equal(new.u, zeta)
+        new = dsm_step(u, zeta, 0.0)
+        np.testing.assert_array_equal(new, zeta)
 
     def test_padding_on_growth(self):
         u = np.array([1.0, 1.0])
         zeta = np.zeros(8)
-        new = dsm_step(self.make_state(u), zeta, 0.5)
-        np.testing.assert_allclose(new.u, [0.5, 0.5, 0, 0, 0, 0, 0, 0], atol=0)
+        new = dsm_step(u, zeta, 0.5)
+        np.testing.assert_allclose(new, [0.5, 0.5, 0, 0, 0, 0, 0, 0], atol=0)
 
     def test_rejects_shrink(self):
         with pytest.raises(ValueError):
-            dsm_step(self.make_state(np.ones(8)), np.ones(4), 0.25)
+            dsm_step(np.ones(8), np.ones(4), 0.25)
 
 
 class TestDiscrepancyUpdate:
@@ -243,6 +235,16 @@ class TestRunAdaptive:
         assert out.G_final <= out.threshold
         assert all(rec.G > out.threshold for rec in out.trace[:-1])
         assert out.n_delta == len(out.trace)
+
+    def test_trace_counts_steps_and_levels(self, bench):
+        _, ops, samples = bench
+        noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.005, seed=1))
+        out = run_adaptive(ops, noisy, dabs, SolverConfig())
+        assert [rec.n for rec in out.trace] == list(range(1, out.n_delta + 1))
+        # the first step starts from zero at level 0 and lands on the schedule's level
+        assert out.trace[0].m == rank_schedule(0.25, C1, 10.0) == 1
+        assert out.m_final == out.trace[-1].m == out.solution.level > 1
+        assert len(out.solution.values) == 2 ** out.m_final
 
     def test_levels_non_decreasing_and_G_non_negative(self, bench):
         _, ops, samples = bench
@@ -372,7 +374,7 @@ class TestFactorCache:
             assert out.m_final == 8
 
             def systems(m):
-                return ops.gram(m, "domain").entries, ops.gram(m, "range").entries
+                return ops.gram(m, "domain"), ops.gram(m, "range")
         else:
             out = run_fixed(ops, noisy, delta, SolverConfig(m_cap=8), 4)
             k = galerkin_matrix(ops.kernel, 4)

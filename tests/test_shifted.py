@@ -68,16 +68,16 @@ def test_continuity_in_rhs():
 @pytest.mark.parametrize("shift", [1.0, 1e-2, 1e-4])
 def test_inverse_norm_bound_on_assembled_grams(m, shift):
     gram = assemble_gram(exponential_kernel(), m)
-    eigmin = np.linalg.eigvalsh(gram.entries + shift * np.eye(gram.dim)).min()
+    eigmin = np.linalg.eigvalsh(gram + shift * np.eye(len(gram))).min()
     assert eigmin >= shift / 2  # ||(aI + A)^-1|| <= 2/a
     assert eigmin >= shift * (1 - 1e-12)  # coordinate form gives the sharper 1/a
 
 
 def test_gram_matrix_accepted_directly():
     gram = assemble_gram(exponential_kernel(), 2)
-    rhs = np.ones(gram.dim)
-    x = factor_and_solve(gram.entries, 0.5, rhs)
-    resid = (gram.entries + 0.5 * np.eye(gram.dim)) @ x - rhs
+    rhs = np.ones(len(gram))
+    x = factor_and_solve(gram, 0.5, rhs)
+    resid = (gram + 0.5 * np.eye(len(gram))) @ x - rhs
     assert np.linalg.norm(resid) < 1e-12
 
 
