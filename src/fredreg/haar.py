@@ -368,10 +368,14 @@ def _trapezoid_blocks(samples, n_cells):
             f"grid of {n_cells} cells"
         )
     k = nsub // n_cells
-    idx = np.arange(n_cells)[:, None] * k + np.arange(k + 1)[None, :]
+    # Row i is samples[i*k : i*k + k + 1]: its first k values are row i of
+    # samples[:-1] cut into rows of k, its last is the shared end sample.
+    blocks = np.empty((n_cells, k + 1))
+    blocks[:, :k] = samples[:-1].reshape(n_cells, k)
+    blocks[:, k] = samples[k::k]
     w = np.ones(k + 1)
     w[0] = w[-1] = 0.5
-    return samples[idx], 1.0 / nsub, w
+    return blocks, 1.0 / nsub, w
 
 
 def project(f, m, nodes_per_cell=4):

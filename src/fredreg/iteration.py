@@ -141,6 +141,10 @@ class SolverConfig:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if not self.eta >= 10.0:
             raise ValueError(f"eta must be >= 10, got {self.eta}")
+        for name in ("max_iter", "m_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.m_cap < 1:

@@ -91,6 +91,25 @@ class TestAddNoise:
         noisy, dabs = add_noise(f, NoiseSpec(rel_level=1e-9, seed=0))
         assert np.max(np.abs(noisy - f)) < 1e-8
 
+    def test_rejects_fewer_than_two_samples(self):
+        for short in ([], [1.0]):
+            with pytest.raises(ValueError, match="at least 2 values"):
+                trapezoid_norm(short)
+            with pytest.raises(ValueError, match="at least 2 values"):
+                add_noise(np.array(short), NoiseSpec(rel_level=0.01, seed=0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
+    def test_bit_identical_to_uniform_draw(self, seed):
+        # the draw ``-1 + 2 r`` as ``rng.uniform(-1, 1)`` computes it
+        spec = NoiseSpec(rel_level=0.01, seed=seed)
+        for f in (exact_problem().exact_rhs(sample_grid(4)), np.arange(7.0)):
+            e = np.random.default_rng(seed).uniform(-1.0, 1.0, size=len(f))
+            delta_abs = spec.rel_level * trapezoid_norm(f)
+            e *= delta_abs / trapezoid_norm(e)
+            noisy, dabs = add_noise(f, spec)
+            assert dabs == delta_abs
+            assert np.array_equal(noisy, f + e)
+
     def test_rejects_out_of_range_levels(self):
         with pytest.raises(ValueError):
             NoiseSpec(rel_level=0.0, seed=0)
@@ -143,6 +162,10 @@ class TestRunTable:
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
         parsed = rows_from_csv(text)
         assert parsed == small_rows
+
+    def test_csv_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="empty CSV input"):
+            rows_from_csv("")
 
     def test_csv_rejects_short_record(self, small_rows):
         lines = rows_to_csv(small_rows).splitlines()

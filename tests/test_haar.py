@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from fredreg.haar import (
     _SMALL_C_WIDTH,
     _gauss_cell_nodes,
     _tables,
+    _trapezoid_blocks,
 )
+from fredreg.assembly import _moments
+from fredreg.experiment import sample_grid
 from fredreg.quadrature import simpson_rule, taylor_partition
 
 
@@ -102,6 +106,32 @@ def _exp_t_haar_matrix_ref(c, m):
     taylor = A * (moment(T0, T1) - moment(T1, T2))
     out[:, 1:] = np.where(C * W < _SMALL_C_WIDTH, taylor, stable)
     return out
+
+
+def _trapezoid_blocks_ref(samples, n_cells):
+    """Index-gather form of ``_trapezoid_blocks``: the bit-identity oracle."""
+    samples = np.asarray(samples, dtype=float)
+    nsub = len(samples) - 1
+    k = nsub // n_cells
+    idx = np.arange(n_cells)[:, None] * k + np.arange(k + 1)[None, :]
+    w = np.ones(k + 1)
+    w[0] = w[-1] = 0.5
+    return samples[idx], 1.0 / nsub, w
+
+
+def _moments_ref(samples, n_cells):
+    """``assembly._moments`` on the gathered blocks."""
+    blocks, h, w0 = _trapezoid_blocks_ref(samples, n_cells)
+    k = len(w0) - 1
+    w1 = np.arange(k + 1, dtype=float)
+    w1[-1] = k / 2.0
+    return h * (blocks @ w0), h * h * (blocks @ w1)
+
+
+def _project_ref(samples, m):
+    """The sampled branch of ``project`` on the gathered blocks."""
+    blocks, h, w = _trapezoid_blocks_ref(samples, 2 ** m)
+    return synthesis_matrix(m) @ (h * (blocks @ w))
 
 
 def _hand_rates():
@@ -274,6 +304,51 @@ class TestMomentMatrixFill:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * out.nbytes
+
+
+class TestTrapezoidBlocks:
+    """The reshape-built cell blocks against the index gather they replace."""
+
+    @staticmethod
+    def _inputs(m):
+        rng = np.random.default_rng(m)
+        n = len(sample_grid(m))
+        return {
+            "float": rng.standard_normal(n),
+            # every other sample of a twice-finer grid: a strided view
+            "strided": rng.standard_normal(2 * n - 1)[::2],
+            "int": rng.integers(-1000, 1000, n),
+        }
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_blocks_equal_index_gather(self, m):
+        cell_counts = [180 * 2 ** l for l in range(m + 1)]
+        cell_counts += [2 ** l for l in range(m + 1)]
+        for name, samples in self._inputs(m).items():
+            for n_cells in cell_counts:
+                blocks, h, w = _trapezoid_blocks(samples, n_cells)
+                ref, h_ref, w_ref = _trapezoid_blocks_ref(samples, n_cells)
+                assert blocks.dtype == ref.dtype == np.float64, name
+                assert blocks.flags.c_contiguous, (name, n_cells)
+                assert np.array_equal(blocks, ref), (name, n_cells)
+                assert h == h_ref and np.array_equal(w, w_ref), (name, n_cells)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_moments_and_projection_equal_gather_formulas(self, m):
+        for name, samples in self._inputs(m).items():
+            for l in range(m + 1):
+                for n_cells in (180 * 2 ** l, 2 ** l):
+                    got = _moments(samples, SimpleNamespace(n_subintervals=n_cells))
+                    want = _moments_ref(samples, n_cells)
+                    assert all(map(np.array_equal, got, want)), (name, n_cells)
+                got = project(samples, l).values
+                assert np.array_equal(got, _project_ref(samples, l)), (name, l)
+
+    def test_rejects_coarse_grid_and_short_input(self):
+        with pytest.raises(ValueError, match="does not refine"):
+            _trapezoid_blocks(np.zeros(13), 8)
+        with pytest.raises(ValueError, match="at least 2 values"):
+            _trapezoid_blocks(np.zeros(1), 1)
 
 
 class TestProjection:

@@ -178,11 +178,19 @@ class TestSolverConfig:
             {"max_iter": 0},
             {"m_cap": 0},
             {"gnm_variant": "loose"},
+            {"m_cap": 6.0},
+            {"max_iter": 2.5},
+            {"m_cap": True},
+            {"max_iter": np.float64(50.0)},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = SolverConfig(max_iter=np.int32(5), m_cap=np.int64(3))
+        assert (cfg.max_iter, cfg.m_cap) == (5, 3)
 
 
 class TestClosedFormOracle:
