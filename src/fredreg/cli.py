@@ -7,9 +7,10 @@ Two subcommands drive the built-in problem:
 * ``table``: the full sweep over noise levels, seeds and schemes,
   printing median-aggregated results and optionally writing the row CSV.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when any run
-stopped for a reason other than the discrepancy rule, 4 on a numerical
-breakdown (a shifted system that Cholesky cannot factor).
+Exit codes: 0 on success, 2 on configuration errors and when memory
+runs out, 3 when any run stopped for a reason other than the
+discrepancy rule, 4 on a numerical breakdown (a shifted system that
+Cholesky cannot factor).
 """
 
 import argparse
@@ -186,6 +187,10 @@ def main(argv=None):
         return 4
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a level cap whose sample grid or operators cannot be allocated
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

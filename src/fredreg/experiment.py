@@ -22,6 +22,8 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
+# numpy loads this submodule lazily; load it with fredreg, not in the first request
+from numpy.random import default_rng
 
 from .assembly import Kernel, OperatorCache, exponential_kernel
 from .haar import exp_t_haar_matrix
@@ -116,7 +118,7 @@ def add_noise(f_samples, spec):
     returns ``(f + e, delta_abs)``. Deterministic given the seed.
     """
     f_samples = np.asarray(f_samples, dtype=float)
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
     # 2r is exact, so this is uniform(-1, 1)'s -1 + 2r bit for bit, faster
     e = rng.random(len(f_samples))
     e *= 2.0

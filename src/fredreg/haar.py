@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# numpy loads this submodule lazily; load it with fredreg, not in the first request
+from numpy.polynomial.legendre import leggauss
 
 # Below this value of c * (support width), the exponential inner products
 # switch to truncated Taylor expansions of the piece integrals.
@@ -342,7 +344,7 @@ class HaarCoefficients:
 
 
 def _gauss_cell_nodes(m, nodes_per_cell):
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_cell)
+    gx, gw = leggauss(nodes_per_cell)
     n = 2 ** m
     w = 1.0 / n
     t = (np.arange(n)[:, None] * w + (gx[None, :] + 1.0) * w / 2.0).ravel()

@@ -23,16 +23,47 @@ sum of shifted solves, serving as an independent oracle for the
 recursion.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .haar import HaarCoefficients, _level_of
 
 _GNM_VARIANTS = ("formal", "listing")
+
+
+def _scipy_linalg_dir():
+    """Directory of the installed ``scipy.linalg``, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("fredreg needs scipy for its LAPACK routines; scipy is not installed")
+    return os.path.join(spec.submodule_search_locations[0], "linalg")
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without the ``scipy.linalg`` package.
+
+    ``scipy.linalg.lapack`` re-exports this extension module, so the
+    routines are the same machine code on the same BLAS; importing the
+    package instead would run ``scipy/__init__`` and ``scipy.linalg``'s
+    pure-Python modules, about half the start-up of the CLI.
+    """
+    directory = _scipy_linalg_dir()
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [directory])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -131,16 +162,16 @@ class SolverConfig:
     gnm_variant: str = "formal"
 
     def __post_init__(self):
-        if not self.alpha0 > 0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if not self.C > 2.0:
-            raise ValueError(f"C must be > 2, got {self.C}")
+        if not 2.0 < self.C < math.inf:
+            raise ValueError(f"C must be > 2 and finite, got {self.C}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not self.eta >= 10.0:
-            raise ValueError(f"eta must be >= 10, got {self.eta}")
+        if not 10.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be >= 10 and finite, got {self.eta}")
         for name in ("max_iter", "m_cap"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -207,18 +238,28 @@ def rank_schedule(a, c1, eta, m_cap=None):
     normal-operator error at most ``a/2``, the mixed error at most
     ``eta * a**2``, and the adjoint error at most ``sqrt(a)/2``; the
     result is floored at 1 (the raw ceilings go non-positive for large
-    ``a``) and optionally clamped to ``m_cap``.
+    ``a``) and optionally clamped to ``m_cap``. Every finite ``a > 0``
+    has a level: where a direct quotient over- or underflows, the three
+    ceilings are taken from sums of logarithms instead.
     """
-    if not a > 0:
-        raise ValueError(f"regularization parameter must be positive, got {a}")
-    if not c1 > 0:
-        raise ValueError(f"c1 must be positive, got {c1}")
-    if not eta >= 10.0:
-        raise ValueError(f"eta must be >= 10, got {eta}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"regularization parameter must be positive and finite, got {a}")
+    if not 0.0 < c1 < math.inf:
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
+    if not 10.0 <= eta < math.inf:
+        raise ValueError(f"eta must be >= 10 and finite, got {eta}")
     log2 = math.log(2.0)
-    t_normal = math.ceil(math.log(2.0 * c1 / a) / (4.0 * log2))
-    t_mixed = math.ceil(math.log(17.0 / (180.0 * eta * a * a)) / (2.0 * log2))
-    t_adjoint = math.ceil(math.log(2.0 * c1 / math.sqrt(a)) / (2.0 * log2))
+    try:
+        t_normal = math.ceil(math.log(2.0 * c1 / a) / (4.0 * log2))
+        t_mixed = math.ceil(math.log(17.0 / (180.0 * eta * a * a)) / (2.0 * log2))
+        t_adjoint = math.ceil(math.log(2.0 * c1 / math.sqrt(a)) / (2.0 * log2))
+    except (ArithmeticError, ValueError):
+        # a quotient reached 0 or inf (at the preset, for ``a`` outside about
+        # [1e-154, 1e154]): the same logarithms as sums of logarithms
+        log_a, log_2c1 = math.log(a), math.log(2.0) + math.log(c1)
+        t_normal = math.ceil((log_2c1 - log_a) / (4.0 * log2))
+        t_mixed = math.ceil((math.log(17.0 / 180.0) - math.log(eta) - 2.0 * log_a) / (2.0 * log2))
+        t_adjoint = math.ceil((log_2c1 - 0.5 * log_a) / (2.0 * log2))
     m = max(t_normal, t_mixed, t_adjoint, 1)
     if m_cap is not None:
         m = min(m, m_cap)

@@ -87,6 +87,14 @@ def test_config_error_exit_code(capsys):
     assert main(["table", "--noise", "0.05", "--seeds", "1", "--q", "1.5"]) == 2
     assert main(["table", "--noise", "1.5", "--seeds", "1"]) == 2
     assert main(["table", "--noise", "0.05", "--seed", "1", "--seeds", "2"]) == 2
+    assert main(["solve", "--C", "inf"]) == 2
+
+
+def test_out_of_memory_exit_code(capsys):
+    # the 180 * 2**40-interval sample grid is refused at allocation; caps of
+    # 10-20 would instead really try to allocate, so they are not run here
+    assert main(["solve", "--m-cap", "40"]) == 2
+    assert capsys.readouterr().err.startswith("out of memory:")
 
 
 def test_argparse_error_exit_code():

@@ -1,11 +1,13 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from fredreg import assembly, iteration
-from fredreg.assembly import OperatorCache, galerkin_matrix
+from fredreg.assembly import OperatorCache, exponential_kernel, galerkin_matrix
 from fredreg.experiment import NoiseSpec, add_noise, exact_problem, sample_grid
 from fredreg.iteration import (
     FactorizationError,
@@ -62,6 +64,26 @@ def oracle_rank(a, c1, eta):
     return max(t1, t2, t3, 1)
 
 
+def seed_rank(a, c1, eta):
+    """The level rule by direct quotients: the reference wherever they neither
+    over- nor underflow, roughly for ``a`` in ``[1e-154, 1e154]``."""
+    log2 = math.log(2.0)
+    t_normal = math.ceil(math.log(2.0 * c1 / a) / (4.0 * log2))
+    t_mixed = math.ceil(math.log(17.0 / (180.0 * eta * a * a)) / (2.0 * log2))
+    t_adjoint = math.ceil(math.log(2.0 * c1 / math.sqrt(a)) / (2.0 * log2))
+    return max(t_normal, t_mixed, t_adjoint, 1)
+
+
+def mp_rank(a, c1, eta):
+    """The three ceilings in 50-digit arithmetic, exact for every float ``a``."""
+    with mpmath.workdps(50):
+        a, c1, eta = mpmath.mpf(a), mpmath.mpf(c1), mpmath.mpf(eta)
+        t1 = mpmath.ceil(mpmath.log(2 * c1 / a, 2) / 4)
+        t2 = mpmath.ceil(mpmath.log(17 / (180 * eta * a * a), 2) / 2)
+        t3 = mpmath.ceil(mpmath.log(2 * c1 / mpmath.sqrt(a), 2) / 2)
+        return int(max(t1, t2, t3, 1))
+
+
 class TestRankSchedule:
     def test_derived_example_a025(self):
         # raw ceiling terms at a = 0.25: (0, -1, 0) -> max 0 -> clamped to 1
@@ -92,6 +114,29 @@ class TestRankSchedule:
             c1 = 10.0 ** rng.uniform(-3, 0)
             assert rank_schedule(a, c1, eta) == oracle_rank(a, c1, eta)
 
+    def test_matches_seed_rule_on_preset_shifts(self):
+        config = SolverConfig()
+        c1 = exponential_kernel().c1
+        a = config.alpha0
+        for _ in range(200):
+            a = a * config.q  # a_n as the solver loop forms it
+            assert rank_schedule(a, c1, config.eta) == seed_rank(a, c1, config.eta)
+
+    def test_matches_seed_rule_wherever_it_returns(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            a = 10.0 ** rng.uniform(-150, 150)
+            assert rank_schedule(a, C1, 10.0) == seed_rank(a, C1, 10.0)
+
+    @pytest.mark.parametrize("a", [1e200, 1e-160, 1e-170, 5e-324, sys.float_info.max])
+    def test_extreme_scales(self, a):
+        # direct quotients give ceil(inf) at 1e-160, 17 / 0 at 1e-170 and log(0) at 1e200
+        m = rank_schedule(a, C1, 10.0)
+        assert m == mp_rank(a, C1, 10.0)
+        assert rank_schedule(a, C1, 10.0, m_cap=6) == min(m, 6)
+        if a > 1.0:
+            assert m == 1
+
     def test_cap(self):
         assert rank_schedule(1e-8, C1, 10.0, m_cap=6) == 6
         assert rank_schedule(1e-8, C1, 10.0) > 6
@@ -101,6 +146,9 @@ class TestRankSchedule:
             rank_schedule(0.0, C1, 10.0)
         with pytest.raises(ValueError):
             rank_schedule(0.5, C1, 1.0)
+        for bad in ((math.inf, C1, 10.0), (0.5, math.inf, 10.0), (0.5, C1, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                rank_schedule(*bad)
 
 
 class TestDsmStep:
@@ -182,6 +230,10 @@ class TestSolverConfig:
             {"max_iter": 2.5},
             {"m_cap": True},
             {"max_iter": np.float64(50.0)},
+            {"alpha0": math.inf},
+            {"alpha0": math.nan},
+            {"C": math.inf},
+            {"eta": math.inf},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

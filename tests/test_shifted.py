@@ -1,7 +1,16 @@
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from fredreg.assembly import assemble_gram, exponential_kernel
+from fredreg import iteration
+from fredreg.assembly import OperatorCache, assemble_gram, exponential_kernel
 from fredreg.iteration import FactorizationError, factor_spd_shifted, solve_spd_shifted
 
 
@@ -98,3 +107,51 @@ def test_factorization_failure_reports_pivot():
     with pytest.raises(FactorizationError) as info:
         factor_spd_shifted(bad, 0.5)
     assert info.value.pivot == 2
+
+
+def test_cli_import_loads_no_scipy_package():
+    # the LAPACK extension is loaded by file; scipy/__init__ and the
+    # scipy.linalg package (and what they import) must not run
+    code = "import sys, fredreg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def test_loaded_lapack_matches_scipy_linalg_lapack():
+    # the levels 1-8 at all max_iter = 50 shifts of the preset; the shifts
+    # below the Gram matrices' roundoff floor break down, and must do so alike
+    ops = OperatorCache(exponential_kernel())
+    rng = np.random.default_rng(7)
+    breakdowns = 0
+    for m in range(1, 9):
+        gram = ops.gram(m, "domain")
+        rhs = rng.standard_normal(len(gram))
+        for n in range(1, 51):
+            shifted = gram + 0.25 ** n * np.eye(len(gram))
+            ours, info = iteration.dpotrf(shifted, lower=1)
+            theirs, their_info = lapack.dpotrf(shifted, lower=1)
+            assert info == their_info
+            assert np.array_equal(ours, theirs)
+            breakdowns += info > 0
+            if info == 0:
+                x, info = iteration.dpotrs(ours, rhs, lower=1)
+                y, their_info = lapack.dpotrs(theirs, rhs, lower=1)
+                assert info == their_info == 0
+                assert np.array_equal(x, y)
+    assert breakdowns > 0
+
+
+def test_lapack_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
+    monkeypatch.setattr(iteration, "_scipy_linalg_dir", lambda: str(tmp_path))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        iteration._load_flapack()
+
+
+def test_lapack_loader_without_scipy(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        iteration._scipy_linalg_dir()
