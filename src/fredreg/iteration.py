@@ -57,8 +57,15 @@ def _load_flapack():
     spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [directory])
     if spec is None:
         raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as error:
+        raise ImportError(
+            f"scipy's LAPACK extension {spec.origin} could not be loaded without "
+            f"running scipy's package initialisation (supported: scipy's Linux and "
+            f"macOS wheels): {error}"
+        ) from error
     return module
 
 

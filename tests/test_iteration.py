@@ -1,7 +1,7 @@
 import math
 import sys
+from decimal import ROUND_CEILING, Decimal, localcontext
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -74,14 +74,20 @@ def seed_rank(a, c1, eta):
     return max(t_normal, t_mixed, t_adjoint, 1)
 
 
-def mp_rank(a, c1, eta):
-    """The three ceilings in 50-digit arithmetic, exact for every float ``a``."""
-    with mpmath.workdps(50):
-        a, c1, eta = mpmath.mpf(a), mpmath.mpf(c1), mpmath.mpf(eta)
-        t1 = mpmath.ceil(mpmath.log(2 * c1 / a, 2) / 4)
-        t2 = mpmath.ceil(mpmath.log(17 / (180 * eta * a * a), 2) / 2)
-        t3 = mpmath.ceil(mpmath.log(2 * c1 / mpmath.sqrt(a), 2) / 2)
-        return int(max(t1, t2, t3, 1))
+def decimal_rank(a, c1, eta):
+    """The three ceilings in 50-digit decimal arithmetic, exact for every float ``a``."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, c1, eta = Decimal(a), Decimal(c1), Decimal(eta)
+        ln2 = Decimal(2).ln()
+
+        def ceil_log2(x, k):
+            return int((x.ln() / (k * ln2)).to_integral_value(rounding=ROUND_CEILING))
+
+        t1 = ceil_log2(2 * c1 / a, 4)
+        t2 = ceil_log2(17 / (180 * eta * a * a), 2)
+        t3 = ceil_log2(2 * c1 / a.sqrt(), 2)
+        return max(t1, t2, t3, 1)
 
 
 class TestRankSchedule:
@@ -132,7 +138,7 @@ class TestRankSchedule:
     def test_extreme_scales(self, a):
         # direct quotients give ceil(inf) at 1e-160, 17 / 0 at 1e-170 and log(0) at 1e200
         m = rank_schedule(a, C1, 10.0)
-        assert m == mp_rank(a, C1, 10.0)
+        assert m == decimal_rank(a, C1, 10.0)
         assert rank_schedule(a, C1, 10.0, m_cap=6) == min(m, 6)
         if a > 1.0:
             assert m == 1
