@@ -7,7 +7,7 @@ Simpson degenerate kernel) grow in rank as the regularization parameter
 decays, stopped by a discrepancy-type rule.
 """
 
-from .assembly import Kernel, OperatorCache, error_budget, exponential_kernel
+from .assembly import OperatorCache, error_budget, exponential_kernel
 from .experiment import (
     PAPER_NOISE_LEVELS,
     NoiseSpec,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 # benchmark import. Everything else is reached through its module.
 __all__ = [
     "FactorizationError",
-    "Kernel",
     "NoiseSpec",
     "OperatorCache",
     "PAPER_NOISE_LEVELS",

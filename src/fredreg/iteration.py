@@ -15,7 +15,9 @@ Iteration stops with a discrepancy-type rule: the functional
 
     G_n = q G_{n-1} + (1 - q) a_n || (a_n I + B_{m_n})^{-1} g ||
 
-is driven below ``C * delta**eps``. A fixed-level variant of the loop
+is driven below ``C * delta**eps``. ``B_{m_n}`` represents ``K K*``; the
+kernel ``exp(-s t)`` is symmetric, so ``B_{m_n} = A_{m_n}`` and both
+solves of a step share one factor. A fixed-level variant of the loop
 (:func:`run_fixed`) uses the exact Galerkin matrix of the operator at a
 constant level as the baseline for comparison, and
 :func:`closed_form_iterate` evaluates the blend directly as a weighted
@@ -173,6 +175,11 @@ class SolverConfig:
             raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
+        if not self.alpha0 * self.q > 0.0:
+            raise ValueError(
+                f"alpha0 * q must be positive, got alpha0={self.alpha0} and q={self.q}, "
+                "whose product rounds to 0"
+            )
         if not 2.0 < self.C < math.inf:
             raise ValueError(f"C must be > 2 and finite, got {self.C}")
         if not 0.0 < self.eps < 1.0:
@@ -312,10 +319,25 @@ def _check_data(f_samples, delta):
         raise ValueError(f"delta must be finite, got {delta}")
 
 
-def _run_loop(delta, config, systems, fixed_n=None):
-    """Shared driver: systems(a, m_prev) -> (m_raw, m, L_A, v, L_B, g).
+def _norm(x):
+    """Euclidean norm of ``x``, scaled where the squares would underflow.
 
-    ``L_A`` and ``L_B`` are the factors of ``a I + A`` and ``a I + B``.
+    Above 1e-150 the squares stay normal and this is ``np.linalg.norm``;
+    below, the entries are first divided by their largest magnitude.
+    """
+    norm = float(np.linalg.norm(x))
+    if norm < 1e-150:
+        scale = float(np.max(np.abs(x)))
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
+def _run_loop(delta, config, systems, fixed_n=None):
+    """Shared driver: systems(a, m_prev) -> (m_raw, m, L, v, g).
+
+    ``L`` is the factor of ``a I + A``; the update solves it against
+    ``v`` and the discrepancy solve against ``g``.
     """
     if fixed_n is None:
         if delta is None or not delta > 0:
@@ -333,12 +355,12 @@ def _run_loop(delta, config, systems, fixed_n=None):
     capped = False
     for n in range(1, n_max + 1):
         a = a * config.q
-        m_raw, m, a_factor, v, b_factor, g = systems(a, m)
+        m_raw, m, factor, v, g = systems(a, m)
         capped = capped or (m_raw > config.m_cap)
-        zeta = solve_spd_shifted(a_factor, v)
-        gamma = solve_spd_shifted(b_factor, g)
+        zeta = solve_spd_shifted(factor, v)
+        gamma = solve_spd_shifted(factor, g)
         u = dsm_step(u, zeta, config.q)
-        gamma_norm = float(np.linalg.norm(gamma))
+        gamma_norm = _norm(gamma)
         G = discrepancy_update(G, a, gamma_norm, config.q, config.gnm_variant)
         trace.append(StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=G))
         if threshold is not None and G <= threshold:
@@ -397,9 +419,7 @@ def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
         if m not in rhs_cache:
             rhs_cache[m] = ops.rhs(f_samples, m)
             data_cache[m] = ops.data(f_samples, m)
-        a_factor = ops.factor(m, "domain", a)
-        b_factor = ops.factor(m, "range", a)
-        return m_raw, m, a_factor, rhs_cache[m], b_factor, data_cache[m]
+        return m_raw, m, ops.factor(m, a), rhs_cache[m], data_cache[m]
 
     return _run_loop(delta, config, systems, fixed_n)
 
@@ -409,8 +429,9 @@ def run_fixed(ops, f_samples, delta, config, m):
 
     At every iteration the same exact Galerkin matrix ``K_m`` of the
     operator is used: the update solves ``(a_n I + K_m^T K_m) z =
-    K_m^T g`` and the discrepancy solve uses ``K_m K_m^T``. Stopping is
-    identical to :func:`run_adaptive`, and so is the check of the inputs.
+    K_m^T g`` and the discrepancy solve uses ``K_m K_m^T``, which is the
+    same matrix because ``K_m`` is symmetric. Stopping is identical to
+    :func:`run_adaptive`, and so is the check of the inputs.
     """
     _check_data(f_samples, delta)
     if m < 1:
@@ -419,9 +440,7 @@ def run_fixed(ops, f_samples, delta, config, m):
     v = ops.galerkin(m).T @ g
 
     def systems(a, m_prev):
-        a_factor = ops.factor(m, "domain", a, galerkin=True)
-        b_factor = ops.factor(m, "range", a, galerkin=True)
-        return m, m, a_factor, v, b_factor, g
+        return m, m, ops.factor(m, a, galerkin=True), v, g
 
     return _run_loop(delta, config, systems)
 
@@ -449,6 +468,6 @@ def closed_form_iterate(ops, f_samples, n, m_schedule, config):
         a = a * config.q  # a_{j+1}, by repeated multiplication as in the recursion
         m_j = m_schedule[j]
         v = ops.rhs(f_samples, m_j)
-        term = solve_spd_shifted(ops.factor(m_j, "domain", a), v)
+        term = solve_spd_shifted(ops.factor(m_j, a), v)
         acc[: 2 ** m_j] += weights[j] * term
     return HaarCoefficients(level=m_final, values=acc)

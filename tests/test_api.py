@@ -2,7 +2,6 @@ import fredreg
 
 PUBLIC = {
     "FactorizationError",
-    "Kernel",
     "NoiseSpec",
     "OperatorCache",
     "PAPER_NOISE_LEVELS",
@@ -29,7 +28,7 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(fredreg.__all__) == len(PUBLIC) == 24
+    assert len(fredreg.__all__) == len(PUBLIC) == 23
     assert set(fredreg.__all__) == PUBLIC
     for name in fredreg.__all__:
         assert getattr(fredreg, name) is not None, name

@@ -13,7 +13,13 @@ from fredreg.assembly import (
     exponential_kernel,
     galerkin_matrix,
 )
-from fredreg.haar import exp_haar_matrix, exp_t_haar_matrix, haar_eval, synthesis_matrix
+from fredreg.haar import (
+    _gauss_cell_nodes,
+    exp_haar_matrix,
+    exp_t_haar_matrix,
+    haar_eval,
+    synthesis_matrix,
+)
 from fredreg.quadrature import simpson_rule, taylor_partition
 
 C1 = 16.0 / 180.0
@@ -42,7 +48,6 @@ def dense_gram_oracle(m, grid_n=1024):
 class TestKernel:
     def test_exponential_kernel_fields(self):
         k = exponential_kernel()
-        assert k.symmetric
         assert k.c1 == pytest.approx(16 / 180)
         assert k.sup_bound == 1.0
         assert k is exponential_kernel()
@@ -56,29 +61,25 @@ class TestKernel:
 
     def test_rejects_bad_constants(self):
         with pytest.raises(ValueError):
-            Kernel(eval=lambda s, t: s * t, symmetric=True, c1=0.0, sup_bound=1.0)
+            Kernel(eval=lambda s, t: s * t, c1=0.0, sup_bound=1.0)
 
 
 class TestGramAssembly:
     def test_domain_equals_range_for_symmetric_kernel(self):
+        # the range-side Gram sum_l beta_l <k(., s_l), Phi_i> <k(., s_l), Phi_j>,
+        # its slices projected by per-cell Gauss quadrature of kernel.eval,
+        # is the matrix the discrepancy solve uses in its place
         k = exponential_kernel()
         for m in (1, 2, 4):
-            a = assemble_gram(k, m, side="domain")
-            b = assemble_gram(k, m, side="range")
-            assert np.max(np.abs(a - b)) < 1e-13
-
-    def test_zero_kernel_gives_zero_matrix(self):
-        k = Kernel(
-            eval=lambda s, t: np.zeros(np.broadcast(s, t).shape),
-            symmetric=True,
-            c1=1.0,
-            sup_bound=1.0,
-        )
-        a = assemble_gram(k, 3)
-        assert np.max(np.abs(a)) == 0.0
+            rule = simpson_rule(m)
+            x, xw = _gauss_cell_nodes(m, 8)
+            cells = k.eval(x[None, :], rule.points[:, None]) * xw
+            p = cells.reshape(len(rule.points), 2 ** m, 8).sum(axis=2) @ synthesis_matrix(m).T
+            b = p.T @ (rule.weights[:, None] * p)
+            assert np.max(np.abs(assemble_gram(m) - b)) < 1e-13
 
     def test_first_entry_against_dense_oracle(self):
-        a = assemble_gram(exponential_kernel(), 1)
+        a = assemble_gram(1)
         # closed form: sum_l beta_l (int e^{-s_l t} dt)^2 at s = (0, 1/2, 1)
         e0 = np.array([1.0, 2 * (1 - math.exp(-0.5)), 1 - math.exp(-1)])
         want = float(np.dot([1 / 6, 2 / 3, 1 / 6], e0 ** 2))
@@ -89,75 +90,21 @@ class TestGramAssembly:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_entries_against_dense_oracle(self, m):
-        a = assemble_gram(exponential_kernel(), m)
+        a = assemble_gram(m)
         oracle = dense_gram_oracle(m)
         assert np.max(np.abs(a - oracle)) < 1e-6
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_symmetric_psd(self, m):
-        a = assemble_gram(exponential_kernel(), m)
+        a = assemble_gram(m)
         assert np.max(np.abs(a - a.T)) < 1e-13
         assert np.linalg.eigvalsh(a).min() >= -1e-10
 
-    def test_generic_quadrature_path_matches_closed_form(self):
-        closed = exponential_kernel()
-        generic = Kernel(
-            eval=closed.eval, symmetric=True, c1=closed.c1, sup_bound=closed.sup_bound
-        )
-        for m in (1, 3):
-            a = assemble_gram(closed, m)
-            b = assemble_gram(generic, m)
-            assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_asymmetric_kernel_sides_differ(self):
-        k = Kernel(
-            eval=lambda s, t: np.exp(-2.0 * np.asarray(s) * np.asarray(t))
-            * (1.0 + np.asarray(s)),
-            symmetric=False,
-            c1=1.0,
-            sup_bound=2.0,
-        )
-        a = assemble_gram(k, 2, side="domain")
-        b = assemble_gram(k, 2, side="range")
-        assert np.max(np.abs(a - b)) > 1e-3
-        for mat in (a, b):
-            assert np.linalg.eigvalsh(mat).min() >= -1e-10
-
-    def test_slice_projector_trusted_for_both_sides(self):
-        # non-symmetric kernel e^{-2st}(1+s) with closed-form slice
-        # projections for both axes; must agree with the quadrature fallback
-        from fredreg.haar import exp_t_haar_matrix
-
-        def evaluate(s, t):
-            s = np.asarray(s, dtype=float)
-            return np.exp(-2.0 * s * np.asarray(t)) * (1.0 + s)
-
-        def projector(c, m, axis):
-            c = np.atleast_1d(np.asarray(c, dtype=float))
-            if axis == 1:  # t -> (1 + c) e^{-2ct}
-                return (1.0 + c)[:, None] * exp_haar_matrix(2.0 * c, m)
-            # axis = 0: x -> e^{-2cx} + x e^{-2cx}
-            return exp_haar_matrix(2.0 * c, m) + exp_t_haar_matrix(2.0 * c, m)
-
-        closed = Kernel(eval=evaluate, symmetric=False, c1=1.0, sup_bound=2.0,
-                        slice_projector=projector)
-        generic = Kernel(eval=evaluate, symmetric=False, c1=1.0, sup_bound=2.0)
-        for side in ("domain", "range"):
-            a = assemble_gram(closed, 2, side=side)
-            b = assemble_gram(generic, 2, side=side)
-            assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_rejects_level_zero_and_nonfinite(self):
+    def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
-            assemble_gram(exponential_kernel(), 0)
-        bad = Kernel(
-            eval=lambda s, t: np.full(np.broadcast(s, t).shape, np.nan),
-            symmetric=True,
-            c1=1.0,
-            sup_bound=1.0,
-        )
+            assemble_gram(0)
         with pytest.raises(ValueError):
-            assemble_gram(bad, 2)
+            galerkin_matrix(0)
 
 
 class TestAdjointRhs:
@@ -196,29 +143,20 @@ class TestAdjointRhs:
         err = float(np.linalg.norm(v - exact))
         assert err <= trapezoid_norm(samples) / (2 ** (2 * m) * 180) + 1e-6
 
-    def test_rejects_generic_kernel_and_coarse_samples(self):
-        generic = Kernel(
-            eval=lambda s, t: np.asarray(s) + np.asarray(t),
-            symmetric=True,
-            c1=1.0,
-            sup_bound=2.0,
-        )
-        with pytest.raises(ValueError):
-            OperatorCache(generic).rhs(np.ones(361), 1)
+    def test_rejects_coarse_samples(self):
         with pytest.raises(ValueError):
             OperatorCache(exponential_kernel()).rhs(np.ones(181), 1)
 
     def test_rejects_copy_with_other_exponential_slices(self):
-        # slices exp(-2st) with their closed-form projector: the adjoint
-        # hard-codes exp(-st), so this kernel's right-hand side would be
-        # about 20 % off a dense quadrature of its true adjoint
+        # slices exp(-2st): the adjoint hard-codes exp(-st), so this
+        # kernel's right-hand side would be about 20 % off a dense
+        # quadrature of its true adjoint; it is refused at construction
         doubled = dataclasses.replace(
             exponential_kernel(),
             eval=lambda s, t: np.exp(-2.0 * np.asarray(s) * np.asarray(t)),
-            slice_projector=lambda c, m, axis: exp_haar_matrix(2.0 * np.asarray(c), m),
         )
         with pytest.raises(ValueError, match="exponential_kernel"):
-            OperatorCache(doubled).rhs(np.ones(361), 1)
+            OperatorCache(doubled)
 
 
 class TestDataCoefficients:
@@ -300,15 +238,16 @@ class TestMeasuredOperatorError:
 
 class TestGalerkinMatrix:
     def test_first_entry_is_double_integral(self):
-        k4 = galerkin_matrix(exponential_kernel(), 4)
+        k4 = galerkin_matrix(4)
         assert k4[0, 0] == pytest.approx(0.7965995992970532, abs=1e-12)
 
     def test_symmetric(self):
-        k4 = galerkin_matrix(exponential_kernel(), 4)
-        assert np.max(np.abs(k4 - k4.T)) < 1e-15
+        for m in range(1, 9):
+            k = galerkin_matrix(m)
+            assert np.array_equal(k, k.T)
 
     def test_entry_against_quadrature_oracle(self):
-        k2 = galerkin_matrix(exponential_kernel(), 2)
+        k2 = galerkin_matrix(2)
         # <Phi_2, K Phi_3> by adaptive quadrature over the support pieces
         def integrand(s):
             inner = quad(lambda t: math.exp(-s * t) * haar_eval(3, t), 0, 0.5)[0]
@@ -319,10 +258,24 @@ class TestGalerkinMatrix:
 
 
 class TestOperatorCache:
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            Kernel(eval=lambda s, t: np.asarray(s) + np.asarray(t), c1=1.0, sup_bound=2.0),
+            dataclasses.replace(exponential_kernel(), c1=1.0),
+        ],
+        ids=["other_eval", "other_c1"],
+    )
+    def test_rejects_other_kernels(self, kernel):
+        with pytest.raises(ValueError, match="exponential_kernel"):
+            OperatorCache(kernel)
+
     def test_cache_returns_identical_objects(self):
         ops = OperatorCache(exponential_kernel())
         assert ops.gram(3) is ops.gram(3)
         assert ops.gram(3, side="range") is ops.gram(3)  # symmetric kernel
+        with pytest.raises(ValueError):
+            ops.gram(3, side="data")
         assert not ops.gram(3).flags.writeable
         assert ops.partition(2) is ops.partition(2)
 

@@ -90,6 +90,14 @@ def test_config_error_exit_code(capsys):
     assert main(["solve", "--C", "inf"]) == 2
 
 
+def test_alpha0_whose_first_shift_rounds_to_zero(capsys):
+    # a_1 = 5e-324 * 0.25 is 0: the message names the inputs, not the product
+    assert main(["solve", "--alpha0", "5e-324"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "alpha0=5e-324" in err and "q=0.25" in err
+
+
 def test_out_of_memory_exit_code(capsys):
     # the 180 * 2**40-interval sample grid is refused at allocation; caps of
     # 10-20 would instead really try to allocate, so they are not run here

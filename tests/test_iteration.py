@@ -240,6 +240,7 @@ class TestSolverConfig:
             {"alpha0": math.nan},
             {"C": math.inf},
             {"eta": math.inf},
+            {"alpha0": 5e-324},  # a_1 = alpha0 * q rounds to 0
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -348,6 +349,20 @@ class TestRunAdaptive:
         with pytest.raises(ValueError):
             run_adaptive(ops, samples, None, SolverConfig())
 
+    def test_gamma_norm_does_not_underflow(self, bench):
+        # at alpha0 = 1e200 every entry of gamma is about 1e-200, whose square
+        # underflows; the run must match the one at 1e150 step for step
+        _, ops, samples = bench
+        noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.05, seed=0))
+        low, high = (
+            run_adaptive(ops, noisy, dabs, SolverConfig(alpha0=alpha0, max_iter=10))
+            for alpha0 in (1e150, 1e200)
+        )
+        assert high.stop_reason == low.stop_reason == "max_iter"
+        for rec_low, rec_high in zip(low.trace, high.trace):
+            assert rec_high.gamma_norm == pytest.approx(rec_low.gamma_norm * 1e-50, rel=1e-12)
+            assert rec_high.G == pytest.approx(rec_low.G, rel=1e-12)
+
 
 class TestRunFixed:
     def test_terminates_and_keeps_level(self, bench):
@@ -443,7 +458,7 @@ class TestFactorCache:
                 return ops.gram(m, "domain"), ops.gram(m, "range")
         else:
             out = run_fixed(ops, noisy, delta, SolverConfig(m_cap=8), 4)
-            k = galerkin_matrix(ops.kernel, 4)
+            k = galerkin_matrix(4)
 
             def systems(m):
                 return k.T @ k, k @ k.T
@@ -467,16 +482,32 @@ class TestFactorCache:
         assert np.array_equal(first.solution.values, second.solution.values)
         assert np.array_equal(first_fixed.solution.values, second_fixed.solution.values)
 
-    def test_symmetric_kernel_shares_range_factor(self, bench):
-        _, ops, _ = bench
-        assert ops.factor(3, "range", 0.25 ** 5) is ops.factor(3, "domain", 0.25 ** 5)
-        fixed = ops.factor(3, "range", 0.25 ** 5, galerkin=True)
-        assert fixed is not ops.factor(3, "domain", 0.25 ** 5, galerkin=True)
+    def test_symmetric_kernel_shares_range_factor(self, bench, monkeypatch):
+        # the update and the discrepancy solve of a step use one factor
+        _, ops, samples = bench
+        noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.005, seed=1))
+        solves = spy(monkeypatch, iteration, "solve_spd_shifted")
+        adaptive = run_adaptive(ops, noisy, dabs, SolverConfig())
+        fixed = run_fixed(ops, noisy, dabs, SolverConfig(), 3)
+        steps = [(rec, False) for rec in adaptive.trace] + [(rec, True) for rec in fixed.trace]
+        assert len(solves) == 2 * len(steps)
+        for (rec, galerkin), ((update, _), _), ((discrepancy, _), _) in zip(
+            steps, solves[::2], solves[1::2]
+        ):
+            assert update is discrepancy is ops.factor(rec.m, rec.a, galerkin)
+
+    def test_cold_fixed_run_factors_once_per_step(self, deep, monkeypatch):
+        _, noisy, delta = deep
+        ops = OperatorCache(exact_problem().kernel)
+        factors = spy(monkeypatch, assembly, "factor_spd_shifted")
+        out = run_fixed(ops, noisy, delta, SolverConfig(m_cap=8), 4)
+        assert len(factors) == out.n_delta > 1
+        assert list(ops._galerkin_product) == [4]
 
     def test_factors_are_read_only(self, bench):
         _, ops, _ = bench
-        assert not ops.factor(2, "domain", 0.5).flags.writeable
-        assert not ops.galerkin_product(2, "range").flags.writeable
+        assert not ops.factor(2, 0.5).flags.writeable
+        assert not ops.galerkin_product(2).flags.writeable
 
     def test_breakdown_raises_every_call_and_stores_nothing(self, monkeypatch):
         # a shift far below the roundoff floor of A_3 (smallest eigenvalue ~ -1e-19)
@@ -484,7 +515,7 @@ class TestFactorCache:
         factors = spy(monkeypatch, assembly, "factor_spd_shifted")
         for _ in range(2):
             with pytest.raises(FactorizationError):
-                ops.factor(3, "domain", 1e-20)
+                ops.factor(3, 1e-20)
         assert len(factors) == 2
         assert not ops._factor
-        assert ops.factor(3, "domain", 1e-3) is ops.factor(3, "domain", 1e-3)
+        assert ops.factor(3, 1e-3) is ops.factor(3, 1e-3)

@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import lapack
 
 from fredreg import iteration
-from fredreg.assembly import assemble_gram, exponential_kernel
+from fredreg.assembly import assemble_gram
 from fredreg.iteration import FactorizationError, factor_spd_shifted, solve_spd_shifted
 
 
@@ -76,14 +76,14 @@ def test_continuity_in_rhs():
 @pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("shift", [1.0, 1e-2, 1e-4])
 def test_inverse_norm_bound_on_assembled_grams(m, shift):
-    gram = assemble_gram(exponential_kernel(), m)
+    gram = assemble_gram(m)
     eigmin = np.linalg.eigvalsh(gram + shift * np.eye(len(gram))).min()
     assert eigmin >= shift / 2  # ||(aI + A)^-1|| <= 2/a
     assert eigmin >= shift * (1 - 1e-12)  # coordinate form gives the sharper 1/a
 
 
 def test_gram_matrix_accepted_directly():
-    gram = assemble_gram(exponential_kernel(), 2)
+    gram = assemble_gram(2)
     rhs = np.ones(len(gram))
     x = factor_and_solve(gram, 0.5, rhs)
     resid = (gram + 0.5 * np.eye(len(gram))) @ x - rhs
