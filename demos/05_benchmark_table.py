@@ -25,7 +25,8 @@ rows = run_table(
 )
 
 print(f"\nwrote {len(rows)} rows to {out_path}")
-parsed = rows_from_csv(open(out_path).read())
+with open(out_path) as handle:
+    parsed = rows_from_csv(handle.read())
 print("CSV round-trip exact:", parsed == rows)
 
 print("\nReading the table: as the noise level drops, the adaptive scheme")

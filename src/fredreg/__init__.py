@@ -7,7 +7,14 @@ Simpson degenerate kernel) grow in rank as the regularization parameter
 decays, stopped by a discrepancy-type rule.
 """
 
-from .assembly import OperatorCache, error_budget, exponential_kernel
+from .assembly import (
+    FactorizationError,
+    OperatorCache,
+    error_budget,
+    exponential_kernel,
+    sample_grid,
+    simpson_rule,
+)
 from .experiment import (
     PAPER_NOISE_LEVELS,
     NoiseSpec,
@@ -16,18 +23,10 @@ from .experiment import (
     exact_problem,
     rows_from_csv,
     run_table,
-    sample_grid,
     trapezoid_norm,
 )
 from .haar import exp_haar_matrix, haar_eval, project, split_index, synthesis_matrix
-from .iteration import (
-    FactorizationError,
-    SolverConfig,
-    rank_schedule,
-    run_adaptive,
-    run_fixed,
-)
-from .quadrature import simpson_rule
+from .iteration import SolverConfig, rank_schedule, run_adaptive, run_fixed
 
 __version__ = "0.1.0"
 

@@ -1,26 +1,30 @@
-"""Finite-dimensional operator assembly in Haar coordinates.
+"""Finite-dimensional ``T = K*K``, ``K*`` and ``a I + T``, and their factors.
 
 For the kernel ``k(s, t) = exp(-s t)`` on the unit square this module
 builds
 
+* the grids: the compound Simpson rule with step ``1/2**m``, and the
+  uniform :func:`sample_grid` with ``180 * 2**m`` cells, which at level
+  ``m`` partitions the adjoint and at ``m_cap`` carries the data,
 * the Gram matrix ``A_m`` of the degenerate-kernel normal operator,
   ``(A_m)_{ij} = sum_l beta_l <k(s_l,.), Phi_i> <k(s_l,.), Phi_j>``,
-  with the compound Simpson points/weights of :mod:`.quadrature`; the
-  kernel is symmetric, so ``A_m`` also represents ``K K*`` and serves
-  the discrepancy solve,
+  over the Simpson points/weights; the kernel is symmetric, so ``A_m``
+  also represents ``K K*`` and serves the discrepancy solve,
 * the right-hand side ``v_i = <Km* f, Phi_i>`` where the adjoint is
-  replaced by its first-order Taylor expansion on the fine partition,
-* the data coefficients ``g_i = <f, Phi_i>``, and
-* closed-form a-priori bounds on the three operator approximation
-  errors as a function of the level.
+  replaced by its first-order Taylor expansion on each cell,
+* the data coefficients ``g_i = <f, Phi_i>``, closed-form a-priori
+  bounds on the three operator approximation errors per level, and
+* the Cholesky factor of ``a I + A`` (scipy's LAPACK) and its solves.
 
-Assembly is pure; Gram matrices are read-only ``(2**m, 2**m)`` arrays. The
+Gram matrices are read-only ``(2**m, 2**m)`` arrays. The
 :class:`OperatorCache` memoizes the level-dependent pieces and the
-Cholesky factors of the shifted systems, so that repeated solves
-(iterations, seeds) only pay for matrix-vector work and triangular
-solves.
+factors, so that repeated solves (iterations, seeds) only pay for
+matrix-vector work and triangular solves.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,8 +38,168 @@ from .haar import (
     _gauss_cell_nodes,
     _trapezoid_blocks,
 )
-from .iteration import factor_spd_shifted
-from .quadrature import simpson_rule, taylor_partition
+
+
+def _scipy_linalg_dir():
+    """Directory of the installed ``scipy.linalg``, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("fredreg needs scipy for its LAPACK routines; scipy is not installed")
+    return os.path.join(spec.submodule_search_locations[0], "linalg")
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without the ``scipy.linalg`` package.
+
+    ``scipy.linalg.lapack`` re-exports this extension module, so the
+    routines are the same machine code on the same BLAS; importing the
+    package instead would run ``scipy/__init__`` and ``scipy.linalg``'s
+    pure-Python modules, about half the start-up of the CLI.
+    """
+    directory = _scipy_linalg_dir()
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [directory])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as error:
+        raise ImportError(
+            f"scipy's LAPACK extension {spec.origin} could not be loaded without "
+            f"running scipy's package initialisation (supported: scipy's Linux and "
+            f"macOS wheels): {error}"
+        ) from error
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+
+
+class FactorizationError(np.linalg.LinAlgError):
+    """Cholesky breakdown; ``pivot`` is the 1-based offending leading minor.
+
+    Possible only when the matrix violates the positive semidefinite
+    contract upstream (the shift makes honest Gram inputs definite).
+    """
+
+    def __init__(self, pivot):
+        self.pivot = int(pivot)
+        super().__init__(
+            f"Cholesky factorization failed at pivot {self.pivot}; "
+            "matrix is not positive definite"
+        )
+
+
+def factor_spd_shifted(matrix, shift):
+    """Read-only lower Cholesky factor of ``shift I + M`` for symmetric PSD ``M``.
+
+    With ``shift > 0`` the system matrix has smallest eigenvalue at
+    least ``shift``, so plain Cholesky is backward stable. The shift is
+    added to the diagonal of a copy of ``M``, which is bit-identical to
+    ``M + shift * np.eye(n)``. The factor is the ``dpotrf`` output: its
+    lower triangle holds ``L``, its strict upper triangle is left as it
+    was, and :func:`solve_spd_shifted` reads the lower triangle only.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if not shift > 0:
+        raise ValueError(f"shift must be positive, got {shift}")
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
+    shifted = np.array(matrix, order="F")
+    diag = np.arange(n)
+    shifted[diag, diag] += shift
+    factor, info = dpotrf(shifted, lower=1, overwrite_a=1)
+    if info > 0:
+        raise FactorizationError(info)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the factorization")
+    factor.setflags(write=False)
+    return factor
+
+
+def solve_spd_shifted(factor, rhs):
+    """Solve ``(shift I + M) x = b`` given the factor of :func:`factor_spd_shifted`.
+
+    Every linear solve of the scheme has this form; identical inputs
+    give bit-identical solutions.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    n = factor.shape[0]
+    if rhs.shape[0] != n:
+        raise ValueError(f"dimension mismatch: matrix {n}, rhs {rhs.shape[0]}")
+    x, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"triangular solve failed with status {info}")
+    return x
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Compound Simpson rule with ``2**level + 1`` points on [0,1].
+
+    Attributes
+    ----------
+    level : int
+        Dyadic refinement level ``m``; the step size is ``1/2**m``.
+    points : ndarray
+        Collocation points ``s_j = (j-1)/2**m``, ``j = 1..2**m+1``.
+    weights : ndarray
+        Weights ``beta_j``; endpoints ``(1/3)/2**m``, interior points
+        alternate ``(4/3)/2**m`` (even ``j``) and ``(2/3)/2**m``.
+    """
+
+    level: int
+    points: np.ndarray
+    weights: np.ndarray
+
+    def apply(self, values):
+        """Weighted sum approximating ``int_0^1 h(s) ds`` from samples at the points."""
+        return float(np.dot(self.weights, values))
+
+
+def simpson_rule(m):
+    """Build the compound Simpson rule at dyadic level ``m >= 1``.
+
+    Parameters
+    ----------
+    m : int
+        Refinement level. The rule has ``2**m`` subintervals grouped
+        into ``2**(m-1)`` Simpson panels, so ``m >= 1`` is required for
+        the endpoint/interior weight pattern to be well defined.
+
+    Returns
+    -------
+    QuadratureRule
+        The weights sum to 1 exactly up to roundoff, and the rule
+        integrates polynomials of degree <= 3 exactly.
+    """
+    if not isinstance(m, (int, np.integer)):
+        raise TypeError(f"level must be an integer, got {type(m).__name__}")
+    if m < 1:
+        raise ValueError(f"simpson_rule requires m >= 1, got {m}")
+    n = 2 ** m
+    points = np.arange(n + 1) / n
+    weights = np.empty(n + 1)
+    weights[0] = weights[-1] = (1.0 / 3.0) / n
+    j = np.arange(2, n + 1)  # 1-based interior indices j = 2..2**m
+    weights[1:-1] = np.where(j % 2 == 0, (4.0 / 3.0) / n, (2.0 / 3.0) / n)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(level=int(m), points=points, weights=weights)
+
+
+def sample_grid(m_cap):
+    """Uniform grid with ``180 * 2**m_cap`` subintervals on [0,1].
+
+    The nodes include both endpoints. At level ``m`` the cells of this
+    grid are the partition of the adjoint's Taylor expansion; at
+    ``m_cap`` it is the data grid, which refines every partition and
+    every dyadic grid up to ``m_cap``.
+    """
+    n = 180 * 2 ** m_cap
+    return np.arange(n + 1) / n
 
 
 @dataclass(frozen=True)
@@ -117,13 +281,14 @@ def assemble_gram(m):
     return a
 
 
-def _moments(samples, partition):
-    """Trapezoid moments of the samples over every partition subinterval.
+def _moments(samples, m):
+    """Trapezoid moments of the samples over every cell of ``sample_grid(m)``.
 
     Returns ``(M0, M1)`` with ``M0_j ~ int_{D_j} f`` and
-    ``M1_j ~ int_{D_j} (s - d_{j-1}) f(s) ds``.
+    ``M1_j ~ int_{D_j} (s - d_{j-1}) f(s) ds`` on the cells
+    ``D_j = [d_{j-1}, d_j)``.
     """
-    blocks, h, w0 = _trapezoid_blocks(samples, partition.n_subintervals)
+    blocks, h, w0 = _trapezoid_blocks(samples, 180 * 2 ** m)
     k = len(w0) - 1
     w1 = np.arange(k + 1, dtype=float)
     w1[-1] = k / 2.0
@@ -169,9 +334,8 @@ class OperatorCache:
 
     Bound to :func:`exponential_kernel`; safe to share across solver
     runs. The cached pieces (Gram matrices, adjoint moment matrices,
-    partitions, Galerkin matrices and their products, Cholesky factors
-    of the shifted systems) depend only on the level and the shift,
-    never on the data.
+    Galerkin matrices, Cholesky factors of the shifted systems) depend
+    only on the level and the shift, never on the data.
     """
 
     def __init__(self, kernel):
@@ -182,16 +346,9 @@ class OperatorCache:
             )
         self.kernel = kernel
         self._gram = {}
-        self._partition = {}
         self._adjoint = {}
         self._galerkin = {}
-        self._galerkin_product = {}
         self._factor = {}
-
-    def partition(self, m):
-        if m not in self._partition:
-            self._partition[m] = taylor_partition(m)
-        return self._partition[m]
 
     def gram(self, m, side="domain"):
         """``A_m``, read-only; the kernel is symmetric, so both sides are this object."""
@@ -203,23 +360,25 @@ class OperatorCache:
 
     def _adjoint_matrices(self, m):
         if m not in self._adjoint:
-            c = self.partition(m).left_endpoints
+            c = sample_grid(m)[:-1]
             self._adjoint[m] = (exp_haar_matrix(c, m), exp_t_haar_matrix(c, m))
         return self._adjoint[m]
 
     def rhs(self, f_samples, m):
-        """Coefficients ``v_i = <Km* f, Phi_i>`` of the approximate adjoint.
+        """Coefficients ``v_i = <Km* f, Phi_i>`` of the approximate adjoint, ``m >= 1``.
 
-        The adjoint of the exponential kernel is replaced on each
-        subinterval ``D_j`` of the level-``m`` Taylor partition by the
-        first-order expansion ``exp(-d_{j-1} t) [1 - t (s - d_{j-1})]``;
-        the s-integrals over ``D_j`` use the trapezoid rule on the
-        samples (the sample grid must refine the partition) and the
-        t-integrals against the basis are the cached closed-form moment
-        matrices of :mod:`.haar`, ``2 * 180 * 4**m`` doubles per level.
+        The adjoint of the exponential kernel is replaced on each cell
+        ``D_j = [d_{j-1}, d_j)`` of ``sample_grid(m)`` by the first-order
+        expansion ``exp(-d_{j-1} t) [1 - t (s - d_{j-1})]``; the
+        s-integrals over ``D_j`` use the trapezoid rule on the samples
+        (the sample grid must refine these cells) and the t-integrals
+        against the basis are the cached closed-form moment matrices of
+        :mod:`.haar`, ``2 * 180 * 4**m`` doubles per level.
         """
+        if m < 1:
+            raise ValueError(f"the adjoint partition requires level >= 1, got {m}")
         e0, e1 = self._adjoint_matrices(m)
-        m0, m1 = _moments(f_samples, self.partition(m))
+        m0, m1 = _moments(f_samples, m)
         return e0.T @ m0 - e1.T @ m1
 
     def data(self, f_samples, m):
@@ -231,28 +390,24 @@ class OperatorCache:
             self._galerkin[m] = galerkin_matrix(m)
         return self._galerkin[m]
 
-    def galerkin_product(self, m):
-        """``K_m^T K_m``, read-only; equal to ``K_m K_m^T`` as ``K_m`` is symmetric."""
-        if m not in self._galerkin_product:
-            k = self.galerkin(m)
-            product = k.T @ k
-            product.setflags(write=False)
-            self._galerkin_product[m] = product
-        return self._galerkin_product[m]
-
     def factor(self, m, a, galerkin=False):
-        """Factor of ``a I + M`` from :func:`.iteration.factor_spd_shifted`.
+        """Factor of ``a I + M`` from :func:`factor_spd_shifted`.
 
-        ``M`` is ``gram(m)``, or ``galerkin_product(m)`` with
-        ``galerkin``. The factor is memoized by the source, the level
-        and the exact shift ``a``: the shifts ``a_n = alpha0 q**n`` and
-        their levels do not depend on the data, so every run of a
+        ``M`` is ``gram(m)``, or with ``galerkin`` the product
+        ``K_m^T K_m`` of ``galerkin(m)`` (equal to ``K_m K_m^T``, as
+        ``K_m`` is symmetric). The factor is memoized by the source, the
+        level and the exact shift ``a``: the shifts ``a_n = alpha0 q**n``
+        and their levels do not depend on the data, so every run of a
         configuration reuses the same factors, ``8 * 4**m`` bytes each.
         A failed factorization stores nothing.
         """
         key = (galerkin, m, a)
         factor = self._factor.get(key)
         if factor is None:
-            matrix = self.galerkin_product(m) if galerkin else self.gram(m)
+            if galerkin:
+                k = self.galerkin(m)
+                matrix = k.T @ k
+            else:
+                matrix = self.gram(m)
             factor = self._factor[key] = factor_spd_shifted(matrix, a)
         return factor

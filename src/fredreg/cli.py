@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .assembly import OperatorCache
+from .assembly import FactorizationError, OperatorCache, sample_grid
 from .experiment import (
     PAPER_NOISE_LEVELS,
     NoiseSpec,
@@ -26,9 +26,8 @@ from .experiment import (
     avg_error,
     exact_problem,
     run_table,
-    sample_grid,
 )
-from .iteration import FactorizationError, SolverConfig, run_adaptive, run_fixed
+from .iteration import SolverConfig, run_adaptive, run_fixed
 
 _OK_STOPS = ("discrepancy_met", "initial_below_threshold")
 

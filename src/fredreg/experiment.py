@@ -25,7 +25,7 @@ import numpy as np
 # numpy loads this submodule lazily; load it with fredreg, not in the first request
 from numpy.random import default_rng
 
-from .assembly import Kernel, OperatorCache, exponential_kernel
+from .assembly import Kernel, OperatorCache, exponential_kernel, sample_grid
 from .haar import exp_t_haar_matrix
 from .iteration import SolverConfig, run_adaptive, run_fixed
 
@@ -74,16 +74,6 @@ def exact_problem():
         exact_solution=lambda t: np.asarray(t, dtype=float),
         y_norm=1.0 / math.sqrt(3.0),
     )
-
-
-def sample_grid(m_cap):
-    """Uniform data grid with ``180 * 2**m_cap`` subintervals on [0,1].
-
-    Endpoint nodes, so the grid refines every adjoint partition and
-    every dyadic grid up to ``m_cap``.
-    """
-    n = 180 * 2 ** m_cap
-    return np.arange(n + 1) / n
 
 
 def trapezoid_norm(values):

@@ -34,6 +34,9 @@ _SMALL_C_MOMENT = 1e-3
 # Rows per block of the wavelet-column fill; bounds the temporary arrays of
 # one block at 2**(m-1) * _FILL_ROWS doubles each.
 _FILL_ROWS = 256
+# Above this rate expm1(c) overflows (and sinh(c*h/2)**2 from about twice
+# it), so the moment formulas would give NaN.
+_MAX_RATE = float(np.log(np.finfo(float).max))
 
 
 def split_index(j):
@@ -117,6 +120,8 @@ def _rates(c):
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if np.any(c < 0) or not np.all(np.isfinite(c)):
         raise ValueError("decay rates must be finite and >= 0")
+    if np.any(c > _MAX_RATE):
+        raise ValueError(f"decay rates must be <= log(float max) = {_MAX_RATE}")
     return c
 
 
@@ -168,7 +173,7 @@ def exp_haar_matrix(c, m):
     Parameters
     ----------
     c : array_like
-        Non-negative decay rates, one per row of the result.
+        Decay rates in ``[0, log(float max) ~ 709.78]``, one per row.
     m : int
         Span level; the result has shape ``(len(c), 2**m)``.
 

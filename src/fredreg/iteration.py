@@ -22,116 +22,28 @@ solves of a step share one factor. A fixed-level variant of the loop
 constant level as the baseline for comparison, and
 :func:`closed_form_iterate` evaluates the blend directly as a weighted
 sum of shifted solves, serving as an independent oracle for the
-recursion.
+recursion. The matrices, their factors and the shifted solves come
+from :mod:`.assembly`.
 """
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .assembly import solve_spd_shifted
 from .haar import HaarCoefficients, _level_of
 
 _GNM_VARIANTS = ("formal", "listing")
 
 
-def _scipy_linalg_dir():
-    """Directory of the installed ``scipy.linalg``, found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError("fredreg needs scipy for its LAPACK routines; scipy is not installed")
-    return os.path.join(spec.submodule_search_locations[0], "linalg")
-
-
-def _load_flapack():
-    """scipy's compiled LAPACK wrappers, loaded without the ``scipy.linalg`` package.
-
-    ``scipy.linalg.lapack`` re-exports this extension module, so the
-    routines are the same machine code on the same BLAS; importing the
-    package instead would run ``scipy/__init__`` and ``scipy.linalg``'s
-    pure-Python modules, about half the start-up of the CLI.
-    """
-    directory = _scipy_linalg_dir()
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [directory])
-    if spec is None:
-        raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except ImportError as error:
-        raise ImportError(
-            f"scipy's LAPACK extension {spec.origin} could not be loaded without "
-            f"running scipy's package initialisation (supported: scipy's Linux and "
-            f"macOS wheels): {error}"
-        ) from error
-    return module
-
-
-_flapack = _load_flapack()
-dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
-
-
-class FactorizationError(np.linalg.LinAlgError):
-    """Cholesky breakdown; ``pivot`` is the 1-based offending leading minor.
-
-    Possible only when the matrix violates the positive semidefinite
-    contract upstream (the shift makes honest Gram inputs definite).
-    """
-
-    def __init__(self, pivot):
-        self.pivot = int(pivot)
-        super().__init__(
-            f"Cholesky factorization failed at pivot {self.pivot}; "
-            "matrix is not positive definite"
-        )
-
-
-def factor_spd_shifted(matrix, shift):
-    """Read-only lower Cholesky factor of ``shift I + M`` for symmetric PSD ``M``.
-
-    With ``shift > 0`` the system matrix has smallest eigenvalue at
-    least ``shift``, so plain Cholesky is backward stable. The shift is
-    added to the diagonal of a copy of ``M``, which is bit-identical to
-    ``M + shift * np.eye(n)``. The factor is the ``dpotrf`` output: its
-    lower triangle holds ``L``, its strict upper triangle is left as it
-    was, and :func:`solve_spd_shifted` reads the lower triangle only.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if not shift > 0:
-        raise ValueError(f"shift must be positive, got {shift}")
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    shifted = np.array(matrix, order="F")
-    diag = np.arange(n)
-    shifted[diag, diag] += shift
-    factor, info = dpotrf(shifted, lower=1, overwrite_a=1)
-    if info > 0:
-        raise FactorizationError(info)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of the factorization")
-    factor.setflags(write=False)
-    return factor
-
-
-def solve_spd_shifted(factor, rhs):
-    """Solve ``(shift I + M) x = b`` given the factor of :func:`factor_spd_shifted`.
-
-    Every linear solve of the scheme has this form; identical inputs
-    give bit-identical solutions.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    n = factor.shape[0]
-    if rhs.shape[0] != n:
-        raise ValueError(f"dimension mismatch: matrix {n}, rhs {rhs.shape[0]}")
-    x, info = dpotrs(factor, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"triangular solve failed with status {info}")
-    return x
+def _check_count(name, value):
+    """Reject a count that is not an integer ``>= 1``; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -186,14 +98,8 @@ class SolverConfig:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if not 10.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be >= 10 and finite, got {self.eta}")
-        for name in ("max_iter", "m_cap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.m_cap < 1:
-            raise ValueError(f"m_cap must be >= 1, got {self.m_cap}")
+        _check_count("max_iter", self.max_iter)
+        _check_count("m_cap", self.m_cap)
         if self.gnm_variant not in _GNM_VARIANTS:
             raise ValueError(f"gnm_variant must be one of {_GNM_VARIANTS}")
 
@@ -252,7 +158,7 @@ def rank_schedule(a, c1, eta, m_cap=None):
     normal-operator error at most ``a/2``, the mixed error at most
     ``eta * a**2``, and the adjoint error at most ``sqrt(a)/2``; the
     result is floored at 1 (the raw ceilings go non-positive for large
-    ``a``) and optionally clamped to ``m_cap``. Every finite ``a > 0``
+    ``a``) and optionally clamped to ``m_cap``, an integer ``>= 1``. Every finite ``a > 0``
     has a level: where a direct quotient over- or underflows, the three
     ceilings are taken from sums of logarithms instead.
     """
@@ -262,6 +168,8 @@ def rank_schedule(a, c1, eta, m_cap=None):
         raise ValueError(f"c1 must be positive and finite, got {c1}")
     if not 10.0 <= eta < math.inf:
         raise ValueError(f"eta must be >= 10 and finite, got {eta}")
+    if m_cap is not None:
+        _check_count("m_cap", m_cap)
     log2 = math.log(2.0)
     try:
         t_normal = math.ceil(math.log(2.0 * c1 / a) / (4.0 * log2))

@@ -12,8 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from fredreg.assembly import OperatorCache, assemble_gram, error_budget, exponential_kernel
-from fredreg.experiment import exact_problem, run_table, sample_grid
+from fredreg.assembly import (
+    OperatorCache,
+    assemble_gram,
+    error_budget,
+    exponential_kernel,
+    sample_grid,
+    simpson_rule,
+)
+from fredreg.experiment import exact_problem, run_table
 from fredreg.haar import synthesis_matrix
 from fredreg.iteration import (
     SolverConfig,
@@ -22,7 +29,6 @@ from fredreg.iteration import (
     rank_schedule,
     run_adaptive,
 )
-from fredreg.quadrature import simpson_rule
 
 LEVELS = (0.05, 0.01, 0.005, 0.0005)
 SEEDS = range(20)

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from fredreg.assembly import (
     error_budget,
     exponential_kernel,
     galerkin_matrix,
+    sample_grid,
+    simpson_rule,
 )
 from fredreg.haar import (
     _gauss_cell_nodes,
@@ -20,7 +24,6 @@ from fredreg.haar import (
     haar_eval,
     synthesis_matrix,
 )
-from fredreg.quadrature import simpson_rule, taylor_partition
 
 C1 = 16.0 / 180.0
 
@@ -109,8 +112,7 @@ class TestGramAssembly:
 
 class TestAdjointRhs:
     def test_zero_data(self):
-        part = taylor_partition(2)
-        samples = np.zeros(part.n_subintervals * 4 + 1)
+        samples = np.zeros(720 * 4 + 1)
         v = OperatorCache(exponential_kernel()).rhs(samples, 2)
         assert np.max(np.abs(v)) == 0.0
 
@@ -120,7 +122,7 @@ class TestAdjointRhs:
         assert oracle == pytest.approx(0.7965995992970532, abs=1e-12)
         ops = OperatorCache(exponential_kernel())
         for m in (1, 3):
-            samples = np.ones(ops.partition(m).n_subintervals * 4 + 1)
+            samples = np.ones(180 * 2 ** m * 4 + 1)
             v = ops.rhs(samples, m)
             assert v[0] == pytest.approx(oracle, abs=1.0 / (2 ** (2 * m) * 180))
 
@@ -277,7 +279,6 @@ class TestOperatorCache:
         with pytest.raises(ValueError):
             ops.gram(3, side="data")
         assert not ops.gram(3).flags.writeable
-        assert ops.partition(2) is ops.partition(2)
 
     def test_cached_rhs_matches_direct_assembly(self):
         # direct: closed-form moment matrices against per-subinterval
@@ -286,7 +287,7 @@ class TestOperatorCache:
         n = 360 * 8
         grid = np.arange(n + 1) / n
         samples = np.exp(-grid)
-        d = taylor_partition(1).left_endpoints
+        d = sample_grid(1)[:-1]
         k = n // len(d)
 
         def trapezoid(y, x):
@@ -301,3 +302,16 @@ class TestOperatorCache:
         v_cached = ops.rhs(samples, 1)
         np.testing.assert_allclose(v_cached, v_direct, rtol=1e-13, atol=1e-16)
         np.testing.assert_array_equal(ops.rhs(samples, 1), v_cached)
+
+
+def test_assembly_imports_nothing_from_iteration():
+    # the import graph is a line: haar -> assembly -> iteration -> experiment -> cli
+    source = Path(__file__).resolve().parents[1] / "src" / "fredreg" / "assembly.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert ".haar" in imported
+    assert not {name for name in imported if name.endswith("iteration")}

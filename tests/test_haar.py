@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +21,7 @@ from fredreg.haar import (
     _tables,
     _trapezoid_blocks,
 )
-from fredreg.assembly import _moments
-from fredreg.experiment import sample_grid
-from fredreg.quadrature import simpson_rule, taylor_partition
+from fredreg.assembly import _moments, sample_grid, simpson_rule
 
 
 def quad_inner(f, j):
@@ -273,6 +270,19 @@ class TestExponentialInnerProducts:
         with pytest.raises(ValueError):
             exp_haar_matrix(np.array([-1.0]), 0)
 
+    @pytest.mark.parametrize("c", [710.0, 1500.0, 3000.0])
+    def test_rejects_rates_whose_moments_overflow(self, c):
+        # above log(float max) expm1 and sinh**2 overflow to inf and give NaN
+        for matrix in (exp_haar_matrix, exp_t_haar_matrix):
+            with pytest.raises(ValueError, match="709.78"):
+                matrix(np.array([0.5, c]), 2)
+
+    def test_moments_finite_up_to_the_rate_bound(self):
+        c = np.linspace(0.0, math.log(np.finfo(float).max), 201)
+        for m in (0, 1, 5, 10):
+            for matrix in (exp_haar_matrix, exp_t_haar_matrix):
+                assert np.all(np.isfinite(matrix(c, m)))
+
 
 class TestMomentMatrixFill:
     """The blocked per-level fill against the elementwise formulas."""
@@ -280,7 +290,7 @@ class TestMomentMatrixFill:
     @pytest.mark.parametrize("m", range(1, 10))
     def test_bit_identical_to_elementwise_formula(self, m):
         inputs = {
-            "partition": taylor_partition(m).left_endpoints,
+            "partition": sample_grid(m)[:-1],
             "simpson": simpson_rule(m).points,
             "gauss": _gauss_cell_nodes(m, 4)[0],
             "hand": _hand_rates(),
@@ -295,7 +305,7 @@ class TestMomentMatrixFill:
                     assert np.array_equal(got, ref(c[rows], m)), (fill.__name__, name)
 
     def test_peak_memory_is_the_output(self):
-        c = taylor_partition(8).left_endpoints
+        c = sample_grid(8)[:-1]
         _tables(8)
         tracemalloc.start()
         try:
@@ -337,10 +347,9 @@ class TestTrapezoidBlocks:
     def test_moments_and_projection_equal_gather_formulas(self, m):
         for name, samples in self._inputs(m).items():
             for l in range(m + 1):
-                for n_cells in (180 * 2 ** l, 2 ** l):
-                    got = _moments(samples, SimpleNamespace(n_subintervals=n_cells))
-                    want = _moments_ref(samples, n_cells)
-                    assert all(map(np.array_equal, got, want)), (name, n_cells)
+                got = _moments(samples, l)  # over the 180 * 2**l cells of sample_grid(l)
+                want = _moments_ref(samples, 180 * 2 ** l)
+                assert all(map(np.array_equal, got, want)), (name, l)
                 got = project(samples, l).values
                 assert np.array_equal(got, _project_ref(samples, l)), (name, l)
 

@@ -7,10 +7,15 @@ import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from fredreg import assembly, iteration
-from fredreg.assembly import OperatorCache, exponential_kernel, galerkin_matrix
-from fredreg.experiment import NoiseSpec, add_noise, exact_problem, sample_grid
-from fredreg.iteration import (
+from fredreg.assembly import (
     FactorizationError,
+    OperatorCache,
+    exponential_kernel,
+    galerkin_matrix,
+    sample_grid,
+)
+from fredreg.experiment import NoiseSpec, add_noise, exact_problem
+from fredreg.iteration import (
     SolverConfig,
     closed_form_iterate,
     discrepancy_update,
@@ -155,6 +160,11 @@ class TestRankSchedule:
         for bad in ((math.inf, C1, 10.0), (0.5, math.inf, 10.0), (0.5, C1, math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 rank_schedule(*bad)
+
+    @pytest.mark.parametrize("m_cap", [0, -3, 2.5, True])
+    def test_rejects_m_cap_that_is_not_a_level(self, m_cap):
+        with pytest.raises(ValueError, match="m_cap"):
+            rank_schedule(1e-6, C1, 10.0, m_cap=m_cap)
 
 
 class TestDsmStep:
@@ -500,14 +510,14 @@ class TestFactorCache:
         _, noisy, delta = deep
         ops = OperatorCache(exact_problem().kernel)
         factors = spy(monkeypatch, assembly, "factor_spd_shifted")
+        builds = spy(monkeypatch, assembly, "galerkin_matrix")
         out = run_fixed(ops, noisy, delta, SolverConfig(m_cap=8), 4)
         assert len(factors) == out.n_delta > 1
-        assert list(ops._galerkin_product) == [4]
+        assert [args for args, _ in builds] == [(4,)]
 
     def test_factors_are_read_only(self, bench):
         _, ops, _ = bench
         assert not ops.factor(2, 0.5).flags.writeable
-        assert not ops.galerkin_product(2).flags.writeable
 
     def test_breakdown_raises_every_call_and_stores_nothing(self, monkeypatch):
         # a shift far below the roundoff floor of A_3 (smallest eigenvalue ~ -1e-19)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fredreg.quadrature import simpson_rule, taylor_partition
+from fredreg.assembly import OperatorCache, exponential_kernel, sample_grid, simpson_rule
 
 
 def test_simpson_m1_points_and_weights():
@@ -81,29 +81,32 @@ def test_simpson_rejects_bad_levels():
         simpson_rule(1.5)
 
 
+# the adjoint partition at level m is the cells of sample_grid(m)
+
 def test_partition_m1():
-    part = taylor_partition(1)
-    assert part.n_subintervals == 360
-    assert part.width == pytest.approx(1 / 360, abs=0)
-    assert part.nodes[0] == 0.0 and part.nodes[-1] == 1.0
+    nodes = sample_grid(1)
+    assert len(nodes) - 1 == 360
+    assert nodes[1] - nodes[0] == pytest.approx(1 / 360, abs=0)
+    assert nodes[0] == 0.0 and nodes[-1] == 1.0
 
 
 def test_partition_m2_first_node():
-    part = taylor_partition(2)
-    assert part.n_subintervals == 720
-    assert part.nodes[1] == pytest.approx(1 / 720, abs=1e-18)
+    nodes = sample_grid(2)
+    assert len(nodes) - 1 == 720
+    assert nodes[1] == pytest.approx(1 / 720, abs=1e-18)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_partition_uniform_widths(m):
-    part = taylor_partition(m)
-    widths = np.diff(part.nodes)
+    widths = np.diff(sample_grid(m))
+    assert len(widths) == 180 * 2 ** m
     assert np.all(np.abs(widths - 1.0 / (180 * 2 ** m)) < 1e-15)
-    assert len(part.left_endpoints) == part.n_subintervals
 
 
 def test_partition_rejects_bad_levels():
+    ops = OperatorCache(exponential_kernel())
+    samples = np.ones(len(sample_grid(1)))
     with pytest.raises(ValueError):
-        taylor_partition(0)
+        ops.rhs(samples, 0)
     with pytest.raises(TypeError):
-        taylor_partition("2")
+        ops.rhs(samples, "2")

@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from fredreg import iteration
-from fredreg.assembly import assemble_gram
-from fredreg.iteration import FactorizationError, factor_spd_shifted, solve_spd_shifted
+from fredreg import assembly
+from fredreg.assembly import (
+    FactorizationError,
+    assemble_gram,
+    factor_spd_shifted,
+    solve_spd_shifted,
+)
 
 
 def random_psd(rng, n):
@@ -125,14 +129,14 @@ def test_loaded_lapack_is_scipy_linalg_lapack():
     # _flapack is a single-phase extension, cached once per process: the
     # loader's routines and scipy.linalg.lapack's are the same objects, so
     # every factor and solve is bit-identical by construction
-    assert iteration.dpotrf is lapack.dpotrf
-    assert iteration.dpotrs is lapack.dpotrs
+    assert assembly.dpotrf is lapack.dpotrf
+    assert assembly.dpotrs is lapack.dpotrs
 
 
 def test_lapack_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
-    monkeypatch.setattr(iteration, "_scipy_linalg_dir", lambda: str(tmp_path))
+    monkeypatch.setattr(assembly, "_scipy_linalg_dir", lambda: str(tmp_path))
     with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
-        iteration._load_flapack()
+        assembly._load_flapack()
 
 
 def test_lapack_loader_says_why_the_extension_did_not_load(monkeypatch):
@@ -141,10 +145,10 @@ def test_lapack_loader_says_why_the_extension_did_not_load(monkeypatch):
 
     monkeypatch.setattr(importlib.util, "module_from_spec", refuse)
     with pytest.raises(ImportError, match="could not be loaded without running scipy's package"):
-        iteration._load_flapack()
+        assembly._load_flapack()
 
 
 def test_lapack_loader_without_scipy(monkeypatch):
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     with pytest.raises(ImportError, match="scipy is not installed"):
-        iteration._scipy_linalg_dir()
+        assembly._scipy_linalg_dir()
