@@ -196,8 +196,11 @@ def sample_grid(m_cap):
     The nodes include both endpoints. At level ``m`` the cells of this
     grid are the partition of the adjoint's Taylor expansion; at
     ``m_cap`` it is the data grid, which refines every partition and
-    every dyadic grid up to ``m_cap``.
+    every dyadic grid up to ``m_cap``. The level must be an integer
+    ``>= 0`` (a bool is not a level); anything else raises ``ValueError``.
     """
+    if isinstance(m_cap, bool) or not isinstance(m_cap, (int, np.integer)) or m_cap < 0:
+        raise ValueError(f"sample grid level must be an integer >= 0, got {m_cap!r}")
     n = 180 * 2 ** m_cap
     return np.arange(n + 1) / n
 
@@ -360,9 +363,34 @@ class OperatorCache:
 
     def _adjoint_matrices(self, m):
         if m not in self._adjoint:
-            c = sample_grid(m)[:-1]
-            self._adjoint[m] = (exp_haar_matrix(c, m), exp_t_haar_matrix(c, m))
+            self._adjoint[m] = self._fill_adjoint(m)
         return self._adjoint[m]
+
+    def _fill_adjoint(self, m):
+        """The two moment matrices on the left endpoints of ``sample_grid(m)``.
+
+        Level ``m0 < m`` has every ``k = 2**(m - m0)``-th rate of level
+        ``m`` and the first ``2**m0`` basis columns, so the finest held
+        level ``m0`` is the block ``[::k, :2**m0]`` of level ``m``, bit
+        for bit. That block is copied; the fills write the rest, the
+        rows of level ``m0`` from wavelet level ``m0 + 1`` on. The fills
+        are looked up as module globals on every call, so a tracer that
+        replaces them sees each one.
+        """
+        c = sample_grid(m)[:-1]
+        m0 = max((level for level in self._adjoint if level < m), default=None)
+        if m0 is None:
+            return exp_haar_matrix(c, m), exp_t_haar_matrix(c, m)
+        k = 2 ** (m - m0)
+        pair = []
+        for fill, coarse in zip((exp_haar_matrix, exp_t_haar_matrix), self._adjoint[m0]):
+            out = np.empty((len(c), 2 ** m))
+            out[::k, : 2 ** m0] = coarse
+            fill(c[::k], m, out=out[::k], start=m0 + 1)
+            for j in range(1, k):
+                fill(c[j::k], m, out=out[j::k])
+            pair.append(out)
+        return tuple(pair)
 
     def rhs(self, f_samples, m):
         """Coefficients ``v_i = <Km* f, Phi_i>`` of the approximate adjoint, ``m >= 1``.

@@ -31,9 +31,9 @@ _SMALL_C_WIDTH = 1e-6
 # Branch point for the j = 1 moment integrals (shared with the benchmark
 # right-hand side, which is the same function).
 _SMALL_C_MOMENT = 1e-3
-# Rows per block of the wavelet-column fill; bounds the temporary arrays of
-# one block at 2**(m-1) * _FILL_ROWS doubles each.
-_FILL_ROWS = 256
+# Entries per block of the whole-row wavelet fill; bounds each temporary
+# array of one block at this many doubles (512 KB).
+_FILL_ENTRIES = 65536
 # Above this rate expm1(c) overflows (and sinh(c*h/2)**2 from about twice
 # it), so the moment formulas would give NaN.
 _MAX_RATE = float(np.log(np.finfo(float).max))
@@ -125,22 +125,80 @@ def _rates(c):
     return c
 
 
-def _wavelet_levels(m):
-    """Per level ``l = 1..m``: column slice, amplitude, piece and support width.
+def _wavelet_levels(m, first=1):
+    """Per level ``l = first..m``: column slice, amplitude, piece and support width.
 
     Amplitude and widths are constant within a level (the widths are
     exact dyadic numbers), so the level's first column of :func:`_tables`
     gives them for every column of the level, bit for bit.
     """
     amp, left, mid, right = _tables(m)
-    for l in range(1, m + 1):
+    for l in range(first, m + 1):
         j = 2 ** (l - 1)
         yield slice(j, 2 * j), amp[j], mid[j] - left[j], right[j] - left[j]
 
 
-def _row_blocks(n_rows):
-    for r0 in range(0, n_rows, _FILL_ROWS):
-        yield slice(r0, r0 + _FILL_ROWS)
+def _level_rows(levels):
+    """Amplitude and piece width of :func:`_wavelet_levels` entries, as ``(1, n)`` rows."""
+    return (np.array([[a for _, a, _, _ in levels]]),
+            np.array([[h for _, _, h, _ in levels]]))
+
+
+def _block_rows(n_cols):
+    """Rows per block of the whole-row fill of ``n_cols`` wavelet columns."""
+    return max(1, _FILL_ENTRIES // n_cols)
+
+
+def _fill_output(out, n_rows, m, start):
+    """The array a fill writes: a new one, or ``out`` checked against the fill."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+        raise ValueError(f"level must be an integer >= 0, got {m!r}")
+    if isinstance(start, bool) or not isinstance(start, (int, np.integer)) or not 0 <= start <= m:
+        raise ValueError(f"start must be an integer in [0, {m}], got {start!r}")
+    if out is None:
+        if start > 0:
+            raise ValueError("a fill from a wavelet level needs out holding the columns before it")
+        return np.empty((n_rows, 2 ** m))
+    if out.shape != (n_rows, 2 ** m) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array of shape {(n_rows, 2 ** m)}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    return out
+
+
+def _fill_wavelet_rows(out, c, cs, m, levels, combine):
+    """Write the wavelet columns of ``levels`` (a tail of :func:`_wavelet_levels`).
+
+    The rows are filled in blocks of whole rows. For each block,
+    ``combine(C, Cs, x, e, expand, out)`` gets the block's rates ``C``
+    and ``Cs`` (``c`` with 0 read as 1) as columns, ``x = -c * mid`` and
+    ``e = exp(x)`` over the levels' columns, ``expand``, which repeats
+    an array of per-(row, level) factors to the levels' columns, and the
+    block of ``out`` to write. ``x`` and ``e`` live in two arrays made
+    once per call, so that a block frees at most one temporary: when
+    every block freed all of its temporaries, the C allocator handed the
+    memory back to the system and the next block faulted it in again.
+    """
+    if not levels:
+        return
+    col0 = levels[0][0].start
+    n_cols = 2 ** m - col0
+    counts = [cols.stop - cols.start for cols, *_ in levels]
+    mid = _tables(m)[2][None, col0:]
+    C, Cs = c[:, None], cs[:, None]
+    step = _block_rows(n_cols)
+    x_buf, e_buf = (np.empty((min(step, len(c)), n_cols)) for _ in range(2))
+
+    def expand(factor):
+        return np.repeat(factor, counts, axis=1)
+
+    for r0 in range(0, len(c), step):
+        rows = slice(r0, r0 + step)
+        n = len(C[rows])
+        x = np.multiply(-C[rows], mid, out=x_buf[:n])  # -(c * mid), exactly
+        e = np.exp(x, out=e_buf[:n])
+        combine(C[rows], Cs[rows], x, e, expand, out[rows, col0:])
 
 
 def _taylor_exp(C, A, T1, H):
@@ -167,7 +225,7 @@ def _taylor_exp_t(C, A, T0, T1, T2):
     return A * (moment(T0, T1) - moment(T1, T2))
 
 
-def exp_haar_matrix(c, m):
+def exp_haar_matrix(c, m, *, out=None, start=0):
     """Matrix of ``int_0^1 exp(-c_k t) Phi_j(t) dt`` for ``j = 1..2**m``.
 
     Parameters
@@ -176,94 +234,97 @@ def exp_haar_matrix(c, m):
         Decay rates in ``[0, log(float max) ~ 709.78]``, one per row.
     m : int
         Span level; the result has shape ``(len(c), 2**m)``.
+    out : ndarray, optional
+        Float64 array of that shape to write into (a view is fine); it
+        is returned. A new array by default.
+    start : int
+        First level filled: 0 (the default) fills every column; ``l >= 1``
+        fills the wavelet columns of levels ``l..m`` only and leaves the
+        first ``2**(l-1)`` columns of ``out`` as they are.
 
     The wavelet columns use the cancellation-free form
     ``((A/c) * exp(-c*mid) * 4) * sinh(c*h/2)**2`` (``A`` the amplitude,
     ``h`` the piece width), with a Taylor branch when ``c`` times the
     support width is below 1e-6. Column ``j = 1`` is ``-expm1(-c)/c``.
 
-    The wavelet columns are filled level by level and in blocks of
-    rows, straight into the result: ``A/c`` and ``sinh(c*h/2)**2`` are
-    evaluated once per row and level, ``exp`` once per entry, and the
-    Taylor branch only on the rows below the threshold. Every entry
-    keeps the operation sequence of the elementwise formula, so the
-    result is bit-identical to it; peak memory is the result plus
-    the temporaries of one block.
+    The wavelet columns are filled in blocks of whole rows, straight
+    into the result: ``A/c`` and ``sinh(c*h/2)**2`` are evaluated once
+    per row and level and repeated to the level's columns, ``exp`` once
+    per entry, and the Taylor branch only on the rows below the
+    threshold. Every entry keeps the operation sequence of the
+    elementwise formula, so the result is bit-identical to it; peak
+    memory is the result plus the temporaries of one block.
     """
     c = _rates(c)
-    n = 2 ** m
-    out = np.empty((len(c), n))
+    out = _fill_output(out, len(c), m, start)
     cs = np.where(c == 0.0, 1.0, c)
-    out[:, 0] = np.where(
-        c < _SMALL_C_WIDTH,
-        1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0,
-        -np.expm1(-cs) / cs,
-    )
-    amp, left, mid, _ = _tables(m)
+    if start == 0:
+        out[:, 0] = np.where(
+            c < _SMALL_C_WIDTH,
+            1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0,
+            -np.expm1(-cs) / cs,
+        )
+    levels = list(_wavelet_levels(m, max(start, 1)))
+    A, H = _level_rows(levels)
+
+    def combine(C, Cs, x, e, expand, out):
+        e *= expand(A / Cs)
+        e *= 4.0
+        np.multiply(e, expand(np.sinh(C * H / 2.0) ** 2), out=out)
+
+    _fill_wavelet_rows(out, c, cs, m, levels, combine)
     C = c[:, None]
-    Cs = cs[:, None]
-    neg = -C
-    for cols, a, h, w in _wavelet_levels(m):
-        T1 = mid[None, cols]
-        scale = a / Cs
-        s2 = np.sinh(C * h / 2.0) ** 2
-        for rows in _row_blocks(len(c)):
-            e = np.exp(neg[rows] * T1)
-            e *= scale[rows]
-            e *= 4.0
-            np.multiply(e, s2[rows], out=out[rows, cols])
+    amp, left, mid, _ = _tables(m)
+    for cols, _, _, w in levels:
         small = c * w < _SMALL_C_WIDTH
         if small.any():
             out[small, cols] = _taylor_exp(
-                C[small], amp[None, cols], T1, (mid - left)[None, cols]
+                C[small], amp[None, cols], mid[None, cols], (mid - left)[None, cols]
             )
     return out
 
 
-def exp_t_haar_matrix(c, m):
+def exp_t_haar_matrix(c, m, *, out=None, start=0):
     """Matrix of ``int_0^1 t exp(-c_k t) Phi_j(t) dt``, shape ``(len(c), 2**m)``.
 
     Companion of :func:`exp_haar_matrix` for the t-weighted moment that
-    appears in the first-order Taylor replacement of the adjoint. The
-    wavelet columns are ``((A/c**2) * exp(-c*mid)) * bracket`` with
+    appears in the first-order Taylor replacement of the adjoint; ``out``
+    and ``start`` work the same way. The wavelet columns are
+    ``((A/c**2) * exp(-c*mid)) * bracket`` with
     ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
-    filled level by level and in blocks of rows like
-    :func:`exp_haar_matrix`: ``A/c**2``, ``sinh(c*h/2)**2`` and
-    ``2*c*h*sinh(c*h)`` once per row and level, ``exp`` once per entry,
-    the Taylor branch only below the threshold, and the result
-    bit-identical to the elementwise formula.
+    filled in blocks of whole rows like :func:`exp_haar_matrix`:
+    ``A/c**2``, ``sinh(c*h/2)**2`` and ``2*c*h*sinh(c*h)`` once per row
+    and level, ``exp`` once per entry, the Taylor branch only below the
+    threshold, and the result bit-identical to the elementwise formula.
     """
     c = _rates(c)
-    n = 2 ** m
-    out = np.empty((len(c), n))
+    out = _fill_output(out, len(c), m, start)
     cs = np.where(c == 0.0, 1.0, c)
-    direct = np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2
-    taylor1 = (
-        0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
-    )
-    out[:, 0] = np.where(c < _SMALL_C_MOMENT, taylor1, direct)
-    amp, left, mid, right = _tables(m)
+    if start == 0:
+        direct = np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2
+        taylor1 = (
+            0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
+        )
+        out[:, 0] = np.where(c < _SMALL_C_MOMENT, taylor1, direct)
+    levels = list(_wavelet_levels(m, max(start, 1)))
+    A, H = _level_rows(levels)
+
+    def combine(C, Cs, x, e, expand, out):
+        np.subtract(1.0, x, out=x)      # c * mid + 1.0, exactly
+        x *= 4.0
+        x *= expand(np.sinh(C * H / 2.0) ** 2)
+        x -= expand(2.0 * C * H * np.sinh(C * H))
+        e *= expand(A / Cs ** 2)
+        np.multiply(e, x, out=out)
+
+    _fill_wavelet_rows(out, c, cs, m, levels, combine)
     C = c[:, None]
-    Cs = cs[:, None]
-    neg = -C
-    for cols, a, h, w in _wavelet_levels(m):
-        T1 = mid[None, cols]
-        scale = a / Cs ** 2
-        s2 = np.sinh(C * h / 2.0) ** 2
-        corr = 2.0 * C * h * np.sinh(C * h)
-        for rows in _row_blocks(len(c)):
-            x = neg[rows] * T1              # -(c * mid), exactly
-            e = np.exp(x)
-            np.subtract(1.0, x, out=x)      # c * mid + 1.0, exactly
-            x *= 4.0
-            x *= s2[rows]
-            x -= corr[rows]
-            e *= scale[rows]
-            np.multiply(e, x, out=out[rows, cols])
+    amp, left, mid, right = _tables(m)
+    for cols, _, _, w in levels:
         small = c * w < _SMALL_C_WIDTH
         if small.any():
             out[small, cols] = _taylor_exp_t(
-                C[small], amp[None, cols], left[None, cols], T1, right[None, cols]
+                C[small], amp[None, cols], left[None, cols], mid[None, cols], right[None, cols]
             )
     return out
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from fredreg.assembly import (
     Kernel,
     OperatorCache,
+    _moments,
     assemble_gram,
     error_budget,
     exponential_kernel,
@@ -159,6 +161,77 @@ class TestAdjointRhs:
         )
         with pytest.raises(ValueError, match="exponential_kernel"):
             OperatorCache(doubled)
+
+
+class TestSampleGrid:
+    @pytest.mark.parametrize("level", [0.5, -1, True, "2"])
+    def test_rejects_a_level_that_is_not_an_integer_at_least_zero(self, level):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            sample_grid(level)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, np.int64(2)])
+    def test_grid(self, level):
+        n = 180 * 2 ** int(level)
+        assert np.array_equal(sample_grid(level), np.arange(n + 1) / n)
+
+
+def _full_fill_rows(m, chunk=11520):
+    """``(rows, E0 rows, E1 rows)`` of full fills on ``sample_grid(m)[:-1]``.
+
+    The fills are row-wise (the elementwise oracle in ``test_haar``), so
+    a chunk of rows equals the same rows of the fill of every row.
+    """
+    c = sample_grid(m)[:-1]
+    for r0 in range(0, len(c), chunk):
+        rows = slice(r0, r0 + chunk)
+        yield rows, exp_haar_matrix(c[rows], m), exp_t_haar_matrix(c[rows], m)
+
+
+class TestAdjointReuse:
+    """Level ``m`` copies the block ``[::2**(m-m0), :2**m0]`` from the finest held ``m0``."""
+
+    @pytest.mark.parametrize(
+        "order", [[1, 3, 5, 7, 8], list(range(1, 9)), [2, 8], [8, 3]],
+        ids=lambda order: "-".join(map(str, order)),
+    )
+    def test_every_level_equals_a_full_fill(self, order):
+        ops = OperatorCache(exponential_kernel())
+        for i, m in enumerate(order):
+            e0, e1 = ops._adjoint_matrices(m)
+            # no level is filled before it is asked for, and each is its own array
+            assert sorted(ops._adjoint) == sorted(order[: i + 1])
+            for e in (e0, e1):
+                assert e.base is None and e.flags.c_contiguous
+                assert e.shape == (180 * 2 ** m, 2 ** m)
+            for rows, f0, f1 in _full_fill_rows(m):
+                assert np.array_equal(e0[rows], f0), (order, m)
+                assert np.array_equal(e1[rows], f1), (order, m)
+
+    def test_rhs_equals_full_fill_rhs_on_noisy_data(self):
+        grid = sample_grid(8)
+        rng = np.random.default_rng(3)
+        samples = np.exp(-grid) * (1.0 + 0.05 * rng.standard_normal(len(grid)))
+        levels = (1, 3, 5, 7, 8)
+        want = {}
+        for m in levels:
+            c = sample_grid(m)[:-1]
+            m0, m1 = _moments(samples, m)
+            want[m] = exp_haar_matrix(c, m).T @ m0 - exp_t_haar_matrix(c, m).T @ m1
+        ops = OperatorCache(exponential_kernel())
+        for m in levels:
+            assert np.array_equal(ops.rhs(samples, m), want[m]), m
+
+    def test_peak_memory_of_a_reusing_fill_is_the_output(self):
+        ops = OperatorCache(exponential_kernel())
+        ops._adjoint_matrices(7)
+        sample_grid(8)
+        tracemalloc.start()
+        try:
+            e0, e1 = ops._adjoint_matrices(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (e0.nbytes + e1.nbytes)
 
 
 class TestDataCoefficients:

@@ -14,7 +14,7 @@ from fredreg.haar import (
     project,
     split_index,
     synthesis_matrix,
-    _FILL_ROWS,
+    _block_rows,
     _SMALL_C_MOMENT,
     _SMALL_C_WIDTH,
     _gauss_cell_nodes,
@@ -145,7 +145,7 @@ def _hand_rates():
         10.0 ** rng.uniform(-12.0, 1.0, 300),
     ])
     rng.shuffle(c)
-    assert len(c) % _FILL_ROWS != 0
+    assert all(len(c) % _block_rows(2 ** m - 1) != 0 for m in range(1, 10))
     return c
 
 
@@ -284,18 +284,22 @@ class TestExponentialInnerProducts:
                 assert np.all(np.isfinite(matrix(c, m)))
 
 
+def _fill_inputs(m):
+    """The four rate sets of the fill oracles at level ``m``."""
+    return {
+        "partition": sample_grid(m)[:-1],
+        "simpson": simpson_rule(m).points,
+        "gauss": _gauss_cell_nodes(m, 4)[0],
+        "hand": _hand_rates(),
+    }
+
+
 class TestMomentMatrixFill:
-    """The blocked per-level fill against the elementwise formulas."""
+    """The whole-row blocked fill against the elementwise formulas."""
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_bit_identical_to_elementwise_formula(self, m):
-        inputs = {
-            "partition": sample_grid(m)[:-1],
-            "simpson": simpson_rule(m).points,
-            "gauss": _gauss_cell_nodes(m, 4)[0],
-            "hand": _hand_rates(),
-        }
-        for name, c in inputs.items():
+        for name, c in _fill_inputs(m).items():
             # the formulas are row-wise, so compare in row chunks to bound
             # the oracle's temporaries (ten full-size arrays)
             for rows in np.array_split(np.arange(len(c)), max(1, len(c) // 3000)):
@@ -304,16 +308,65 @@ class TestMomentMatrixFill:
                     got = fill(c[rows], m)
                     assert np.array_equal(got, ref(c[rows], m)), (fill.__name__, name)
 
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_partial_fill_into_prefilled_array_equals_full_fill(self, m):
+        # ``start = l`` keeps the first 2**(l-1) columns of ``out`` and
+        # writes the rest; about 2000 evenly spaced rows per rate set
+        for name, c in _fill_inputs(m).items():
+            c = c[:: max(1, len(c) // 2000)]
+            for fill in (exp_haar_matrix, exp_t_haar_matrix):
+                full = fill(c, m)
+                for start in range(1, m + 1):
+                    held = 2 ** (start - 1)
+                    out = full.copy()
+                    out[:, held:] = np.nan
+                    assert fill(c, m, out=out, start=start) is out
+                    assert np.array_equal(out, full), (fill.__name__, name, start)
+                    out[:, :held] = -1.0
+                    fill(c, m, out=out, start=start)
+                    assert (out[:, :held] == -1.0).all()
+
+    def test_fill_into_strided_rows_equals_full_fill(self):
+        c = _hand_rates()
+        for fill in (exp_haar_matrix, exp_t_haar_matrix):
+            full = fill(c, 6)
+            out = np.full((2 * len(c), 2 ** 6), np.nan)
+            fill(c, 6, out=out[1::2])
+            assert np.array_equal(out[1::2], full)
+            assert np.isnan(out[::2]).all()
+
+    def test_no_rates_give_no_rows(self):
+        for fill in (exp_haar_matrix, exp_t_haar_matrix):
+            assert fill([], 3).shape == (0, 8)
+
+    def test_rejects_bad_output_or_start(self):
+        c = np.linspace(0.0, 2.0, 5)
+        for fill in (exp_haar_matrix, exp_t_haar_matrix):
+            with pytest.raises(ValueError, match="needs out"):
+                fill(c, 3, start=2)
+            with pytest.raises(ValueError, match="shape"):
+                fill(c, 3, out=np.empty((5, 4)))
+            with pytest.raises(ValueError, match="float64"):
+                fill(c, 3, out=np.empty((5, 8), dtype=np.float32))
+            for start in (-1, 4, True, 1.0):
+                with pytest.raises(ValueError, match="start"):
+                    fill(c, 3, out=np.empty((5, 8)), start=start)
+            for m in (-1, 2.5, True):
+                with pytest.raises(ValueError, match="level"):
+                    fill(c, m)
+
     def test_peak_memory_is_the_output(self):
         c = sample_grid(8)[:-1]
         _tables(8)
-        tracemalloc.start()
-        try:
-            out = exp_haar_matrix(c, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * out.nbytes
+        for fill in (exp_haar_matrix, exp_t_haar_matrix):
+            tracemalloc.start()
+            try:
+                out = fill(c, 8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * out.nbytes, fill.__name__
+            del out
 
 
 class TestTrapezoidBlocks:
