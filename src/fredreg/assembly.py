@@ -35,6 +35,7 @@ from .haar import (
     exp_t_haar_matrix,
     project,
     synthesis_matrix,
+    _check_level,
     _gauss_cell_nodes,
     _trapezoid_blocks,
 )
@@ -175,10 +176,7 @@ def simpson_rule(m):
         The weights sum to 1 exactly up to roundoff, and the rule
         integrates polynomials of degree <= 3 exactly.
     """
-    if not isinstance(m, (int, np.integer)):
-        raise TypeError(f"level must be an integer, got {type(m).__name__}")
-    if m < 1:
-        raise ValueError(f"simpson_rule requires m >= 1, got {m}")
+    _check_level("simpson_rule level", m, 1)
     n = 2 ** m
     points = np.arange(n + 1) / n
     weights = np.empty(n + 1)
@@ -199,8 +197,7 @@ def sample_grid(m_cap):
     every dyadic grid up to ``m_cap``. The level must be an integer
     ``>= 0`` (a bool is not a level); anything else raises ``ValueError``.
     """
-    if isinstance(m_cap, bool) or not isinstance(m_cap, (int, np.integer)) or m_cap < 0:
-        raise ValueError(f"sample grid level must be an integer >= 0, got {m_cap!r}")
+    _check_level("sample grid level", m_cap, 0)
     n = 180 * 2 ** m_cap
     return np.arange(n + 1) / n
 
@@ -272,10 +269,9 @@ def assemble_gram(m):
     The slices ``k(s_l, .)`` at the compound Simpson points are
     projected in closed form, so the result is a sum of positively
     weighted rank-one terms: symmetric and positive semidefinite by
-    construction. Returns a read-only ``(2**m, 2**m)`` array.
+    construction. Returns a read-only ``(2**m, 2**m)`` array. The level
+    is checked by :func:`simpson_rule`.
     """
-    if m < 1:
-        raise ValueError(f"assembly requires level >= 1, got {m}")
     rule = simpson_rule(m)
     p = exp_haar_matrix(rule.points, m)  # (2**m + 1, 2**m)
     a = p.T @ (rule.weights[:, None] * p)
@@ -300,8 +296,7 @@ def _moments(samples, m):
 
 def error_budget(kernel, m):
     """Closed-form approximation bounds for level ``m >= 1``."""
-    if m < 1:
-        raise ValueError(f"error budget requires level >= 1, got {m}")
+    _check_level("error budget level", m, 1)
     four = 2.0 ** (4 * m)
     two = 2.0 ** (2 * m)
     return ErrorBudget(
@@ -321,8 +316,7 @@ def galerkin_matrix(m):
     degenerate kernel); the kernel is symmetric, so the matrix is
     symmetrized, which makes ``K_m^T K_m`` equal ``K_m K_m^T``.
     """
-    if m < 1:
-        raise ValueError(f"assembly requires level >= 1, got {m}")
+    _check_level("galerkin level", m, 1)
     s, sw = _gauss_cell_nodes(m, 8)
     inner = exp_haar_matrix(s, m)
     n = 2 ** m
@@ -338,7 +332,8 @@ class OperatorCache:
     Bound to :func:`exponential_kernel`; safe to share across solver
     runs. The cached pieces (Gram matrices, adjoint moment matrices,
     Galerkin matrices, Cholesky factors of the shifted systems) depend
-    only on the level and the shift, never on the data.
+    only on the level and the shift, never on the data. A level is
+    checked when its entry is built, so no bad level is ever stored.
     """
 
     def __init__(self, kernel):
@@ -363,6 +358,7 @@ class OperatorCache:
 
     def _adjoint_matrices(self, m):
         if m not in self._adjoint:
+            _check_level("adjoint partition level", m, 1)
             self._adjoint[m] = self._fill_adjoint(m)
         return self._adjoint[m]
 
@@ -403,8 +399,6 @@ class OperatorCache:
         against the basis are the cached closed-form moment matrices of
         :mod:`.haar`, ``2 * 180 * 4**m`` doubles per level.
         """
-        if m < 1:
-            raise ValueError(f"the adjoint partition requires level >= 1, got {m}")
         e0, e1 = self._adjoint_matrices(m)
         m0, m1 = _moments(f_samples, m)
         return e0.T @ m0 - e1.T @ m1

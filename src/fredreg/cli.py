@@ -7,9 +7,10 @@ Two subcommands drive the built-in problem:
 * ``table``: the full sweep over noise levels, seeds and schemes,
   printing median-aggregated results and optionally writing the row CSV.
 
-Exit codes: 0 on success, 2 on configuration errors and when memory
-runs out, 3 when any run stopped for a reason other than the
-discrepancy rule, 4 on a numerical breakdown (a shifted system that
+Exit codes: 0 on success, 2 on configuration errors (among them every
+level, count or index that is not an integer or is out of range) and
+when memory runs out, 3 when any run stopped for a reason other than
+the discrepancy rule, 4 on a numerical breakdown (a shifted system that
 Cholesky cannot factor).
 """
 

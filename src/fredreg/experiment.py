@@ -41,20 +41,6 @@ class Problem:
     exact_solution: Optional[Callable] = None
     y_norm: Optional[float] = None
 
-    def validate(self, n_points=1024):
-        """Residual ``||K u_exact - f||`` on a dense midpoint grid.
-
-        Returns the discrete L2 residual; requires ``exact_solution``.
-        """
-        if self.exact_solution is None:
-            raise ValueError("problem has no exact solution to validate")
-        s = (np.arange(n_points) + 0.5) / n_points
-        t = s
-        kmat = self.kernel.eval(s[:, None], t[None, :])
-        ku = kmat @ (np.asarray(self.exact_solution(t)) / n_points)
-        resid = ku - np.asarray(self.exact_rhs(s))
-        return float(np.sqrt(np.mean(resid ** 2)))
-
 
 def _benchmark_rhs(s):
     """``f(s) = int_0^1 t exp(-s t) dt = (1 - (s+1) e^{-s}) / s**2``.

@@ -39,21 +39,23 @@ _FILL_ENTRIES = 65536
 _MAX_RATE = float(np.log(np.finfo(float).max))
 
 
+def _check_level(name, value, minimum):
+    """Reject a level, count or index that is not an integer ``>= minimum``.
+
+    A bool is not an integer here. Raises ``ValueError``, which the
+    command line reports as a configuration error (exit 2).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def split_index(j):
     """Decompose ``j >= 2`` into its (level, offset) pair ``j = 2**(l-1) + p``."""
-    j = int(j)
-    if j < 2:
-        raise ValueError(f"wavelet index must be >= 2, got {j}")
+    _check_level("wavelet index", j, 2)
+    j = int(j)  # np.int64 has no bit_length
     l = (j - 1).bit_length()
     p = j - 2 ** (l - 1)
     return l, p
-
-
-def join_index(l, p):
-    """Inverse of :func:`split_index`."""
-    if l < 1 or not 1 <= p <= 2 ** (l - 1):
-        raise ValueError(f"invalid (level, offset) = ({l}, {p})")
-    return 2 ** (l - 1) + p
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +97,8 @@ def haar_eval(j, x):
     ``x = 1`` uses the left-limit convention; values outside [0,1] are
     rejected. Returns a scalar for scalar input, else an ndarray.
     """
+    _check_level("basis index", j, 1)
     j = int(j)
-    if j < 1:
-        raise ValueError(f"basis index must be >= 1, got {j}")
     xa = _unit_points(x)
     if j == 1:
         out = np.ones_like(xa)
@@ -151,8 +152,7 @@ def _block_rows(n_cols):
 
 def _fill_output(out, n_rows, m, start):
     """The array a fill writes: a new one, or ``out`` checked against the fill."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"level must be an integer >= 0, got {m!r}")
+    _check_level("level", m, 0)
     if isinstance(start, bool) or not isinstance(start, (int, np.integer)) or not 0 <= start <= m:
         raise ValueError(f"start must be an integer in [0, {m}], got {start!r}")
     if out is None:
@@ -341,6 +341,7 @@ def synthesis_matrix(m):
     cell ``[k/2**m, (k+1)/2**m)``. The matrix is orthogonal up to the
     cell-measure factor: ``S S.T = 2**m I``.
     """
+    _check_level("level", m, 0)
     n = 2 ** m
     amp, left, mid, right = _tables(m)
     centers = (np.arange(n) + 0.5) / n
@@ -368,6 +369,7 @@ class HaarCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_level("level", self.level, 0)
         v = np.ascontiguousarray(self.values, dtype=float)
         if len(v) != 2 ** self.level:
             raise ValueError(
@@ -376,18 +378,12 @@ class HaarCoefficients:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_values(cls, values):
-        values = np.asarray(values, dtype=float)
-        return cls(level=_level_of(len(values)), values=values)
-
     def pad_to(self, level):
         """Embed into the span at a finer ``level`` by zero-padding.
 
         The represented function is unchanged exactly (nested spans).
         """
-        if level < self.level:
-            raise ValueError(f"cannot shrink level {self.level} -> {level}")
+        _check_level("level", level, self.level)
         out = np.zeros(2 ** level)
         out[: len(self.values)] = self.values
         return HaarCoefficients(level=level, values=out)
@@ -446,7 +442,7 @@ def _trapezoid_blocks(samples, n_cells):
     return blocks, 1.0 / nsub, w
 
 
-def project(f, m, nodes_per_cell=4):
+def project(f, m):
     """Project a function or uniform-grid samples onto the level-``m`` span.
 
     Parameters
@@ -459,21 +455,18 @@ def project(f, m, nodes_per_cell=4):
     m : int
         Target level; the result is a :class:`HaarCoefficients` of
         length ``2**m``.
-    nodes_per_cell : int
-        Gauss-Legendre nodes per finest cell for the callable path.
 
-    Callable input is integrated per dyadic cell (exact for cubic
-    polynomials and for step functions aligned to the grid). Sampled
-    input uses the composite trapezoid rule on each finest cell.
+    Callable input is integrated per dyadic cell by 4-point
+    Gauss-Legendre (exact for polynomials of degree <= 7 and for step
+    functions aligned to the grid). Sampled input uses the composite
+    trapezoid rule on each finest cell.
     """
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
+    _check_level("level", m, 0)
     n = 2 ** m
     if callable(f):
-        t, tw = _gauss_cell_nodes(m, nodes_per_cell)
+        t, tw = _gauss_cell_nodes(m, 4)
         vals = np.asarray(f(t), dtype=float)
-        nodes_total = nodes_per_cell
-        cell_ints = (vals * tw).reshape(n, nodes_total).sum(axis=1)
+        cell_ints = (vals * tw).reshape(n, -1).sum(axis=1)
     else:
         blocks, h, w = _trapezoid_blocks(f, n)
         cell_ints = h * (blocks @ w)

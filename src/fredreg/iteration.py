@@ -19,31 +19,19 @@ is driven below ``C * delta**eps``. ``B_{m_n}`` represents ``K K*``; the
 kernel ``exp(-s t)`` is symmetric, so ``B_{m_n} = A_{m_n}`` and both
 solves of a step share one factor. A fixed-level variant of the loop
 (:func:`run_fixed`) uses the exact Galerkin matrix of the operator at a
-constant level as the baseline for comparison, and
-:func:`closed_form_iterate` evaluates the blend directly as a weighted
-sum of shifted solves, serving as an independent oracle for the
-recursion. The matrices, their factors and the shifted solves come
-from :mod:`.assembly`.
+constant level as the baseline for comparison. The matrices, their
+factors and the shifted solves come from :mod:`.assembly`.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .assembly import solve_spd_shifted
-from .haar import HaarCoefficients, _level_of
+from .haar import HaarCoefficients, _check_level, _level_of
 
 _GNM_VARIANTS = ("formal", "listing")
-
-
-def _check_count(name, value):
-    """Reject a count that is not an integer ``>= 1``; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +86,8 @@ class SolverConfig:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if not 10.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be >= 10 and finite, got {self.eta}")
-        _check_count("max_iter", self.max_iter)
-        _check_count("m_cap", self.m_cap)
+        _check_level("max_iter", self.max_iter, 1)
+        _check_level("m_cap", self.m_cap, 1)
         if self.gnm_variant not in _GNM_VARIANTS:
             raise ValueError(f"gnm_variant must be one of {_GNM_VARIANTS}")
 
@@ -133,22 +121,9 @@ class SolveOutcome:
     G_final: float
     stop_reason: str
     trace: tuple
-    delta_abs: Optional[float]
-    threshold: Optional[float]
+    delta_abs: float
+    threshold: float
     capped: bool
-
-
-def geometric_weights(n, q):
-    """Blend weights ``w_j = q**(n-j-1) - q**(n-j)`` for ``j = 0..n-1``.
-
-    All weights are positive and telescope to ``sum w_j = 1 - q**n``.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-    powers = q ** np.arange(n + 1, dtype=float)  # q**0 .. q**n
-    return np.diff(powers[::-1])
 
 
 def rank_schedule(a, c1, eta, m_cap=None):
@@ -169,7 +144,7 @@ def rank_schedule(a, c1, eta, m_cap=None):
     if not 10.0 <= eta < math.inf:
         raise ValueError(f"eta must be >= 10 and finite, got {eta}")
     if m_cap is not None:
-        _check_count("m_cap", m_cap)
+        _check_level("m_cap", m_cap, 1)
     log2 = math.log(2.0)
     try:
         t_normal = math.ceil(math.log(2.0 * c1 / a) / (4.0 * log2))
@@ -220,11 +195,11 @@ def discrepancy_update(g_prev, a, gamma_norm, q, variant="formal"):
 
 
 def _check_data(f_samples, delta):
-    """Reject non-finite samples and a non-finite noise bound at entry."""
+    """Reject non-finite samples and a noise bound that is not finite and positive."""
     if not np.all(np.isfinite(np.asarray(f_samples, dtype=float))):
         raise ValueError("data samples must be finite")
-    if delta is not None and not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
+    if delta is None or not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
 
 
 def _norm(x):
@@ -241,27 +216,17 @@ def _norm(x):
     return norm
 
 
-def _run_loop(delta, config, systems, fixed_n=None):
+def _run_loop(delta, config, systems):
     """Shared driver: systems(a, m_prev) -> (m_raw, m, L, v, g).
 
     ``L`` is the factor of ``a I + A``; the update solves it against
     ``v`` and the discrepancy solve against ``g``.
     """
-    if fixed_n is None:
-        if delta is None or not delta > 0:
-            raise ValueError("delta must be positive when the stopping rule is active")
-        threshold = config.C * delta ** config.eps
-        n_max = config.max_iter
-    else:
-        if fixed_n < 1:
-            raise ValueError(f"fixed_n must be >= 1, got {fixed_n}")
-        threshold = None
-        n_max = fixed_n
-
+    threshold = config.C * delta ** config.eps
     a, m, u, G = config.alpha0, 0, np.zeros(1), 0.0
     trace = []
     capped = False
-    for n in range(1, n_max + 1):
+    for n in range(1, config.max_iter + 1):
         a = a * config.q
         m_raw, m, factor, v, g = systems(a, m)
         capped = capped or (m_raw > config.m_cap)
@@ -271,14 +236,11 @@ def _run_loop(delta, config, systems, fixed_n=None):
         gamma_norm = _norm(gamma)
         G = discrepancy_update(G, a, gamma_norm, config.q, config.gnm_variant)
         trace.append(StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=G))
-        if threshold is not None and G <= threshold:
+        if G <= threshold:
             reason = "discrepancy_met" if n > 1 else "initial_below_threshold"
             break
     else:
-        if threshold is None:
-            reason = "fixed_n"
-        else:
-            reason = "m_cap" if capped else "max_iter"
+        reason = "m_cap" if capped else "max_iter"
     return SolveOutcome(
         solution=HaarCoefficients(level=m, values=u),
         n_delta=len(trace),
@@ -292,7 +254,7 @@ def _run_loop(delta, config, systems, fixed_n=None):
     )
 
 
-def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
+def run_adaptive(ops, f_samples, delta, config):
     """Run the adaptive-level scheme on sampled data.
 
     Parameters
@@ -302,19 +264,16 @@ def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
     f_samples : ndarray
         Data samples on the uniform grid (see :mod:`.experiment`); the
         grid must refine every partition up to ``config.m_cap``.
-    delta : float or None
-        Absolute noise bound feeding the stopping rule. May be None
-        only when ``fixed_n`` disables the rule.
+    delta : float
+        Absolute noise bound feeding the stopping rule; finite and > 0.
     config : SolverConfig
-    fixed_n : int, optional
-        Run exactly this many steps with the stopping rule disabled
-        (diagnostic/oracle mode; ``stop_reason`` becomes ``fixed_n``).
 
     Returns
     -------
     SolveOutcome
 
-    Raises ``ValueError`` on non-finite samples or a non-finite ``delta``.
+    Raises ``ValueError`` on non-finite samples or a ``delta`` that is
+    not finite and positive.
     """
     _check_data(f_samples, delta)
     c1 = ops.kernel.c1
@@ -329,7 +288,7 @@ def run_adaptive(ops, f_samples, delta, config, fixed_n=None):
             data_cache[m] = ops.data(f_samples, m)
         return m_raw, m, ops.factor(m, a), rhs_cache[m], data_cache[m]
 
-    return _run_loop(delta, config, systems, fixed_n)
+    return _run_loop(delta, config, systems)
 
 
 def run_fixed(ops, f_samples, delta, config, m):
@@ -342,8 +301,7 @@ def run_fixed(ops, f_samples, delta, config, m):
     :func:`run_adaptive`, and so is the check of the inputs.
     """
     _check_data(f_samples, delta)
-    if m < 1:
-        raise ValueError(f"fixed level must be >= 1, got {m}")
+    _check_level("fixed level", m, 1)
     g = ops.data(f_samples, m)
     v = ops.galerkin(m).T @ g
 
@@ -352,30 +310,3 @@ def run_fixed(ops, f_samples, delta, config, m):
 
     return _run_loop(delta, config, systems)
 
-
-def closed_form_iterate(ops, f_samples, n, m_schedule, config):
-    """Direct evaluation of the blend as a weighted sum of shifted solves.
-
-    Computes ``sum_j w_j (a_{j+1} I + A_{m_{j+1}})^{-1} v_{j+1}`` with
-    the weights of :func:`geometric_weights`, zero-padding every term
-    to the final level. Algebraically identical to ``n`` recursion
-    steps on exact data; the recursion tests use it as the independent
-    oracle.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if len(m_schedule) != n:
-        raise ValueError(f"schedule must list {n} levels, got {len(m_schedule)}")
-    if any(m2 < m1 for m1, m2 in zip(m_schedule, m_schedule[1:])):
-        raise ValueError("level schedule must be non-decreasing")
-    weights = geometric_weights(n, config.q)
-    m_final = m_schedule[-1]
-    acc = np.zeros(2 ** m_final)
-    a = config.alpha0
-    for j in range(n):
-        a = a * config.q  # a_{j+1}, by repeated multiplication as in the recursion
-        m_j = m_schedule[j]
-        v = ops.rhs(f_samples, m_j)
-        term = solve_spd_shifted(ops.factor(m_j, a), v)
-        acc[: 2 ** m_j] += weights[j] * term
-    return HaarCoefficients(level=m_final, values=acc)

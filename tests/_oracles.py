@@ -1,0 +1,98 @@
+"""Independent oracles the tests check fredreg against; none is part of the method.
+
+* :func:`geometric_weights` and :func:`closed_form_iterate` evaluate the
+  blend ``u_n = q u_{n-1} + (1 - q) zeta_n`` in closed form, as a
+  weighted sum of shifted solves.
+* :func:`run_steps` runs the recursion itself for exactly ``n`` steps,
+  with a noise bound the stopping rule cannot meet.
+* :func:`join_index` inverts :func:`fredreg.haar.split_index`.
+* :func:`coefficients` builds Haar coefficients at the level their
+  length implies.
+* :func:`forward_residual` checks a problem's exact solution against
+  its right-hand side on a dense midpoint grid.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from fredreg.assembly import solve_spd_shifted
+from fredreg.haar import HaarCoefficients, _level_of
+from fredreg.iteration import run_adaptive
+
+# C * delta**eps is about 2e-297 at the preset: no run of a few steps gets G below it
+UNREACHABLE_DELTA = 1e-300
+
+
+def geometric_weights(n, q):
+    """Blend weights ``w_j = q**(n-j-1) - q**(n-j)`` for ``j = 0..n-1``.
+
+    All weights are positive and telescope to ``sum w_j = 1 - q**n``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must lie in (0, 1), got {q}")
+    powers = q ** np.arange(n + 1, dtype=float)  # q**0 .. q**n
+    return np.diff(powers[::-1])
+
+
+def closed_form_iterate(ops, f_samples, n, m_schedule, config):
+    """Direct evaluation of the blend as a weighted sum of shifted solves.
+
+    Computes ``sum_j w_j (a_{j+1} I + A_{m_{j+1}})^{-1} v_{j+1}`` with
+    the weights of :func:`geometric_weights`, zero-padding every term
+    to the final level. Algebraically identical to ``n`` recursion
+    steps on exact data.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if len(m_schedule) != n:
+        raise ValueError(f"schedule must list {n} levels, got {len(m_schedule)}")
+    if any(m2 < m1 for m1, m2 in zip(m_schedule, m_schedule[1:])):
+        raise ValueError("level schedule must be non-decreasing")
+    weights = geometric_weights(n, config.q)
+    m_final = m_schedule[-1]
+    acc = np.zeros(2 ** m_final)
+    a = config.alpha0
+    for j in range(n):
+        a = a * config.q  # a_{j+1}, by repeated multiplication as in the recursion
+        m_j = m_schedule[j]
+        v = ops.rhs(f_samples, m_j)
+        term = solve_spd_shifted(ops.factor(m_j, a), v)
+        acc[: 2 ** m_j] += weights[j] * term
+    return HaarCoefficients(level=m_final, values=acc)
+
+
+def run_steps(ops, f_samples, n, config):
+    """``run_adaptive`` for exactly ``n`` steps: ``max_iter = n``, unreachable threshold."""
+    outcome = run_adaptive(
+        ops, f_samples, UNREACHABLE_DELTA, dataclasses.replace(config, max_iter=n)
+    )
+    assert outcome.n_delta == n, (outcome.n_delta, outcome.stop_reason)
+    return outcome
+
+
+def join_index(l, p):
+    """Inverse of :func:`fredreg.haar.split_index`."""
+    if l < 1 or not 1 <= p <= 2 ** (l - 1):
+        raise ValueError(f"invalid (level, offset) = ({l}, {p})")
+    return 2 ** (l - 1) + p
+
+
+def coefficients(values):
+    """:class:`HaarCoefficients` of ``values``, whose length must be a power of two."""
+    values = np.asarray(values, dtype=float)
+    return HaarCoefficients(level=_level_of(len(values)), values=values)
+
+
+def forward_residual(problem, n_points=1024):
+    """Discrete L2 residual ``||K u_exact - f||`` on a dense midpoint grid."""
+    if problem.exact_solution is None:
+        raise ValueError("problem has no exact solution to check")
+    s = (np.arange(n_points) + 0.5) / n_points
+    t = s
+    kmat = problem.kernel.eval(s[:, None], t[None, :])
+    ku = kmat @ (np.asarray(problem.exact_solution(t)) / n_points)
+    resid = ku - np.asarray(problem.exact_rhs(s))
+    return float(np.sqrt(np.mean(resid ** 2)))

@@ -22,13 +22,9 @@ from fredreg.assembly import (
 )
 from fredreg.experiment import exact_problem, run_table
 from fredreg.haar import synthesis_matrix
-from fredreg.iteration import (
-    SolverConfig,
-    closed_form_iterate,
-    geometric_weights,
-    rank_schedule,
-    run_adaptive,
-)
+from fredreg.iteration import SolverConfig, rank_schedule, run_adaptive
+
+from _oracles import closed_form_iterate, geometric_weights, run_steps
 
 LEVELS = (0.05, 0.01, 0.005, 0.0005)
 SEEDS = range(20)
@@ -69,7 +65,7 @@ def test_criterion_1_oracle_equivalence():
     for q in (0.25, 0.5):
         config = SolverConfig(q=q)
         for n in range(1, 16):
-            rec = run_adaptive(ops, samples, None, config, fixed_n=n)
+            rec = run_steps(ops, samples, n, config)
             schedule = [r.m for r in rec.trace]
             direct = closed_form_iterate(ops, samples, n, schedule, config)
             worst = max(worst, float(np.max(np.abs(rec.solution.values - direct.values))))

@@ -1,4 +1,9 @@
+import numpy as np
+import pytest
+
 import fredreg
+from fredreg.assembly import assemble_gram, galerkin_matrix
+from fredreg.haar import HaarCoefficients, exp_haar_matrix, exp_t_haar_matrix
 
 PUBLIC = {
     "FactorizationError",
@@ -32,3 +37,52 @@ def test_public_names():
     assert set(fredreg.__all__) == PUBLIC
     for name in fredreg.__all__:
         assert getattr(fredreg, name) is not None, name
+
+
+_KERNEL = fredreg.exponential_kernel()
+_SAMPLES = np.ones(len(fredreg.sample_grid(3)))
+
+# Every public entry that takes a level, a level cap or an iteration
+# count, as a call (fresh OperatorCache, level).
+LEVEL_ENTRIES = {
+    "simpson_rule": lambda ops, m: fredreg.simpson_rule(m),
+    "sample_grid": lambda ops, m: fredreg.sample_grid(m),
+    "error_budget": lambda ops, m: fredreg.error_budget(_KERNEL, m),
+    "assemble_gram": lambda ops, m: assemble_gram(m),
+    "galerkin_matrix": lambda ops, m: galerkin_matrix(m),
+    "exp_haar_matrix": lambda ops, m: exp_haar_matrix([0.5], m),
+    "exp_t_haar_matrix": lambda ops, m: exp_t_haar_matrix([0.5], m),
+    "project": lambda ops, m: fredreg.project(lambda t: t, m),
+    "HaarCoefficients": lambda ops, m: HaarCoefficients(level=m, values=np.zeros(4)),
+    "pad_to": lambda ops, m: HaarCoefficients(level=1, values=np.zeros(2)).pad_to(m),
+    "rank_schedule": lambda ops, m: fredreg.rank_schedule(1e-6, 16.0 / 180.0, 10.0, m_cap=m),
+    "SolverConfig.m_cap": lambda ops, m: fredreg.SolverConfig(m_cap=m),
+    "SolverConfig.max_iter": lambda ops, m: fredreg.SolverConfig(max_iter=m),
+    "run_fixed": lambda ops, m: fredreg.run_fixed(ops, _SAMPLES, 1e-3, fredreg.SolverConfig(), m),
+    "OperatorCache.gram": lambda ops, m: ops.gram(m),
+    "OperatorCache.galerkin": lambda ops, m: ops.galerkin(m),
+    "OperatorCache.factor": lambda ops, m: ops.factor(m, 0.1),
+    "OperatorCache.factor_galerkin": lambda ops, m: ops.factor(m, 0.1, galerkin=True),
+    "OperatorCache.rhs": lambda ops, m: ops.rhs(_SAMPLES, m),
+    "OperatorCache.data": lambda ops, m: ops.data(_SAMPLES, m),
+}
+
+
+@pytest.mark.parametrize("level", [2.5, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES)
+def test_every_level_entry_rejects_a_non_integer(entry, level):
+    # 2.5 used to pass the `m >= 1` checks (error_budget(k, 2.5) returned
+    # level 2 with level 2.5's bounds) and "2" raised TypeError, not exit 2
+    ops = fredreg.OperatorCache(_KERNEL)
+    with pytest.raises(ValueError, match="integer"):
+        LEVEL_ENTRIES[entry](ops, level)
+    # a cache checks a level on a miss, before it stores the entry
+    assert not any(vars(ops)[name] for name in ("_gram", "_adjoint", "_galerkin", "_factor"))
+
+
+@pytest.mark.parametrize("level", [2.5, "2"])
+def test_synthesis_matrix_rejects_a_non_integer(level):
+    # True == 1: whether lru_cache checks True or returns a stored level-1
+    # matrix rests on how it builds its keys, so only these two
+    with pytest.raises(ValueError, match="integer"):
+        fredreg.synthesis_matrix(level)

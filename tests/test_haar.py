@@ -6,11 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from fredreg.haar import (
-    HaarCoefficients,
     exp_haar_matrix,
     exp_t_haar_matrix,
     haar_eval,
-    join_index,
     project,
     split_index,
     synthesis_matrix,
@@ -22,6 +20,8 @@ from fredreg.haar import (
     _trapezoid_blocks,
 )
 from fredreg.assembly import _moments, sample_grid, simpson_rule
+
+from _oracles import coefficients, join_index
 
 
 def quad_inner(f, j):
@@ -169,6 +169,15 @@ class TestIndexing:
         with pytest.raises(ValueError):
             join_index(1, 2)
 
+    @pytest.mark.parametrize("j", [5.5, 2.9, "3", True])
+    def test_rejects_an_index_that_is_not_an_integer(self, j):
+        # int(j) used to truncate: split_index(5.5) returned (3, 1)
+        with pytest.raises(ValueError, match="wavelet index"):
+            split_index(j)
+
+    def test_accepts_numpy_integers(self):
+        assert split_index(np.int64(5)) == (3, 1)
+
 
 class TestEval:
     def test_constant(self):
@@ -201,6 +210,15 @@ class TestEval:
         for j in (1, 2):
             with pytest.raises(ValueError):
                 haar_eval(j, math.nan)
+
+    @pytest.mark.parametrize("j", [2.9, "3", True])
+    def test_rejects_an_index_that_is_not_an_integer(self, j):
+        # int(j) used to truncate: haar_eval(2.9, 0.1) returned Phi_2's value
+        with pytest.raises(ValueError, match="basis index"):
+            haar_eval(j, 0.1)
+
+    def test_accepts_numpy_integers(self):
+        assert haar_eval(np.int64(3), 0.1) == haar_eval(3, 0.1)
 
     def test_zero_dim_array_gives_float(self):
         for j, want in ((1, 1.0), (2, 1.0), (3, math.sqrt(2))):
@@ -479,7 +497,7 @@ class TestSpanInvariants:
 
     def test_zero_padding_preserves_function(self):
         rng = np.random.default_rng(12)
-        coeffs = HaarCoefficients.from_values(rng.uniform(-1, 1, 8))
+        coeffs = coefficients(rng.uniform(-1, 1, 8))
         padded = coeffs.pad_to(6)
         x = rng.uniform(0, 1, 200)
         np.testing.assert_allclose(coeffs.evaluate(x), padded.evaluate(x), atol=1e-14)
@@ -500,23 +518,23 @@ class TestSpanInvariants:
         assert errors[-1] < 2.0 ** -8
 
     def test_pad_rejects_shrink(self):
-        coeffs = HaarCoefficients.from_values(np.zeros(8))
+        coeffs = coefficients(np.zeros(8))
         with pytest.raises(ValueError):
             coeffs.pad_to(2)
 
     def test_evaluate_left_limit(self):
-        coeffs = HaarCoefficients.from_values([1.0, 0.5, 0.25, 0.0])
+        coeffs = coefficients([1.0, 0.5, 0.25, 0.0])
         cells = coeffs.cell_values()
         assert coeffs.evaluate(1.0) == pytest.approx(cells[-1])
 
     def test_evaluate_rejects_points_outside_unit_interval(self):
-        coeffs = HaarCoefficients.from_values([1.0, 0.5, 0.25, 0.0])
+        coeffs = coefficients([1.0, 0.5, 0.25, 0.0])
         for x in (-0.01, 1.01, math.nan, np.array([0.5, math.nan])):
             with pytest.raises(ValueError):
                 coeffs.evaluate(x)
 
     def test_evaluate_zero_dim_array_gives_float(self):
-        coeffs = HaarCoefficients.from_values([1.0, 0.5, 0.25, 0.0])
+        coeffs = coefficients([1.0, 0.5, 0.25, 0.0])
         cells = coeffs.cell_values()
         for x in (np.array(0.1), np.float64(0.1), 0.1):
             got = coeffs.evaluate(x)

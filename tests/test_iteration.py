@@ -17,14 +17,14 @@ from fredreg.assembly import (
 from fredreg.experiment import NoiseSpec, add_noise, exact_problem
 from fredreg.iteration import (
     SolverConfig,
-    closed_form_iterate,
     discrepancy_update,
     dsm_step,
-    geometric_weights,
     rank_schedule,
     run_adaptive,
     run_fixed,
 )
+
+from _oracles import closed_form_iterate, geometric_weights, run_steps
 
 C1 = 16.0 / 180.0
 
@@ -266,7 +266,7 @@ class TestClosedFormOracle:
     def test_base_case_single_step(self, bench):
         _, ops, samples = bench
         cfg = SolverConfig()
-        rec = run_adaptive(ops, samples, None, cfg, fixed_n=1)
+        rec = run_steps(ops, samples, 1, cfg)
         cf = closed_form_iterate(ops, samples, 1, [rec.trace[0].m], cfg)
         np.testing.assert_allclose(rec.solution.values, cf.values, atol=1e-16)
 
@@ -274,7 +274,7 @@ class TestClosedFormOracle:
     def test_recursion_equals_closed_form(self, bench, q):
         _, ops, samples = bench
         cfg = SolverConfig(q=q)
-        rec = run_adaptive(ops, samples, None, cfg, fixed_n=10)
+        rec = run_steps(ops, samples, 10, cfg)
         schedule = [r.m for r in rec.trace]
         cf = closed_form_iterate(ops, samples, 10, schedule, cfg)
         assert np.max(np.abs(rec.solution.values - cf.values)) <= 1e-10
@@ -282,7 +282,7 @@ class TestClosedFormOracle:
     def test_non_dyadic_ratio(self, bench):
         _, ops, samples = bench
         cfg = SolverConfig(q=0.3)
-        rec = run_adaptive(ops, samples, None, cfg, fixed_n=8)
+        rec = run_steps(ops, samples, 8, cfg)
         cf = closed_form_iterate(ops, samples, 8, [r.m for r in rec.trace], cfg)
         assert np.max(np.abs(rec.solution.values - cf.values)) <= 1e-12
 
@@ -414,7 +414,7 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="samples must be finite"):
             run(ops, bad, 1e-3)
 
-    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0, None])
     def test_rejects_non_finite_delta(self, bench, run, delta):
         _, ops, samples = bench
         with pytest.raises(ValueError, match="delta must be finite"):
