@@ -25,7 +25,7 @@ from .experiment import (
     run_table,
     trapezoid_norm,
 )
-from .haar import exp_haar_matrix, haar_eval, project, split_index, synthesis_matrix
+from .haar import exp_haar_matrix, haar_eval, project, split_index
 from .iteration import SolverConfig, rank_schedule, run_adaptive, run_fixed
 
 __version__ = "0.1.0"
@@ -54,6 +54,5 @@ __all__ = [
     "sample_grid",
     "simpson_rule",
     "split_index",
-    "synthesis_matrix",
     "trapezoid_norm",
 ]

@@ -34,7 +34,7 @@ from .haar import (
     exp_haar_matrix,
     exp_t_haar_matrix,
     project,
-    synthesis_matrix,
+    _analysis,
     _check_level,
     _gauss_cell_nodes,
     _trapezoid_blocks,
@@ -311,18 +311,16 @@ def galerkin_matrix(m):
     """Exact Haar-Galerkin matrix of the integral operator itself.
 
     ``(K_m)_{ij} = int int Phi_i(s) k(s, t) Phi_j(t) dt ds``, computed
-    with per-cell Gauss quadrature in ``s`` and the closed-form slice
-    projections in ``t``. This is the fixed-level baseline operator (no
-    degenerate kernel); the kernel is symmetric, so the matrix is
-    symmetrized, which makes ``K_m^T K_m`` equal ``K_m K_m^T``.
+    with per-cell Gauss quadrature in ``s`` (the pyramid transform takes
+    the cell sums to the basis) and the closed-form slice projections in
+    ``t``. This is the fixed-level baseline operator (no degenerate
+    kernel); the kernel is symmetric, so the matrix is symmetrized,
+    which makes ``K_m^T K_m`` equal ``K_m K_m^T``.
     """
     _check_level("galerkin level", m, 1)
     s, sw = _gauss_cell_nodes(m, 8)
-    inner = exp_haar_matrix(s, m)
-    n = 2 ** m
-    phi_s = synthesis_matrix(m)
-    idx = np.minimum((s * n).astype(int), n - 1)
-    k = (phi_s[:, idx] * sw[None, :]) @ inner
+    cells = (sw[:, None] * exp_haar_matrix(s, m)).reshape(2 ** m, 8, -1).sum(axis=1)
+    k = _analysis(cells, m)
     return 0.5 * (k + k.T)
 
 
@@ -332,8 +330,8 @@ class OperatorCache:
     Bound to :func:`exponential_kernel`; safe to share across solver
     runs. The cached pieces (Gram matrices, adjoint moment matrices,
     Galerkin matrices, Cholesky factors of the shifted systems) depend
-    only on the level and the shift, never on the data. A level is
-    checked when its entry is built, so no bad level is ever stored.
+    only on the level and the shift, never on the data. Every lookup
+    checks its level first, so ``True`` never finds level 1's entry.
     """
 
     def __init__(self, kernel):
@@ -352,13 +350,14 @@ class OperatorCache:
         """``A_m``, read-only; the kernel is symmetric, so both sides are this object."""
         if side not in ("domain", "range"):
             raise ValueError(f"side must be 'domain' or 'range', got {side!r}")
+        _check_level("gram level", m, 1)
         if m not in self._gram:
             self._gram[m] = assemble_gram(m)
         return self._gram[m]
 
     def _adjoint_matrices(self, m):
+        _check_level("adjoint partition level", m, 1)
         if m not in self._adjoint:
-            _check_level("adjoint partition level", m, 1)
             self._adjoint[m] = self._fill_adjoint(m)
         return self._adjoint[m]
 
@@ -408,6 +407,7 @@ class OperatorCache:
         return project(f_samples, m).values
 
     def galerkin(self, m):
+        _check_level("galerkin level", m, 1)
         if m not in self._galerkin:
             self._galerkin[m] = galerkin_matrix(m)
         return self._galerkin[m]
@@ -423,6 +423,7 @@ class OperatorCache:
         configuration reuses the same factors, ``8 * 4**m`` bytes each.
         A failed factorization stores nothing.
         """
+        _check_level("factor level", m, 1)
         key = (galerkin, m, a)
         factor = self._factor.get(key)
         if factor is None:

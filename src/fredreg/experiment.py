@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .assembly import Kernel, OperatorCache, exponential_kernel, sample_grid
-from .haar import exp_t_haar_matrix
+from .haar import _check_grid, exp_t_haar_matrix
 from .iteration import SolverConfig, run_adaptive, run_fixed
 
 PAPER_NOISE_LEVELS = (0.05, 0.01, 0.005, 0.0005)
@@ -64,9 +64,7 @@ def exact_problem():
 
 def trapezoid_norm(values):
     """Discrete L2 norm (trapezoid rule) of samples on the uniform grid."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or len(values) < 2:
-        raise ValueError("samples must be a 1-d array of at least 2 values")
+    values = _check_grid(values, 1)
     n = len(values) - 1
     w = np.full(n + 1, 1.0 / n)
     w[0] *= 0.5

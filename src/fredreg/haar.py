@@ -13,9 +13,9 @@ left limit so that evaluation is defined on the closed interval.
 
 Besides pointwise evaluation the module provides closed-form inner
 products of the basis against exponentials ``exp(-c*t)`` (and their
-``t``-weighted variant), projection of functions or uniform-grid
-samples onto the span, and a small coefficient container with exact
-zero-padding embedding into finer spans.
+``t``-weighted variant), the pyramid transform between the basis and
+the finest cells, projection onto the span, and a coefficient
+container with exact zero-padding embedding into finer spans.
 """
 
 from dataclasses import dataclass
@@ -83,14 +83,6 @@ def _tables(m):
     return amp, left, mid, right
 
 
-def _unit_points(x):
-    """``x`` as a float array; raises unless every point (no NaN) is in [0, 1]."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all((xa >= 0.0) & (xa <= 1.0)):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    return xa
-
-
 def haar_eval(j, x):
     """Evaluate ``Phi_j`` at points ``x`` in [0,1].
 
@@ -98,19 +90,10 @@ def haar_eval(j, x):
     rejected. Returns a scalar for scalar input, else an ndarray.
     """
     _check_level("basis index", j, 1)
-    j = int(j)
-    xa = _unit_points(x)
-    if j == 1:
-        out = np.ones_like(xa)
-        return float(out) if np.ndim(x) == 0 else out
-    l, p = split_index(j)
-    a = 2.0 ** ((l - 1) / 2.0)
-    w = 1.0 / 2 ** (l - 1)
-    t0, t1, t2 = (p - 1) * w, (p - 1) * w + w / 2.0, p * w
-    # left limit at 1: fold x = 1 into the last cell of the support scale
-    xs = np.where(xa == 1.0, np.nextafter(1.0, 0.0), xa)
-    out = np.where((xs >= t0) & (xs < t1), a, np.where((xs >= t1) & (xs < t2), -a, 0.0))
-    return float(out) if np.ndim(x) == 0 else out
+    level = (int(j) - 1).bit_length()  # the coarsest span holding Phi_j
+    unit = np.zeros(2 ** level)
+    unit[j - 1] = 1.0
+    return HaarCoefficients(level=level, values=unit).evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -330,35 +313,49 @@ def exp_t_haar_matrix(c, m, *, out=None, start=0):
 
 
 # ---------------------------------------------------------------------------
-# synthesis and projection
+# the pyramid transform pair and projection
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def synthesis_matrix(m):
-    """Values of the ``2**m`` basis functions on the ``2**m`` finest cells.
-
-    Row ``i`` holds the constant value of ``Phi_{i+1}`` on each dyadic
-    cell ``[k/2**m, (k+1)/2**m)``. The matrix is orthogonal up to the
-    cell-measure factor: ``S S.T = 2**m I``.
-    """
-    _check_level("level", m, 0)
-    n = 2 ** m
-    amp, left, mid, right = _tables(m)
-    centers = (np.arange(n) + 0.5) / n
-    s = np.zeros((n, n))
-    s[0, :] = 1.0
-    for i in range(1, n):
-        s[i, (centers >= left[i]) & (centers < mid[i])] = amp[i]
-        s[i, (centers >= mid[i]) & (centers < right[i])] = -amp[i]
-    s.setflags(write=False)
-    return s
-
 
 def _level_of(length):
     m = int(length).bit_length() - 1
     if 2 ** m != length:
         raise ValueError(f"coefficient length must be a power of two, got {length}")
     return m
+
+
+def _analysis(cells, m):
+    """``<f, Phi_j>``, ``j = 1..2**m``, from the integrals of ``f`` over the ``2**m`` finest cells.
+
+    The Haar pyramid (Mallat, IEEE PAMI 1989), along axis 0: per level,
+    pairwise differences of the cell integrals give the wavelet
+    coefficients before their amplitude, pairwise sums the integrals
+    one level coarser. O(2**m) time and memory.
+    """
+    out = np.empty(cells.shape)
+    for l in range(m, 0, -1):
+        np.subtract(cells[0::2], cells[1::2], out=out[2 ** (l - 1): 2 ** l])
+        cells = cells[0::2] + cells[1::2]
+    out[0] = cells[0]
+    # out.T puts axis 0 last, where the amplitudes broadcast
+    np.multiply(out.T, _tables(m)[0], out=out.T)
+    return out
+
+
+def _synthesis(coeffs, m):
+    """Values of ``sum_j coeffs[j-1] Phi_j``, ``j = 1..2**m``, on the ``2**m`` finest cells.
+
+    The inverse pyramid: per level, a cell's value ``v`` and its scaled
+    wavelet coefficient ``d`` give ``v + d`` and ``v - d`` on its halves.
+    """
+    scaled = coeffs * _tables(m)[0]
+    values = scaled[:1]
+    for l in range(1, m + 1):
+        detail = scaled[2 ** (l - 1): 2 ** l]
+        halves = np.empty(2 ** l)
+        np.add(values, detail, out=halves[0::2])
+        np.subtract(values, detail, out=halves[1::2])
+        values = halves
+    return values
 
 
 @dataclass(frozen=True)
@@ -390,19 +387,17 @@ class HaarCoefficients:
 
     def cell_values(self):
         """Values of the represented step function on the finest cells."""
-        return synthesis_matrix(self.level).T @ self.values
+        return _synthesis(self.values, self.level)
 
     def evaluate(self, x):
         """Pointwise evaluation on [0,1]; ``x = 1`` takes the left limit."""
-        xa = _unit_points(x)
+        xa = np.asarray(x, dtype=float)
+        if not np.all((xa >= 0.0) & (xa <= 1.0)):  # NaN fails both
+            raise ValueError("evaluation points must lie in [0, 1]")
         n = 2 ** self.level
         idx = np.minimum((xa * n).astype(int), n - 1)
         out = self.cell_values()[idx]
         return float(out) if np.ndim(x) == 0 else out
-
-    def norm(self):
-        """L2 norm of the represented function (coefficient Euclidean norm)."""
-        return float(np.linalg.norm(self.values))
 
 
 def _gauss_cell_nodes(m, nodes_per_cell):
@@ -414,6 +409,19 @@ def _gauss_cell_nodes(m, nodes_per_cell):
     return t, tw
 
 
+def _check_grid(samples, n_cells):
+    """Uniform-grid samples as a float array; raises unless they refine ``n_cells`` cells."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1 or len(samples) < 2:
+        raise ValueError("samples must be a 1-d array of at least 2 values")
+    if (len(samples) - 1) % n_cells != 0:
+        raise ValueError(
+            f"sample grid with {len(samples) - 1} subintervals does not refine the "
+            f"grid of {n_cells} cells"
+        )
+    return samples
+
+
 def _trapezoid_blocks(samples, n_cells):
     """Cut uniform-grid samples into the blocks of ``n_cells`` equal cells.
 
@@ -422,15 +430,8 @@ def _trapezoid_blocks(samples, n_cells):
     grid step and ``w`` the trapezoid weights, so that ``h * (blocks @ w)``
     integrates the samples over every cell. The grid must refine the cells.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or len(samples) < 2:
-        raise ValueError("samples must be a 1-d array of at least 2 values")
+    samples = _check_grid(samples, n_cells)
     nsub = len(samples) - 1
-    if nsub % n_cells != 0:
-        raise ValueError(
-            f"sample grid with {nsub} subintervals does not refine the "
-            f"grid of {n_cells} cells"
-        )
     k = nsub // n_cells
     # Row i is samples[i*k : i*k + k + 1]: its first k values are row i of
     # samples[:-1] cut into rows of k, its last is the shared end sample.
@@ -470,5 +471,4 @@ def project(f, m):
     else:
         blocks, h, w = _trapezoid_blocks(f, n)
         cell_ints = h * (blocks @ w)
-    coeffs = synthesis_matrix(m) @ cell_ints
-    return HaarCoefficients(level=m, values=coeffs)
+    return HaarCoefficients(level=m, values=_analysis(cell_ints, m))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import solve_spd_shifted
-from .haar import HaarCoefficients, _check_level, _level_of
+from .haar import HaarCoefficients, _check_grid, _check_level, _level_of
 
 _GNM_VARIANTS = ("formal", "listing")
 
@@ -262,8 +262,8 @@ def run_adaptive(ops, f_samples, delta, config):
     ops : OperatorCache
         Assembly cache bound to the kernel.
     f_samples : ndarray
-        Data samples on the uniform grid (see :mod:`.experiment`); the
-        grid must refine every partition up to ``config.m_cap``.
+        Data samples on a uniform grid that refines
+        ``sample_grid(config.m_cap)`` (see :mod:`.experiment`).
     delta : float
         Absolute noise bound feeding the stopping rule; finite and > 0.
     config : SolverConfig
@@ -272,21 +272,22 @@ def run_adaptive(ops, f_samples, delta, config):
     -------
     SolveOutcome
 
-    Raises ``ValueError`` on non-finite samples or a ``delta`` that is
-    not finite and positive.
+    Raises ``ValueError`` before any assembly on non-finite samples, on
+    a grid that does not refine as above and on a ``delta`` that is not
+    finite and positive. The data are projected once, at ``m_cap``.
     """
     _check_data(f_samples, delta)
+    _check_grid(f_samples, 180 * 2 ** config.m_cap)
     c1 = ops.kernel.c1
+    g = ops.data(f_samples, config.m_cap)  # the spans nest: level m reads g[: 2**m]
     rhs_cache = {}
-    data_cache = {}
 
     def systems(a, m_prev):
         m_raw = rank_schedule(a, c1, config.eta)
         m = max(min(m_raw, config.m_cap), m_prev)
         if m not in rhs_cache:
             rhs_cache[m] = ops.rhs(f_samples, m)
-            data_cache[m] = ops.data(f_samples, m)
-        return m_raw, m, ops.factor(m, a), rhs_cache[m], data_cache[m]
+        return m_raw, m, ops.factor(m, a), rhs_cache[m], g[: 2 ** m]
 
     return _run_loop(delta, config, systems)
 
@@ -297,8 +298,9 @@ def run_fixed(ops, f_samples, delta, config, m):
     At every iteration the same exact Galerkin matrix ``K_m`` of the
     operator is used: the update solves ``(a_n I + K_m^T K_m) z =
     K_m^T g`` and the discrepancy solve uses ``K_m K_m^T``, which is the
-    same matrix because ``K_m`` is symmetric. Stopping is identical to
-    :func:`run_adaptive`, and so is the check of the inputs.
+    same matrix because ``K_m`` is symmetric. Stopping and the check of
+    the samples and ``delta`` are as in :func:`run_adaptive`, but the
+    grid needs to refine level ``m`` only.
     """
     _check_data(f_samples, delta)
     _check_level("fixed level", m, 1)

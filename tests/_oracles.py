@@ -10,6 +10,11 @@
   length implies.
 * :func:`forward_residual` checks a problem's exact solution against
   its right-hand side on a dense midpoint grid.
+* :func:`synthesis_matrix`, :func:`galerkin_gather` and
+  :func:`haar_eval_piecewise` are the dense and piecewise forms that the
+  Haar pyramid transform replaced: the basis on the finest cells as a
+  ``4**m`` matrix, the Galerkin matrix from its gathered columns, and
+  ``Phi_j`` from its support breakpoints.
 """
 
 import dataclasses
@@ -17,7 +22,14 @@ import dataclasses
 import numpy as np
 
 from fredreg.assembly import solve_spd_shifted
-from fredreg.haar import HaarCoefficients, _level_of
+from fredreg.haar import (
+    HaarCoefficients,
+    _gauss_cell_nodes,
+    _level_of,
+    _tables,
+    exp_haar_matrix,
+    split_index,
+)
 from fredreg.iteration import run_adaptive
 
 # C * delta**eps is about 2e-297 at the preset: no run of a few steps gets G below it
@@ -96,3 +108,47 @@ def forward_residual(problem, n_points=1024):
     ku = kmat @ (np.asarray(problem.exact_solution(t)) / n_points)
     resid = ku - np.asarray(problem.exact_rhs(s))
     return float(np.sqrt(np.mean(resid ** 2)))
+
+
+def synthesis_matrix(m):
+    """Values of the ``2**m`` basis functions on the ``2**m`` finest cells.
+
+    Row ``i`` holds the constant value of ``Phi_{i+1}`` on each dyadic
+    cell ``[k/2**m, (k+1)/2**m)``. The matrix is orthogonal up to the
+    cell-measure factor: ``S S.T = 2**m I``. Dense: ``8 * 4**m`` bytes.
+    """
+    n = 2 ** m
+    amp, left, mid, right = _tables(m)
+    centers = (np.arange(n) + 0.5) / n
+    s = np.zeros((n, n))
+    s[0, :] = 1.0
+    for i in range(1, n):
+        s[i, (centers >= left[i]) & (centers < mid[i])] = amp[i]
+        s[i, (centers >= mid[i]) & (centers < right[i])] = -amp[i]
+    return s
+
+
+def galerkin_gather(m):
+    """``galerkin_matrix(m)`` from the columns of :func:`synthesis_matrix` at the Gauss nodes."""
+    s, sw = _gauss_cell_nodes(m, 8)
+    inner = exp_haar_matrix(s, m)
+    n = 2 ** m
+    idx = np.minimum((s * n).astype(int), n - 1)
+    k = (synthesis_matrix(m)[:, idx] * sw[None, :]) @ inner
+    return 0.5 * (k + k.T)
+
+
+def haar_eval_piecewise(j, x):
+    """``Phi_j`` at ``x`` in [0, 1] from its breakpoints; a float for scalar ``x``."""
+    xa = np.asarray(x, dtype=float)
+    if j == 1:
+        out = np.ones_like(xa)
+        return float(out) if np.ndim(x) == 0 else out
+    l, p = split_index(j)
+    a = 2.0 ** ((l - 1) / 2.0)
+    w = 1.0 / 2 ** (l - 1)
+    t0, t1, t2 = (p - 1) * w, (p - 1) * w + w / 2.0, p * w
+    # left limit at 1: fold x = 1 into the last cell of the support scale
+    xs = np.where(xa == 1.0, np.nextafter(1.0, 0.0), xa)
+    out = np.where((xs >= t0) & (xs < t1), a, np.where((xs >= t1) & (xs < t2), -a, 0.0))
+    return float(out) if np.ndim(x) == 0 else out

@@ -21,10 +21,9 @@ from fredreg.assembly import (
     simpson_rule,
 )
 from fredreg.experiment import exact_problem, run_table
-from fredreg.haar import synthesis_matrix
 from fredreg.iteration import SolverConfig, rank_schedule, run_adaptive
 
-from _oracles import closed_form_iterate, geometric_weights, run_steps
+from _oracles import closed_form_iterate, geometric_weights, run_steps, synthesis_matrix
 
 LEVELS = (0.05, 0.01, 0.005, 0.0005)
 SEEDS = range(20)

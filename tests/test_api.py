@@ -27,13 +27,12 @@ PUBLIC = {
     "sample_grid",
     "simpson_rule",
     "split_index",
-    "synthesis_matrix",
     "trapezoid_norm",
 }
 
 
 def test_public_names():
-    assert len(fredreg.__all__) == len(PUBLIC) == 23
+    assert len(fredreg.__all__) == len(PUBLIC) == 22
     assert set(fredreg.__all__) == PUBLIC
     for name in fredreg.__all__:
         assert getattr(fredreg, name) is not None, name
@@ -76,13 +75,19 @@ def test_every_level_entry_rejects_a_non_integer(entry, level):
     ops = fredreg.OperatorCache(_KERNEL)
     with pytest.raises(ValueError, match="integer"):
         LEVEL_ENTRIES[entry](ops, level)
-    # a cache checks a level on a miss, before it stores the entry
+    # a cache checks a level before it looks it up, so it stores nothing
     assert not any(vars(ops)[name] for name in ("_gram", "_adjoint", "_galerkin", "_factor"))
 
 
-@pytest.mark.parametrize("level", [2.5, "2"])
-def test_synthesis_matrix_rejects_a_non_integer(level):
-    # True == 1: whether lru_cache checks True or returns a stored level-1
-    # matrix rests on how it builds its keys, so only these two
+CACHE_ENTRIES = [name for name in LEVEL_ENTRIES if name.startswith("OperatorCache.")]
+
+
+@pytest.mark.parametrize("level", [2.5, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("entry", CACHE_ENTRIES)
+def test_every_level_entry_rejects_a_non_integer_on_a_warm_cache(entry, level):
+    # True == 1 and hash(True) == hash(1): a lookup that checked only on a
+    # miss returned the stored level-1 entry for True
+    ops = fredreg.OperatorCache(_KERNEL)
+    LEVEL_ENTRIES[entry](ops, 1)
     with pytest.raises(ValueError, match="integer"):
-        fredreg.synthesis_matrix(level)
+        LEVEL_ENTRIES[entry](ops, level)

@@ -24,8 +24,9 @@ from fredreg.haar import (
     exp_haar_matrix,
     exp_t_haar_matrix,
     haar_eval,
-    synthesis_matrix,
 )
+
+from _oracles import galerkin_gather, synthesis_matrix
 
 C1 = 16.0 / 180.0
 
@@ -320,6 +321,14 @@ class TestGalerkinMatrix:
         for m in range(1, 9):
             k = galerkin_matrix(m)
             assert np.array_equal(k, k.T)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_pyramid_matches_dense_gather(self, m):
+        # the cell sums taken to the basis by the pyramid transform, against
+        # the gathered columns of the dense synthesis matrix they replaced
+        k = galerkin_matrix(m)
+        want = galerkin_gather(m)
+        assert np.max(np.abs(k - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_entry_against_quadrature_oracle(self):
         k2 = galerkin_matrix(2)

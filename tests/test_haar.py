@@ -11,17 +11,18 @@ from fredreg.haar import (
     haar_eval,
     project,
     split_index,
-    synthesis_matrix,
+    _analysis,
     _block_rows,
     _SMALL_C_MOMENT,
     _SMALL_C_WIDTH,
     _gauss_cell_nodes,
+    _synthesis,
     _tables,
     _trapezoid_blocks,
 )
 from fredreg.assembly import _moments, sample_grid, simpson_rule
 
-from _oracles import coefficients, join_index
+from _oracles import coefficients, haar_eval_piecewise, join_index, synthesis_matrix
 
 
 def quad_inner(f, j):
@@ -125,10 +126,30 @@ def _moments_ref(samples, n_cells):
     return h * (blocks @ w0), h * h * (blocks @ w1)
 
 
-def _project_ref(samples, m):
-    """The sampled branch of ``project`` on the gathered blocks."""
+def _cell_integrals_ref(samples, m):
+    """The trapezoid cell integrals of ``project``'s sampled branch, on the gathered blocks."""
     blocks, h, w = _trapezoid_blocks_ref(samples, 2 ** m)
-    return synthesis_matrix(m) @ (h * (blocks @ w))
+    return h * (blocks @ w)
+
+
+def _dense_product(matrix, x):
+    """``matrix @ x`` in extended precision (x86-64's 80-bit long double), rounded once.
+
+    Computed in double, the dense product strays by up to about 3 ulp of
+    its largest entry at m = 11 (the pyramid by about 1).
+    """
+    return (matrix.astype(np.longdouble) @ np.asarray(x, dtype=np.longdouble)).astype(float)
+
+
+def _project_ref(samples, m):
+    """The sampled branch of ``project`` on the gathered blocks and the dense matrix."""
+    return _dense_product(synthesis_matrix(m), _cell_integrals_ref(samples, m))
+
+
+def assert_within_ulps(got, want, ulps=4):
+    """``|got - want| <= ulps * eps * max|want|`` entrywise."""
+    bound = ulps * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound, np.max(np.abs(got - want)) / bound
 
 
 def _hand_rates():
@@ -416,19 +437,75 @@ class TestTrapezoidBlocks:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_moments_and_projection_equal_gather_formulas(self, m):
+        # bit for bit: the moments, and the cell integrals the projection
+        # transforms (the transform itself: test_projection_matches_gather_formula)
         for name, samples in self._inputs(m).items():
             for l in range(m + 1):
                 got = _moments(samples, l)  # over the 180 * 2**l cells of sample_grid(l)
                 want = _moments_ref(samples, 180 * 2 ** l)
                 assert all(map(np.array_equal, got, want)), (name, l)
-                got = project(samples, l).values
-                assert np.array_equal(got, _project_ref(samples, l)), (name, l)
+                blocks, h, w = _trapezoid_blocks(samples, 2 ** l)
+                assert np.array_equal(h * (blocks @ w), _cell_integrals_ref(samples, l)), (name, l)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_projection_matches_gather_formula(self, m):
+        # the pyramid sums in another order than the dense matrix product
+        for name, samples in self._inputs(m).items():
+            for l in range(m + 1):
+                assert_within_ulps(project(samples, l).values, _project_ref(samples, l))
 
     def test_rejects_coarse_grid_and_short_input(self):
         with pytest.raises(ValueError, match="does not refine"):
             _trapezoid_blocks(np.zeros(13), 8)
         with pytest.raises(ValueError, match="at least 2 values"):
             _trapezoid_blocks(np.zeros(1), 1)
+
+
+class TestPyramidTransform:
+    """The O(2**m) transform pair against the dense matrix and formulas it replaced."""
+
+    @pytest.mark.parametrize("m", range(12))
+    def test_pair_matches_synthesis_matrix(self, m):
+        rng = np.random.default_rng(100 + m)
+        s = synthesis_matrix(m)
+        x = rng.standard_normal(2 ** m)
+        xs = rng.standard_normal((2 ** m, 3))
+        assert_within_ulps(_analysis(x, m), _dense_product(s, x))
+        assert_within_ulps(_analysis(xs, m), _dense_product(s, xs))
+        assert_within_ulps(_synthesis(x, m), _dense_product(s.T, x))
+
+    def test_projection_prefix_is_the_coarser_projection(self):
+        # run_adaptive projects the data once, at m_cap, and reads prefixes
+        grid = sample_grid(8)
+        noise = 0.01 * np.random.default_rng(4).uniform(-1.0, 1.0, len(grid))
+        samples = np.exp(-grid) * (1.0 + grid) + noise
+        fine = project(samples, 8).values
+        for m in range(9):
+            assert_within_ulps(fine[: 2 ** m], project(samples, m).values)
+
+    def test_haar_eval_equals_the_piecewise_formula(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([rng.uniform(0, 1, 200), np.arange(1025) / 1024, [1.0]])
+        scalars = (float(x[0]), 0.5, 1.0, np.float64(0.25), np.array(0.75))
+        for j in [*range(1, 601), 2 ** 12, 2 ** 13]:
+            got, want = haar_eval(j, x), haar_eval_piecewise(j, x)
+            assert got.dtype == want.dtype and np.array_equal(got, want), j
+            for xi in scalars:
+                got, want = haar_eval(j, xi), haar_eval_piecewise(j, xi)
+                assert type(got) is type(want) is float and got == want, (j, xi)
+
+    def test_cell_values_memory_is_linear(self):
+        # the dense synthesis matrix took 32 MB at m = 11 and lru_cache kept it
+        coeffs = coefficients(np.random.default_rng(3).standard_normal(2 ** 11))
+        _tables.cache_clear()  # count the amplitude table too
+        tracemalloc.start()
+        try:
+            cells = coeffs.cell_values()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * cells.nbytes
+        assert retained <= 8 * cells.nbytes
 
 
 class TestProjection:

@@ -354,6 +354,19 @@ class TestRunAdaptive:
         assert out.capped
         assert out.stop_reason == "m_cap"
 
+    @pytest.mark.parametrize("n_sub", [180 * 2 ** 4, 2 ** 7], ids=["sample_grid_4", "dyadic"])
+    def test_rejects_a_grid_that_does_not_refine_the_cap_before_any_assembly(self, n_sub):
+        # sample_grid(4) at m_cap=6 returned when the run stopped below level
+        # 5 and failed mid-run when it did not; 2**7 subintervals refine the
+        # level-6 projection of the data but not the partition of the adjoint
+        problem = exact_problem()
+        ops = OperatorCache(problem.kernel)
+        samples = problem.exact_rhs(np.arange(n_sub + 1) / n_sub)
+        noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.05, seed=0))
+        with pytest.raises(ValueError, match=f"{n_sub} subintervals .* 11520 cells"):
+            run_adaptive(ops, noisy, dabs, SolverConfig(m_cap=6))
+        assert not any(vars(ops)[name] for name in ("_gram", "_adjoint", "_galerkin", "_factor"))
+
     def test_rejects_missing_delta(self, bench):
         _, ops, samples = bench
         with pytest.raises(ValueError):
