@@ -95,7 +95,7 @@ class FactorizationError(np.linalg.LinAlgError):
 def factor_spd_shifted(matrix, shift):
     """Read-only lower Cholesky factor of ``shift I + M`` for symmetric PSD ``M``.
 
-    With ``shift > 0`` the system matrix has smallest eigenvalue at
+    With a finite ``shift > 0`` the system matrix has smallest eigenvalue at
     least ``shift``, so plain Cholesky is backward stable. The shift is
     added to the diagonal of a copy of ``M``, which is bit-identical to
     ``M + shift * np.eye(n)``. The factor is the ``dpotrf`` output: its
@@ -103,8 +103,8 @@ def factor_spd_shifted(matrix, shift):
     was, and :func:`solve_spd_shifted` reads the lower triangle only.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if not shift > 0:
-        raise ValueError(f"shift must be positive, got {shift}")
+    if not 0.0 < shift < np.inf:
+        raise ValueError(f"shift must be finite and positive, got {shift}")
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
@@ -341,25 +341,25 @@ class OperatorCache:
                 "projections and Taylor-expansion adjoint are hard-coded"
             )
         self.kernel = kernel
-        self._gram = {}
-        self._adjoint = {}
-        self._galerkin = {}
-        self._factor = {}
+        self._store = {}
+
+    def _lookup(self, key, name, build):
+        """The entry under ``key = (product, level, ...)``, made by ``build()`` on a miss.
+
+        The level is checked before the store is read, so ``True`` never
+        finds level 1's entry. A build that raises stores nothing.
+        """
+        _check_level(name, key[1], 1)
+        value = self._store.get(key)
+        if value is None:
+            value = self._store[key] = build()
+        return value
 
     def gram(self, m, side="domain"):
         """``A_m``, read-only; the kernel is symmetric, so both sides are this object."""
         if side not in ("domain", "range"):
             raise ValueError(f"side must be 'domain' or 'range', got {side!r}")
-        _check_level("gram level", m, 1)
-        if m not in self._gram:
-            self._gram[m] = assemble_gram(m)
-        return self._gram[m]
-
-    def _adjoint_matrices(self, m):
-        _check_level("adjoint partition level", m, 1)
-        if m not in self._adjoint:
-            self._adjoint[m] = self._fill_adjoint(m)
-        return self._adjoint[m]
+        return self._lookup(("gram", m), "gram level", lambda: assemble_gram(m))
 
     def _fill_adjoint(self, m):
         """The two moment matrices on the left endpoints of ``sample_grid(m)``.
@@ -373,12 +373,13 @@ class OperatorCache:
         replaces them sees each one.
         """
         c = sample_grid(m)[:-1]
-        m0 = max((level for level in self._adjoint if level < m), default=None)
+        held = [key[1] for key in self._store if key[0] == "adjoint" and key[1] < m]
+        m0 = max(held, default=None)
         if m0 is None:
             return exp_haar_matrix(c, m), exp_t_haar_matrix(c, m)
         k = 2 ** (m - m0)
         pair = []
-        for fill, coarse in zip((exp_haar_matrix, exp_t_haar_matrix), self._adjoint[m0]):
+        for fill, coarse in zip((exp_haar_matrix, exp_t_haar_matrix), self._store["adjoint", m0]):
             out = np.empty((len(c), 2 ** m))
             out[::k, : 2 ** m0] = coarse
             fill(c[::k], m, out=out[::k], start=m0 + 1)
@@ -398,7 +399,9 @@ class OperatorCache:
         against the basis are the cached closed-form moment matrices of
         :mod:`.haar`, ``2 * 180 * 4**m`` doubles per level.
         """
-        e0, e1 = self._adjoint_matrices(m)
+        e0, e1 = self._lookup(
+            ("adjoint", m), "adjoint partition level", lambda: self._fill_adjoint(m)
+        )
         m0, m1 = _moments(f_samples, m)
         return e0.T @ m0 - e1.T @ m1
 
@@ -407,10 +410,7 @@ class OperatorCache:
         return project(f_samples, m).values
 
     def galerkin(self, m):
-        _check_level("galerkin level", m, 1)
-        if m not in self._galerkin:
-            self._galerkin[m] = galerkin_matrix(m)
-        return self._galerkin[m]
+        return self._lookup(("galerkin", m), "galerkin level", lambda: galerkin_matrix(m))
 
     def factor(self, m, a, galerkin=False):
         """Factor of ``a I + M`` from :func:`factor_spd_shifted`.
@@ -423,14 +423,10 @@ class OperatorCache:
         configuration reuses the same factors, ``8 * 4**m`` bytes each.
         A failed factorization stores nothing.
         """
-        _check_level("factor level", m, 1)
-        key = (galerkin, m, a)
-        factor = self._factor.get(key)
-        if factor is None:
+        def build():
             if galerkin:
                 k = self.galerkin(m)
-                matrix = k.T @ k
-            else:
-                matrix = self.gram(m)
-            factor = self._factor[key] = factor_spd_shifted(matrix, a)
-        return factor
+                return factor_spd_shifted(k.T @ k, a)
+            return factor_spd_shifted(self.gram(m), a)
+
+        return self._lookup(("factor", m, galerkin, a), "factor level", build)

@@ -122,53 +122,56 @@ def _wavelet_levels(m, first=1):
         yield slice(j, 2 * j), amp[j], mid[j] - left[j], right[j] - left[j]
 
 
-def _level_rows(levels):
-    """Amplitude and piece width of :func:`_wavelet_levels` entries, as ``(1, n)`` rows."""
-    return (np.array([[a for _, a, _, _ in levels]]),
-            np.array([[h for _, _, h, _ in levels]]))
-
-
 def _block_rows(n_cols):
     """Rows per block of the whole-row fill of ``n_cols`` wavelet columns."""
     return max(1, _FILL_ENTRIES // n_cols)
 
 
-def _fill_output(out, n_rows, m, start):
-    """The array a fill writes: a new one, or ``out`` checked against the fill."""
+def _fill(c, m, out, start, column0, block, taylor):
+    """The fill of :func:`exp_haar_matrix` and :func:`exp_t_haar_matrix`.
+
+    Checks the rates, ``m``, ``start`` and ``out`` (a new array unless
+    given), writes column 0 as ``column0(c, cs)``, with ``cs`` being ``c``
+    with 0 read as 1, and the wavelet columns of levels ``max(start, 1)..m``
+    in blocks of whole rows. For each block, ``block(C, Cs, A, H, x, e,
+    expand, out)`` gets the block's ``c`` and ``cs`` as columns ``C`` and
+    ``Cs``, the levels' amplitudes ``A`` and piece widths ``H`` as rows,
+    ``x = -c * mid`` and ``e = exp(x)`` over the levels' columns, ``expand``,
+    which repeats an array of per-(row, level) factors to the levels'
+    columns, and the block of ``out`` to write. ``x`` and ``e`` live in two
+    arrays made once per call, so that a block frees at most one
+    temporary: when every block freed all of its temporaries, the C
+    allocator handed the memory back to the system and the next block
+    faulted it in again. Last, the rows with ``c`` times a level's support
+    width below 1e-6 get ``taylor(C, amp, left, mid, right)`` on that
+    level's columns.
+    """
+    c = _rates(c)
     _check_level("level", m, 0)
     if isinstance(start, bool) or not isinstance(start, (int, np.integer)) or not 0 <= start <= m:
         raise ValueError(f"start must be an integer in [0, {m}], got {start!r}")
     if out is None:
         if start > 0:
             raise ValueError("a fill from a wavelet level needs out holding the columns before it")
-        return np.empty((n_rows, 2 ** m))
-    if out.shape != (n_rows, 2 ** m) or out.dtype != np.float64:
+        out = np.empty((len(c), 2 ** m))
+    elif out.shape != (len(c), 2 ** m) or out.dtype != np.float64:
         raise ValueError(
-            f"out must be a float64 array of shape {(n_rows, 2 ** m)}, "
+            f"out must be a float64 array of shape {(len(c), 2 ** m)}, "
             f"got {out.dtype} {out.shape}"
         )
-    return out
-
-
-def _fill_wavelet_rows(out, c, cs, m, levels, combine):
-    """Write the wavelet columns of ``levels`` (a tail of :func:`_wavelet_levels`).
-
-    The rows are filled in blocks of whole rows. For each block,
-    ``combine(C, Cs, x, e, expand, out)`` gets the block's rates ``C``
-    and ``Cs`` (``c`` with 0 read as 1) as columns, ``x = -c * mid`` and
-    ``e = exp(x)`` over the levels' columns, ``expand``, which repeats
-    an array of per-(row, level) factors to the levels' columns, and the
-    block of ``out`` to write. ``x`` and ``e`` live in two arrays made
-    once per call, so that a block frees at most one temporary: when
-    every block freed all of its temporaries, the C allocator handed the
-    memory back to the system and the next block faulted it in again.
-    """
+    cs = np.where(c == 0.0, 1.0, c)
+    if start == 0:
+        out[:, 0] = column0(c, cs)
+    levels = list(_wavelet_levels(m, max(start, 1)))
     if not levels:
-        return
+        return out
     col0 = levels[0][0].start
     n_cols = 2 ** m - col0
     counts = [cols.stop - cols.start for cols, *_ in levels]
-    mid = _tables(m)[2][None, col0:]
+    A = np.array([[a for _, a, _, _ in levels]])
+    H = np.array([[h for _, _, h, _ in levels]])
+    tables = _tables(m)
+    mid = tables[2][None, col0:]
     C, Cs = c[:, None], cs[:, None]
     step = _block_rows(n_cols)
     x_buf, e_buf = (np.empty((min(step, len(c)), n_cols)) for _ in range(2))
@@ -181,11 +184,17 @@ def _fill_wavelet_rows(out, c, cs, m, levels, combine):
         n = len(C[rows])
         x = np.multiply(-C[rows], mid, out=x_buf[:n])  # -(c * mid), exactly
         e = np.exp(x, out=e_buf[:n])
-        combine(C[rows], Cs[rows], x, e, expand, out[rows, col0:])
+        block(C[rows], Cs[rows], A, H, x, e, expand, out[rows, col0:])
+    for cols, _, _, w in levels:
+        small = c * w < _SMALL_C_WIDTH
+        if small.any():
+            out[small, cols] = taylor(C[small], *(t[None, cols] for t in tables))
+    return out
 
 
-def _taylor_exp(C, A, T1, H):
-    # A * (int_{T1-H}^{T1} - int_{T1}^{T1+H}) exp(-c t) dt, truncated Taylor in c
+def _taylor_exp(C, A, T0, T1, T2):
+    # A * (int_{T0}^{T1} - int_{T1}^{T2}) exp(-c t) dt, truncated Taylor in c
+    H = T1 - T0
     return A * C * H ** 2 * (
         1.0
         - C * T1
@@ -238,33 +247,19 @@ def exp_haar_matrix(c, m, *, out=None, start=0):
     elementwise formula, so the result is bit-identical to it; peak
     memory is the result plus the temporaries of one block.
     """
-    c = _rates(c)
-    out = _fill_output(out, len(c), m, start)
-    cs = np.where(c == 0.0, 1.0, c)
-    if start == 0:
-        out[:, 0] = np.where(
+    def column0(c, cs):
+        return np.where(
             c < _SMALL_C_WIDTH,
             1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0,
             -np.expm1(-cs) / cs,
         )
-    levels = list(_wavelet_levels(m, max(start, 1)))
-    A, H = _level_rows(levels)
 
-    def combine(C, Cs, x, e, expand, out):
+    def block(C, Cs, A, H, x, e, expand, out):
         e *= expand(A / Cs)
         e *= 4.0
         np.multiply(e, expand(np.sinh(C * H / 2.0) ** 2), out=out)
 
-    _fill_wavelet_rows(out, c, cs, m, levels, combine)
-    C = c[:, None]
-    amp, left, mid, _ = _tables(m)
-    for cols, _, _, w in levels:
-        small = c * w < _SMALL_C_WIDTH
-        if small.any():
-            out[small, cols] = _taylor_exp(
-                C[small], amp[None, cols], mid[None, cols], (mid - left)[None, cols]
-            )
-    return out
+    return _fill(c, m, out, start, column0, block, _taylor_exp)
 
 
 def exp_t_haar_matrix(c, m, *, out=None, start=0):
@@ -280,19 +275,14 @@ def exp_t_haar_matrix(c, m, *, out=None, start=0):
     and level, ``exp`` once per entry, the Taylor branch only below the
     threshold, and the result bit-identical to the elementwise formula.
     """
-    c = _rates(c)
-    out = _fill_output(out, len(c), m, start)
-    cs = np.where(c == 0.0, 1.0, c)
-    if start == 0:
+    def column0(c, cs):
         direct = np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2
         taylor1 = (
             0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
         )
-        out[:, 0] = np.where(c < _SMALL_C_MOMENT, taylor1, direct)
-    levels = list(_wavelet_levels(m, max(start, 1)))
-    A, H = _level_rows(levels)
+        return np.where(c < _SMALL_C_MOMENT, taylor1, direct)
 
-    def combine(C, Cs, x, e, expand, out):
+    def block(C, Cs, A, H, x, e, expand, out):
         np.subtract(1.0, x, out=x)      # c * mid + 1.0, exactly
         x *= 4.0
         x *= expand(np.sinh(C * H / 2.0) ** 2)
@@ -300,16 +290,7 @@ def exp_t_haar_matrix(c, m, *, out=None, start=0):
         e *= expand(A / Cs ** 2)
         np.multiply(e, x, out=out)
 
-    _fill_wavelet_rows(out, c, cs, m, levels, combine)
-    C = c[:, None]
-    amp, left, mid, right = _tables(m)
-    for cols, _, _, w in levels:
-        small = c * w < _SMALL_C_WIDTH
-        if small.any():
-            out[small, cols] = _taylor_exp_t(
-                C[small], amp[None, cols], left[None, cols], mid[None, cols], right[None, cols]
-            )
-    return out
+    return _fill(c, m, out, start, column0, block, _taylor_exp_t)
 
 
 # ---------------------------------------------------------------------------

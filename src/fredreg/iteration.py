@@ -127,15 +127,16 @@ class SolveOutcome:
 
 
 def rank_schedule(a, c1, eta, m_cap=None):
-    """Smallest level meeting the three accuracy conditions at scale ``a``.
+    """Smallest level ``m >= 1`` meeting three accuracy conditions at scale ``a``.
 
-    The level is the maximum of three ceilings, making the degenerate
-    normal-operator error at most ``a/2``, the mixed error at most
-    ``eta * a**2``, and the adjoint error at most ``sqrt(a)/2``; the
-    result is floored at 1 (the raw ceilings go non-positive for large
-    ``a``) and optionally clamped to ``m_cap``, an integer ``>= 1``. Every finite ``a > 0``
-    has a level: where a direct quotient over- or underflows, the three
-    ceilings are taken from sums of logarithms instead.
+    The conditions are ``c1 / 16**m <= a/2`` (the normal-operator bound
+    of :func:`.error_budget`), ``(17/180) / 4**m <= eta * a**2`` (its mixed
+    bound, with the exponential kernel's ``c1 + sup/180 = 17/180``) and
+    ``c1 / 4**m <= sqrt(a)/2`` (for this kernel ``16 * bound_adjoint``).
+    The level is the largest of their three ceilings, floored at 1 (the
+    raw ceilings go non-positive for large ``a``) and optionally clamped
+    to ``m_cap``, an integer ``>= 1``. The ceilings are taken from sums of
+    logarithms, so every finite ``a > 0`` has a level.
     """
     if not 0.0 < a < math.inf:
         raise ValueError(f"regularization parameter must be positive and finite, got {a}")
@@ -146,17 +147,10 @@ def rank_schedule(a, c1, eta, m_cap=None):
     if m_cap is not None:
         _check_level("m_cap", m_cap, 1)
     log2 = math.log(2.0)
-    try:
-        t_normal = math.ceil(math.log(2.0 * c1 / a) / (4.0 * log2))
-        t_mixed = math.ceil(math.log(17.0 / (180.0 * eta * a * a)) / (2.0 * log2))
-        t_adjoint = math.ceil(math.log(2.0 * c1 / math.sqrt(a)) / (2.0 * log2))
-    except (ArithmeticError, ValueError):
-        # a quotient reached 0 or inf (at the preset, for ``a`` outside about
-        # [1e-154, 1e154]): the same logarithms as sums of logarithms
-        log_a, log_2c1 = math.log(a), math.log(2.0) + math.log(c1)
-        t_normal = math.ceil((log_2c1 - log_a) / (4.0 * log2))
-        t_mixed = math.ceil((math.log(17.0 / 180.0) - math.log(eta) - 2.0 * log_a) / (2.0 * log2))
-        t_adjoint = math.ceil((log_2c1 - 0.5 * log_a) / (2.0 * log2))
+    log_a, log_2c1 = math.log(a), math.log(2.0) + math.log(c1)
+    t_normal = math.ceil((log_2c1 - log_a) / (4.0 * log2))
+    t_mixed = math.ceil((math.log(17.0 / 180.0) - math.log(eta) - 2.0 * log_a) / (2.0 * log2))
+    t_adjoint = math.ceil((log_2c1 - 0.5 * log_a) / (2.0 * log2))
     m = max(t_normal, t_mixed, t_adjoint, 1)
     if m_cap is not None:
         m = min(m, m_cap)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fredreg import assembly
 from fredreg.assembly import (
     Kernel,
     OperatorCache,
@@ -176,6 +177,19 @@ class TestSampleGrid:
         assert np.array_equal(sample_grid(level), np.arange(n + 1) / n)
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list of ``(args, kwargs)`` per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def _full_fill_rows(m, chunk=11520):
     """``(rows, E0 rows, E1 rows)`` of full fills on ``sample_grid(m)[:-1]``.
 
@@ -188,6 +202,12 @@ def _full_fill_rows(m, chunk=11520):
         yield rows, exp_haar_matrix(c[rows], m), exp_t_haar_matrix(c[rows], m)
 
 
+def _adjoint_pair(ops, m):
+    """The moment pair ``OperatorCache.rhs`` holds for level ``m``, filled on a miss."""
+    ops.rhs(np.zeros(len(sample_grid(m))), m)
+    return ops._store["adjoint", m]
+
+
 class TestAdjointReuse:
     """Level ``m`` copies the block ``[::2**(m-m0), :2**m0]`` from the finest held ``m0``."""
 
@@ -198,9 +218,9 @@ class TestAdjointReuse:
     def test_every_level_equals_a_full_fill(self, order):
         ops = OperatorCache(exponential_kernel())
         for i, m in enumerate(order):
-            e0, e1 = ops._adjoint_matrices(m)
+            e0, e1 = _adjoint_pair(ops, m)
             # no level is filled before it is asked for, and each is its own array
-            assert sorted(ops._adjoint) == sorted(order[: i + 1])
+            assert sorted(ops._store) == sorted(("adjoint", level) for level in order[: i + 1])
             for e in (e0, e1):
                 assert e.base is None and e.flags.c_contiguous
                 assert e.shape == (180 * 2 ** m, 2 ** m)
@@ -224,11 +244,12 @@ class TestAdjointReuse:
 
     def test_peak_memory_of_a_reusing_fill_is_the_output(self):
         ops = OperatorCache(exponential_kernel())
-        ops._adjoint_matrices(7)
-        sample_grid(8)
+        _adjoint_pair(ops, 7)
+        samples = np.zeros(len(sample_grid(8)))
         tracemalloc.start()
         try:
-            e0, e1 = ops._adjoint_matrices(8)
+            ops.rhs(samples, 8)
+            e0, e1 = ops._store["adjoint", 8]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,6 +332,44 @@ class TestMeasuredOperatorError:
             opnorm = np.linalg.norm(g_exact - g_m, 2) / n
             assert opnorm <= error_budget(k, m).bound_normal
 
+    def test_normal_bound_holds_with_stable_slack(self):
+        # ||A_m - A_{m+2}[:2**m, :2**m]||_2 sits 9.6-11.5x below c1/16**m for
+        # m = 1..8 and falls 15.5-16.0x per level from m = 3 on; the m = 2
+        # ratio (err_1 / err_2) is 14.1, before the asymptotic rate sets in
+        k = exponential_kernel()
+        grams = {m: assemble_gram(m) for m in range(1, 11)}
+        err = {
+            m: np.linalg.norm(grams[m] - grams[m + 2][: 2 ** m, : 2 ** m], 2)
+            for m in range(1, 9)
+        }
+        for m in range(1, 9):
+            assert error_budget(k, m).bound_normal >= 5.0 * err[m], m
+        for m in range(3, 9):
+            assert err[m - 1] / err[m] == pytest.approx(16.0, rel=0.1), m
+
+    def test_adjoint_bound_holds_with_stable_slack_on_noisy_data(self):
+        # worst ||v_m - v_{m+2}[:2**m]|| / ||f_delta|| over the paper's noise
+        # levels and 10 seeds sits 3684-3899x below 1/(180 * 4**m) for
+        # m = 1..5 and falls 3.83-4.00x per level
+        from fredreg.experiment import (
+            PAPER_NOISE_LEVELS, NoiseSpec, add_noise, exact_problem, trapezoid_norm,
+        )
+
+        k, problem = exponential_kernel(), exact_problem()
+        ops = OperatorCache(k)
+        worst = {}
+        for m in range(1, 6):
+            exact = problem.exact_rhs(sample_grid(m + 2))
+            worst[m] = 0.0
+            for level in PAPER_NOISE_LEVELS:
+                for seed in range(10):
+                    noisy, _ = add_noise(exact, NoiseSpec(rel_level=level, seed=seed))
+                    gap = np.linalg.norm(ops.rhs(noisy, m) - ops.rhs(noisy, m + 2)[: 2 ** m])
+                    worst[m] = max(worst[m], gap / trapezoid_norm(noisy))
+            assert error_budget(k, m).bound_adjoint >= 1000.0 * worst[m], m
+        for m in range(2, 6):
+            assert worst[m - 1] / worst[m] == pytest.approx(4.0, rel=0.1), m
+
 
 class TestGalerkinMatrix:
     def test_first_entry_is_double_integral(self):
@@ -384,6 +443,37 @@ class TestOperatorCache:
         v_cached = ops.rhs(samples, 1)
         np.testing.assert_allclose(v_cached, v_direct, rtol=1e-13, atol=1e-16)
         np.testing.assert_array_equal(ops.rhs(samples, 1), v_cached)
+
+    def test_builds_call_the_module_globals(self, monkeypatch):
+        # a tracer wraps these names of fredreg.assembly and finds every
+        # fill, Gram, Galerkin and projection call only through them
+        calls = {}
+        for name in ("exp_haar_matrix", "exp_t_haar_matrix", "assemble_gram",
+                     "galerkin_matrix", "project"):
+            calls[name] = count_calls(monkeypatch, assembly, name)
+        ops = OperatorCache(exponential_kernel())
+        samples = np.exp(-sample_grid(5))
+
+        def seen():
+            return {name: len(made) for name, made in calls.items() if made}
+
+        ops.rhs(samples, 3)
+        assert seen() == {"exp_haar_matrix": 1, "exp_t_haar_matrix": 1}
+        ops.rhs(samples, 5)  # levels 4 and 5 of level 3's rows, then 3 full fills
+        assert seen() == {"exp_haar_matrix": 5, "exp_t_haar_matrix": 5}
+        ops.gram(3)
+        ops.gram(3)
+        assert seen() == {"exp_haar_matrix": 6, "exp_t_haar_matrix": 5, "assemble_gram": 1}
+        ops.galerkin(4)
+        assert seen() == {
+            "exp_haar_matrix": 7, "exp_t_haar_matrix": 5, "assemble_gram": 1,
+            "galerkin_matrix": 1,
+        }
+        ops.data(samples, 5)
+        assert seen() == {
+            "exp_haar_matrix": 7, "exp_t_haar_matrix": 5, "assemble_gram": 1,
+            "galerkin_matrix": 1, "project": 1,
+        }
 
 
 def test_assembly_imports_nothing_from_iteration():

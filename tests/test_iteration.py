@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from decimal import ROUND_CEILING, Decimal, localcontext
@@ -10,6 +11,7 @@ from fredreg import assembly, iteration
 from fredreg.assembly import (
     FactorizationError,
     OperatorCache,
+    error_budget,
     exponential_kernel,
     galerkin_matrix,
     sample_grid,
@@ -147,6 +149,23 @@ class TestRankSchedule:
         assert rank_schedule(a, C1, 10.0, m_cap=6) == min(m, 6)
         if a > 1.0:
             assert m == 1
+
+    @pytest.mark.parametrize("eta", [10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("q", [0.1, 0.25, 0.5, 0.9])
+    def test_is_the_smallest_level_within_the_error_budget(self, q, eta):
+        # the three conditions on error_budget's bounds; for this kernel
+        # 16 * bound_adjoint is c1 / 4**m
+        kernel = exponential_kernel()
+
+        def within(a, m):
+            b = error_budget(kernel, m)
+            return (b.bound_normal <= a / 2 and b.bound_mixed <= eta * a * a
+                    and 16.0 * b.bound_adjoint <= math.sqrt(a) / 2)
+
+        for n in range(1, 60):
+            a = q ** n
+            smallest = next(m for m in itertools.count(1) if within(a, m))
+            assert rank_schedule(a, kernel.c1, eta) == smallest, n
 
     def test_cap(self):
         assert rank_schedule(1e-8, C1, 10.0, m_cap=6) == 6
@@ -365,7 +384,7 @@ class TestRunAdaptive:
         noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.05, seed=0))
         with pytest.raises(ValueError, match=f"{n_sub} subintervals .* 11520 cells"):
             run_adaptive(ops, noisy, dabs, SolverConfig(m_cap=6))
-        assert not any(vars(ops)[name] for name in ("_gram", "_adjoint", "_galerkin", "_factor"))
+        assert not ops._store
 
     def test_rejects_missing_delta(self, bench):
         _, ops, samples = bench
@@ -540,5 +559,13 @@ class TestFactorCache:
             with pytest.raises(FactorizationError):
                 ops.factor(3, 1e-20)
         assert len(factors) == 2
-        assert not ops._factor
+        assert list(ops._store) == [("gram", 3)]  # the Gram matrix, but no factor
         assert ops.factor(3, 1e-3) is ops.factor(3, 1e-3)
+
+    def test_infinite_shift_raises_and_stores_no_factor(self):
+        # the factor of an infinite shift has an infinite diagonal, and the
+        # solves against it returned zeros; the cache used to keep it
+        ops = OperatorCache(exact_problem().kernel)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ops.factor(3, math.inf)
+        assert list(ops._store) == [("gram", 3)]

@@ -99,6 +99,9 @@ def test_rejects_bad_inputs():
         factor_spd_shifted(np.eye(2), 0.0)
     with pytest.raises(ValueError):
         factor_spd_shifted(np.eye(2), -1.0)
+    for shift in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            factor_spd_shifted(np.eye(2), shift)
     with pytest.raises(ValueError):
         factor_spd_shifted(np.ones((2, 3)), 1.0)
     with pytest.raises(ValueError):
