@@ -19,7 +19,7 @@ print("weights:", rule.weights, " (sum = %.17f)" % rule.weights.sum())
 
 print("\n=== polynomial exactness (degree <= 3) ===")
 for k in range(5):
-    approx = rule.apply(rule.points ** k)
+    approx = rule.weights @ rule.points ** k
     exact = 1.0 / (k + 1)
     print(f"  int t^{k} dt: rule = {approx:.12f}, exact = {exact:.12f}, "
           f"error = {abs(approx - exact):.2e}")

@@ -10,6 +10,7 @@ function untouched.
 import numpy as np
 
 from fredreg import haar_eval, project, split_index
+from fredreg.haar import HaarCoefficients
 
 print("=== index convention: j = 2**(l-1) + p ===")
 for j in range(2, 9):
@@ -44,7 +45,7 @@ for m in range(1, 9):
 
 print("\n=== zero-padding embeds exactly into finer spans ===")
 coarse = project(lambda t: np.cos(3 * t), 3)
-fine = coarse.pad_to(6)
+fine = HaarCoefficients(level=6, values=np.pad(coarse.values, (0, 2 ** 6 - 2 ** 3)))
 x = np.linspace(0, 1, 7)
 print("  coarse evaluation:", np.round(coarse.evaluate(x), 8))
 print("  padded evaluation:", np.round(fine.evaluate(x), 8))

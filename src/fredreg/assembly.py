@@ -26,7 +26,6 @@ import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -155,10 +154,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    def apply(self, values):
-        """Weighted sum approximating ``int_0^1 h(s) ds`` from samples at the points."""
-        return float(np.dot(self.weights, values))
-
 
 def simpson_rule(m):
     """Build the compound Simpson rule at dyadic level ``m >= 1``.
@@ -204,12 +199,10 @@ def sample_grid(m_cap):
 
 @dataclass(frozen=True)
 class Kernel:
-    """A bivariate kernel on [0,1]^2 with the constants used by the bounds.
+    """The constants of a bivariate kernel on [0,1]^2 that enter the bounds.
 
     Attributes
     ----------
-    eval : callable
-        Vectorized ``(s, t) -> k(s, t)``; must broadcast over ndarrays.
     c1 : float
         Smoothness constant entering the Simpson error bound
         ``c1 / 2**(4m)`` (the scaled sup of the fourth s-derivative of
@@ -218,7 +211,6 @@ class Kernel:
         Upper bound on ``|k|`` over the square.
     """
 
-    eval: Callable
     c1: float
     sup_bound: float
 
@@ -230,7 +222,6 @@ class Kernel:
 
 
 _EXPONENTIAL_KERNEL = Kernel(
-    eval=lambda s, t: np.exp(-np.asarray(s) * np.asarray(t)),
     c1=16.0 / 180.0,
     sup_bound=1.0,
 )
@@ -421,8 +412,11 @@ class OperatorCache:
         level and the exact shift ``a``: the shifts ``a_n = alpha0 q**n``
         and their levels do not depend on the data, so every run of a
         configuration reuses the same factors, ``8 * 4**m`` bytes each.
-        A failed factorization stores nothing.
+        A bad shift raises before any assembly; a failed factor stores nothing.
         """
+        if not 0.0 < a < np.inf:
+            raise ValueError(f"shift must be finite and positive, got {a}")
+
         def build():
             if galerkin:
                 k = self.galerkin(m)

@@ -20,15 +20,8 @@ import sys
 import numpy as np
 
 from .assembly import FactorizationError, OperatorCache, sample_grid
-from .experiment import (
-    PAPER_NOISE_LEVELS,
-    NoiseSpec,
-    add_noise,
-    avg_error,
-    exact_problem,
-    run_table,
-)
-from .iteration import SolverConfig, run_adaptive, run_fixed
+from .experiment import PAPER_NOISE_LEVELS, _run_one, exact_problem, run_table
+from .iteration import SolverConfig
 
 _OK_STOPS = ("discrepancy_met", "initial_below_threshold")
 
@@ -109,28 +102,23 @@ def _cmd_solve(args):
     problem = exact_problem()
     ops = OperatorCache(problem.kernel)
     grid = sample_grid(config.m_cap)
-    f_samples = problem.exact_rhs(grid)
-    noisy, delta_abs = add_noise(f_samples, NoiseSpec(rel_level=level, seed=seed))
+    f_exact_samples = problem.exact_rhs(grid)
 
     schemes = ("adaptive", "fixed") if args.scheme == "both" else (args.scheme,)
-    failed = False
     reconstructions = {}
     for scheme in schemes:
-        if scheme == "adaptive":
-            outcome = run_adaptive(ops, noisy, delta_abs, config)
-        else:
-            outcome = run_fixed(ops, noisy, delta_abs, config, args.fixed_m)
-        avg = avg_error(outcome.solution, problem.exact_solution)
+        row, outcome = _run_one(
+            ops, problem, f_exact_samples, level, seed, scheme, config, args.fixed_m
+        )
         reconstructions[scheme] = outcome
-        print(f"[{scheme}] noise={level:g} seed={seed} delta_abs={delta_abs:.6e} "
+        print(f"[{scheme}] noise={level:g} seed={seed} delta_abs={outcome.delta_abs:.6e} "
               f"threshold={outcome.threshold:.6e}")
         print("  n        a_n   m  m_raw      |gamma|            G")
         for rec in outcome.trace:
             print(f"  {rec.n:2d} {rec.a:10.3e} {rec.m:3d} {rec.m_raw:5d} "
                   f"{rec.gamma_norm:12.5e} {rec.G:12.5e}")
         print(f"  stop={outcome.stop_reason} n_delta={outcome.n_delta} "
-              f"m_final={outcome.m_final} G_final={outcome.G_final:.6e} avg={avg:.6f}")
-        failed = failed or outcome.stop_reason not in _OK_STOPS
+              f"m_final={outcome.m_final} G_final={outcome.G_final:.6e} avg={row.avg:.6f}")
 
     if args.out:
         t = 0.01 * np.arange(100)
@@ -141,6 +129,7 @@ def _cmd_solve(args):
             lines.append(f"{float(ti)!r},{vals},{float(ti)!r}")
         with open(args.out, "w") as handle:
             handle.write("\n".join(lines) + "\n")
+    failed = any(o.stop_reason not in _OK_STOPS for o in reconstructions.values())
     return 3 if failed else 0
 
 

@@ -16,10 +16,9 @@ plus a median-aggregated summary table.
 
 import csv
 import io
-import math
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 # numpy loads this submodule lazily; load it with fredreg, not in the first request
@@ -34,12 +33,11 @@ PAPER_NOISE_LEVELS = (0.05, 0.01, 0.005, 0.0005)
 
 @dataclass(frozen=True)
 class Problem:
-    """A first-kind integral equation with optional ground truth."""
+    """A first-kind integral equation with its ground truth."""
 
     kernel: Kernel
     exact_rhs: Callable
-    exact_solution: Optional[Callable] = None
-    y_norm: Optional[float] = None
+    exact_solution: Callable
 
 
 def _benchmark_rhs(s):
@@ -58,7 +56,6 @@ def exact_problem():
         kernel=exponential_kernel(),
         exact_rhs=_benchmark_rhs,
         exact_solution=lambda t: np.asarray(t, dtype=float),
-        y_norm=1.0 / math.sqrt(3.0),
     )
 
 
@@ -160,18 +157,14 @@ def run_table(
     fixed_m=4,
     out_path=None,
     echo=True,
-    collect_outcomes=False,
 ):
     """Sweep noise levels, seeds and schemes on the benchmark problem.
 
     Produces one :class:`ExperimentRow` per combination, optionally
     writes them as CSV, and (with ``echo``) prints a median-aggregated
     summary with one line per noise level. A failed stopping rule is
-    recorded in the row's ``stop_reason``, never raised.
-
-    Returns the row list, or ``(rows, outcomes)`` when
-    ``collect_outcomes`` is set (the outcomes carry full traces for
-    bound checks).
+    recorded in the row's ``stop_reason``, never raised. Returns the
+    row list.
     """
     config = config or SolverConfig()
     if schemes == "both":
@@ -185,22 +178,18 @@ def run_table(
     grid = sample_grid(config.m_cap)
     f_exact_samples = problem.exact_rhs(grid)
     rows = []
-    outcomes = []
     for level in levels:
         for seed in seeds:
             for scheme in scheme_list:
-                row, outcome = _run_one(
+                row, _ = _run_one(
                     ops, problem, f_exact_samples, level, seed, scheme, config, fixed_m
                 )
                 rows.append(row)
-                outcomes.append(outcome)
     if out_path is not None:
         with open(out_path, "w", newline="") as handle:
             handle.write(rows_to_csv(rows))
     if echo:
         print(format_summary(rows))
-    if collect_outcomes:
-        return rows, outcomes
     return rows
 
 

@@ -15,7 +15,7 @@ Besides pointwise evaluation the module provides closed-form inner
 products of the basis against exponentials ``exp(-c*t)`` (and their
 ``t``-weighted variant), the pyramid transform between the basis and
 the finest cells, projection onto the span, and a coefficient
-container with exact zero-padding embedding into finer spans.
+container.
 """
 
 from dataclasses import dataclass
@@ -355,16 +355,6 @@ class HaarCoefficients:
             )
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def pad_to(self, level):
-        """Embed into the span at a finer ``level`` by zero-padding.
-
-        The represented function is unchanged exactly (nested spans).
-        """
-        _check_level("level", level, self.level)
-        out = np.zeros(2 ** level)
-        out[: len(self.values)] = self.values
-        return HaarCoefficients(level=level, values=out)
 
     def cell_values(self):
         """Values of the represented step function on the finest cells."""

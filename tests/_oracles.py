@@ -99,12 +99,13 @@ def coefficients(values):
 
 
 def forward_residual(problem, n_points=1024):
-    """Discrete L2 residual ``||K u_exact - f||`` on a dense midpoint grid."""
-    if problem.exact_solution is None:
-        raise ValueError("problem has no exact solution to check")
+    """Discrete L2 residual ``||K u_exact - f||`` on a dense midpoint grid.
+
+    The kernel is ``exp(-s t)``, the only one the package assembles.
+    """
     s = (np.arange(n_points) + 0.5) / n_points
     t = s
-    kmat = problem.kernel.eval(s[:, None], t[None, :])
+    kmat = np.exp(-s[:, None] * t[None, :])
     ku = kmat @ (np.asarray(problem.exact_solution(t)) / n_points)
     resid = ku - np.asarray(problem.exact_rhs(s))
     return float(np.sqrt(np.mean(resid ** 2)))

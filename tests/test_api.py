@@ -53,7 +53,6 @@ LEVEL_ENTRIES = {
     "exp_t_haar_matrix": lambda ops, m: exp_t_haar_matrix([0.5], m),
     "project": lambda ops, m: fredreg.project(lambda t: t, m),
     "HaarCoefficients": lambda ops, m: HaarCoefficients(level=m, values=np.zeros(4)),
-    "pad_to": lambda ops, m: HaarCoefficients(level=1, values=np.zeros(2)).pad_to(m),
     "rank_schedule": lambda ops, m: fredreg.rank_schedule(1e-6, 16.0 / 180.0, 10.0, m_cap=m),
     "SolverConfig.m_cap": lambda ops, m: fredreg.SolverConfig(m_cap=m),
     "SolverConfig.max_iter": lambda ops, m: fredreg.SolverConfig(max_iter=m),

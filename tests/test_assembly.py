@@ -62,25 +62,24 @@ class TestKernel:
     def test_symmetry_holds_on_grid(self):
         k = exponential_kernel()
         s = np.linspace(0, 1, 17)
-        vals = k.eval(s[:, None], s[None, :])
+        vals = np.exp(-s[:, None] * s[None, :])
         assert np.max(np.abs(vals - vals.T)) < 1e-14
         assert np.max(np.abs(vals)) <= k.sup_bound + 1e-15
 
     def test_rejects_bad_constants(self):
         with pytest.raises(ValueError):
-            Kernel(eval=lambda s, t: s * t, c1=0.0, sup_bound=1.0)
+            Kernel(c1=0.0, sup_bound=1.0)
 
 
 class TestGramAssembly:
     def test_domain_equals_range_for_symmetric_kernel(self):
         # the range-side Gram sum_l beta_l <k(., s_l), Phi_i> <k(., s_l), Phi_j>,
-        # its slices projected by per-cell Gauss quadrature of kernel.eval,
+        # its slices projected by per-cell Gauss quadrature of exp(-s t),
         # is the matrix the discrepancy solve uses in its place
-        k = exponential_kernel()
         for m in (1, 2, 4):
             rule = simpson_rule(m)
             x, xw = _gauss_cell_nodes(m, 8)
-            cells = k.eval(x[None, :], rule.points[:, None]) * xw
+            cells = np.exp(-x[None, :] * rule.points[:, None]) * xw
             p = cells.reshape(len(rule.points), 2 ** m, 8).sum(axis=2) @ synthesis_matrix(m).T
             b = p.T @ (rule.weights[:, None] * p)
             assert np.max(np.abs(assemble_gram(m) - b)) < 1e-13
@@ -154,15 +153,13 @@ class TestAdjointRhs:
             OperatorCache(exponential_kernel()).rhs(np.ones(181), 1)
 
     def test_rejects_copy_with_other_exponential_slices(self):
-        # slices exp(-2st): the adjoint hard-codes exp(-st), so this
-        # kernel's right-hand side would be about 20 % off a dense
-        # quadrature of its true adjoint; it is refused at construction
-        doubled = dataclasses.replace(
-            exponential_kernel(),
-            eval=lambda s, t: np.exp(-2.0 * np.asarray(s) * np.asarray(t)),
-        )
+        # a Kernel holds only the constants, so a copy with equal ones may
+        # stand for slices exp(-2st); the adjoint hard-codes exp(-st), so its
+        # right-hand side would be about 20 % off a dense quadrature of that
+        # kernel's true adjoint. Any copy is refused at construction
+        copy = dataclasses.replace(exponential_kernel())
         with pytest.raises(ValueError, match="exponential_kernel"):
-            OperatorCache(doubled)
+            OperatorCache(copy)
 
 
 class TestSampleGrid:
@@ -404,7 +401,7 @@ class TestOperatorCache:
     @pytest.mark.parametrize(
         "kernel",
         [
-            Kernel(eval=lambda s, t: np.asarray(s) + np.asarray(t), c1=1.0, sup_bound=2.0),
+            Kernel(c1=1.0, sup_bound=2.0),  # constants of another kernel
             dataclasses.replace(exponential_kernel(), c1=1.0),
         ],
         ids=["other_eval", "other_c1"],

@@ -1,7 +1,7 @@
 import pytest
 
 from fredreg.cli import main
-from fredreg.experiment import CSV_COLUMNS, rows_from_csv
+from fredreg.experiment import CSV_COLUMNS, rows_from_csv, run_table
 
 
 def test_help_runs(capsys):
@@ -29,6 +29,19 @@ def test_solve_both_schemes(capsys):
     captured = capsys.readouterr().out
     assert code == 0
     assert "[adaptive]" in captured and "[fixed]" in captured
+
+
+@pytest.mark.parametrize("scheme", ["adaptive", "fixed"])
+def test_solve_and_table_report_the_same_run(capsys, scheme):
+    # one run path: the summary line of `solve` is the `table` row of the
+    # same noise level, seed and scheme, in the same format
+    assert main(["solve", "--noise", "0.01", "--seed", "3", "--scheme", scheme]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1].strip()
+    [row] = run_table(levels=[0.01], seeds=[3], schemes=scheme, echo=False)
+    assert summary == (
+        f"stop={row.stop_reason} n_delta={row.n_iters} m_final={row.m_final} "
+        f"G_final={row.G_final:.6e} avg={row.avg:.6f}"
+    )
 
 
 def test_solve_rejects_multiple_levels(capsys):

@@ -51,10 +51,6 @@ class TestExactProblem:
         assert vals.shape == (4,)
         assert vals[0] == pytest.approx(0.5)
 
-    def test_solution_norm(self):
-        prob = exact_problem()
-        assert prob.y_norm == pytest.approx(1 / math.sqrt(3), abs=1e-15)
-
     def test_forward_residual_small(self):
         assert forward_residual(exact_problem()) <= 1e-6
 

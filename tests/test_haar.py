@@ -572,14 +572,6 @@ class TestSpanInvariants:
         norm_sq = np.sum(cell_vals ** 2) / 2 ** m
         assert np.sum(coeffs.values ** 2) == pytest.approx(norm_sq, abs=1e-12)
 
-    def test_zero_padding_preserves_function(self):
-        rng = np.random.default_rng(12)
-        coeffs = coefficients(rng.uniform(-1, 1, 8))
-        padded = coeffs.pad_to(6)
-        x = rng.uniform(0, 1, 200)
-        np.testing.assert_allclose(coeffs.evaluate(x), padded.evaluate(x), atol=1e-14)
-        assert padded.evaluate(1.0) == pytest.approx(coeffs.evaluate(1.0), abs=1e-14)
-
     def test_projection_error_decreases_to_zero(self):
         # ||P_m f - f|| for f(t) = t, computed exactly: ||f||^2 - sum coeffs^2
         f_norm_sq = 1.0 / 3.0
@@ -593,11 +585,6 @@ class TestSpanInvariants:
         ratios = [b / a for a, b in zip(errors, errors[1:])]
         assert max(ratios) < 0.51
         assert errors[-1] < 2.0 ** -8
-
-    def test_pad_rejects_shrink(self):
-        coeffs = coefficients(np.zeros(8))
-        with pytest.raises(ValueError):
-            coeffs.pad_to(2)
 
     def test_evaluate_left_limit(self):
         coeffs = coefficients([1.0, 0.5, 0.25, 0.0])

@@ -564,8 +564,17 @@ class TestFactorCache:
 
     def test_infinite_shift_raises_and_stores_no_factor(self):
         # the factor of an infinite shift has an infinite diagonal, and the
-        # solves against it returned zeros; the cache used to keep it
+        # solves against it returned zeros; the cache used to keep it. The
+        # shift is refused before the Gram matrix is built, so nothing is kept
         ops = OperatorCache(exact_problem().kernel)
         with pytest.raises(ValueError, match="finite and positive"):
             ops.factor(3, math.inf)
-        assert list(ops._store) == [("gram", 3)]
+        assert ops._store == {}
+
+    @pytest.mark.parametrize("shift", [math.nan, 0.0, -1.0, -math.inf])
+    def test_bad_shift_is_refused_before_assembly(self, shift):
+        ops = OperatorCache(exact_problem().kernel)
+        for galerkin in (False, True):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ops.factor(3, shift, galerkin=galerkin)
+        assert ops._store == {}
