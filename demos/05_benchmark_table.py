@@ -12,6 +12,7 @@ import os
 import tempfile
 
 from fredreg import PAPER_NOISE_LEVELS, SolverConfig, rows_from_csv, run_table
+from fredreg.experiment import format_summary, rows_to_csv
 
 out_path = os.path.join(tempfile.gettempdir(), "fredreg_rows.csv")
 rows = run_table(
@@ -20,9 +21,10 @@ rows = run_table(
     seeds=range(5),
     schemes="both",
     fixed_m=4,
-    out_path=out_path,
-    echo=True,
 )
+print(format_summary(rows))
+with open(out_path, "w", newline="") as handle:
+    handle.write(rows_to_csv(rows))
 
 print(f"\nwrote {len(rows)} rows to {out_path}")
 with open(out_path) as handle:

@@ -8,20 +8,25 @@ Two subcommands drive the built-in problem:
   printing median-aggregated results and optionally writing the row CSV.
 
 Exit codes: 0 on success, 2 on configuration errors (among them every
-level, count or index that is not an integer or is out of range) and
-when memory runs out, 3 when any run stopped for a reason other than
+level, count or index that is not an integer or is out of range), when
+memory runs out and when ``--out`` cannot be written (it is opened
+before the first solve), 3 when any run stopped for a reason other than
 the discrepancy rule, 4 on a numerical breakdown (a shifted system that
 Cholesky cannot factor).
 """
 
 import argparse
 import sys
+from contextlib import nullcontext
+from dataclasses import fields
 
 import numpy as np
 
 from .assembly import FactorizationError, OperatorCache, sample_grid
-from .experiment import PAPER_NOISE_LEVELS, _run_one, exact_problem, run_table
-from .iteration import SolverConfig
+from .experiment import (
+    PAPER_NOISE_LEVELS, _run_one, exact_problem, format_summary, rows_to_csv, run_table,
+)
+from .iteration import _GNM_VARIANTS, SolverConfig
 
 _OK_STOPS = ("discrepancy_met", "initial_below_threshold")
 
@@ -49,19 +54,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--alpha0", type=float, default=1.0, help="initial scale a_0")
-        p.add_argument("--q", type=float, default=0.25, help="geometric ratio in (0,1)")
-        p.add_argument("--C", type=float, default=2.01, help="discrepancy constant > 2")
-        p.add_argument("--eps", type=float, default=0.99, help="discrepancy exponent in (0,1)")
-        p.add_argument("--eta", type=float, default=10.0, help="level-rule relaxation >= 10")
-        p.add_argument("--max-iter", type=int, default=50, help="iteration cap")
-        p.add_argument("--m-cap", type=int, default=6, help="maximum dyadic level")
+        cfg = SolverConfig  # every solver default is the config's own
+        p.add_argument("--alpha0", type=float, default=cfg.alpha0, help="initial scale a_0")
+        p.add_argument("--q", type=float, default=cfg.q, help="geometric ratio in (0,1)")
+        p.add_argument("--C", type=float, default=cfg.C, help="discrepancy constant > 2")
+        p.add_argument("--eps", type=float, default=cfg.eps, help="discrepancy exponent in (0,1)")
+        p.add_argument("--eta", type=float, default=cfg.eta, help="level-rule relaxation >= 10")
+        p.add_argument("--max-iter", type=int, default=cfg.max_iter, help="iteration cap")
+        p.add_argument("--m-cap", type=int, default=cfg.m_cap, help="maximum dyadic level")
         p.add_argument(
             "--gnm-variant",
-            choices=("formal", "listing"),
-            default="formal",
+            choices=_GNM_VARIANTS,
+            default=cfg.gnm_variant,
             help="discrepancy recursion variant (keep or drop the 1-q factor)",
         )
+        p.add_argument("--fixed-m", type=int, default=4, help="level of the fixed scheme")
         p.add_argument("--out", default=None, help="output CSV path")
 
     solve = sub.add_parser("solve", help="run a single reconstruction")
@@ -71,7 +78,6 @@ def build_parser():
     solve.add_argument(
         "--scheme", choices=("adaptive", "fixed", "both"), default="adaptive"
     )
-    solve.add_argument("--fixed-m", type=int, default=4, help="level of the fixed scheme")
 
     table = sub.add_parser("table", help="run the noise-level sweep")
     add_common(table)
@@ -84,20 +90,16 @@ def build_parser():
     table.add_argument("--seed", type=_seed_list, default=None, help="explicit seed list")
     table.add_argument("--seeds", type=int, default=None, help="use seeds 0..n-1")
     table.add_argument("--scheme", choices=("adaptive", "fixed", "both"), default="both")
-    table.add_argument("--fixed-m", type=int, default=4, help="level of the fixed scheme")
 
     return parser
 
 
 def _config(args):
-    return SolverConfig(
-        alpha0=args.alpha0, q=args.q, C=args.C, eps=args.eps, eta=args.eta,
-        max_iter=args.max_iter, m_cap=args.m_cap, gnm_variant=args.gnm_variant,
-    )
+    # the solver flags' dest names are SolverConfig's field names
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
-def _cmd_solve(args):
-    config = _config(args)
+def _cmd_solve(args, config, out):
     level, seed = args.noise, args.seed
     problem = exact_problem()
     ops = OperatorCache(problem.kernel)
@@ -120,21 +122,19 @@ def _cmd_solve(args):
         print(f"  stop={outcome.stop_reason} n_delta={outcome.n_delta} "
               f"m_final={outcome.m_final} G_final={outcome.G_final:.6e} avg={row.avg:.6f}")
 
-    if args.out:
+    if out:
         t = 0.01 * np.arange(100)
         sols = {s: reconstructions[s].solution.evaluate(t) for s in schemes}
         lines = ["t," + ",".join(f"u_{s}" for s in schemes) + ",u_exact"]
         for i, ti in enumerate(t):
             vals = ",".join(repr(float(sols[s][i])) for s in schemes)
             lines.append(f"{float(ti)!r},{vals},{float(ti)!r}")
-        with open(args.out, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     failed = any(o.stop_reason not in _OK_STOPS for o in reconstructions.values())
     return 3 if failed else 0
 
 
-def _cmd_table(args):
-    config = _config(args)
+def _cmd_table(args, config, out):
     if args.seed is not None and args.seeds is not None:
         print("give either --seed or --seeds, not both", file=sys.stderr)
         return 2
@@ -155,9 +155,10 @@ def _cmd_table(args):
         seeds=seeds,
         schemes=args.scheme,
         fixed_m=args.fixed_m,
-        out_path=args.out,
-        echo=True,
     )
+    if out:
+        out.write(rows_to_csv(rows))
+    print(format_summary(rows))
     if any(r.stop_reason not in _OK_STOPS for r in rows):
         return 3
     return 0
@@ -166,10 +167,11 @@ def _cmd_table(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = _cmd_solve if args.command == "solve" else _cmd_table
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_table(args)
+        config = _config(args)
+        with open(args.out, "w", newline="") if args.out else nullcontext() as out:
+            return command(args, config, out)
     except FactorizationError as exc:
         # a LinAlgError, hence a ValueError: catch it first
         print(f"numerical breakdown: {exc}", file=sys.stderr)
@@ -180,6 +182,9 @@ def main(argv=None):
     except MemoryError as exc:
         # a level cap whose sample grid or operators cannot be allocated
         print(f"out of memory: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

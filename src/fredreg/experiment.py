@@ -10,8 +10,8 @@ Noise is injected on a fixed fine uniform grid and rescaled so that the
 discrete L2 norm of the perturbation hits the requested bound exactly;
 runs are deterministic given the seed. The harness sweeps noise levels
 and seeds over the adaptive and fixed-level schemes, computes the mean
-absolute reconstruction error on a 100-point grid, and emits CSV rows
-plus a median-aggregated summary table.
+absolute reconstruction error on a 100-point grid, and renders the rows
+as CSV and as a median-aggregated summary table.
 """
 
 import csv
@@ -155,16 +155,13 @@ def run_table(
     seeds=range(20),
     schemes="both",
     fixed_m=4,
-    out_path=None,
-    echo=True,
 ):
     """Sweep noise levels, seeds and schemes on the benchmark problem.
 
-    Produces one :class:`ExperimentRow` per combination, optionally
-    writes them as CSV, and (with ``echo``) prints a median-aggregated
-    summary with one line per noise level. A failed stopping rule is
-    recorded in the row's ``stop_reason``, never raised. Returns the
-    row list.
+    Returns one :class:`ExperimentRow` per combination, in (level, seed,
+    scheme) order, and writes or prints nothing: :func:`rows_to_csv` and
+    :func:`format_summary` render them. A failed stopping rule is
+    recorded in the row's ``stop_reason``, never raised.
     """
     config = config or SolverConfig()
     if schemes == "both":
@@ -185,11 +182,6 @@ def run_table(
                     ops, problem, f_exact_samples, level, seed, scheme, config, fixed_m
                 )
                 rows.append(row)
-    if out_path is not None:
-        with open(out_path, "w", newline="") as handle:
-            handle.write(rows_to_csv(rows))
-    if echo:
-        print(format_summary(rows))
     return rows
 
 

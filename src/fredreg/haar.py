@@ -66,18 +66,15 @@ def _tables(m):
     are set to the full interval and are not used by the fast paths.
     """
     n = 2 ** m
-    amp = np.zeros(n)
-    left = np.zeros(n)
-    mid = np.zeros(n)
-    right = np.zeros(n)
-    amp[0], left[0], mid[0], right[0] = 1.0, 0.0, 0.5, 1.0
-    for j in range(2, n + 1):
-        l, p = split_index(j)
-        w = 1.0 / 2 ** (l - 1)
-        amp[j - 1] = 2.0 ** ((l - 1) / 2.0)
-        left[j - 1] = (p - 1) * w
-        mid[j - 1] = (p - 1) * w + w / 2.0
-        right[j - 1] = p * w
+    amp, left, width = np.ones(n), np.zeros(n), np.ones(n)
+    for l in range(1, m + 1):
+        # j = k + p for offsets p = 1..k share the support width 1/k; every
+        # left end, width, midpoint and right end is an exact dyadic number
+        k = 2 ** (l - 1)
+        amp[k : 2 * k] = 2.0 ** ((l - 1) / 2.0)
+        left[k : 2 * k] = np.arange(k) * (1.0 / k)
+        width[k : 2 * k] = 1.0 / k
+    mid, right = left + width / 2.0, left + width
     for a in (amp, left, mid, right):
         a.setflags(write=False)
     return amp, left, mid, right
@@ -296,13 +293,6 @@ def exp_t_haar_matrix(c, m, *, out=None, start=0):
 # ---------------------------------------------------------------------------
 # the pyramid transform pair and projection
 # ---------------------------------------------------------------------------
-
-def _level_of(length):
-    m = int(length).bit_length() - 1
-    if 2 ** m != length:
-        raise ValueError(f"coefficient length must be a power of two, got {length}")
-    return m
-
 
 def _analysis(cells, m):
     """``<f, Phi_j>``, ``j = 1..2**m``, from the integrals of ``f`` over the ``2**m`` finest cells.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import solve_spd_shifted
-from .haar import HaarCoefficients, _check_grid, _check_level, _level_of
+from .haar import HaarCoefficients, _check_grid, _check_level
 
 _GNM_VARIANTS = ("formal", "listing")
 
@@ -111,8 +111,9 @@ class SolveOutcome:
     ``stop_reason`` is one of ``discrepancy_met`` (the rule fired at
     some ``n > 1``), ``initial_below_threshold`` (the rule already held
     at ``n = 1``, outside the standing assumption of the analysis),
-    ``max_iter``, or ``m_cap`` (iteration budget exhausted while the
-    level schedule was clamped at the cap).
+    ``max_iter``, or ``m_cap`` (iteration budget exhausted after some
+    step was capped: its raw level ``m_raw`` exceeded its level ``m``,
+    which ``capped`` records; the fixed scheme never caps).
     """
 
     solution: HaarCoefficients
@@ -157,37 +158,6 @@ def rank_schedule(a, c1, eta, m_cap=None):
     return m
 
 
-def dsm_step(u, zeta, q):
-    """One blend step: returns ``q * pad(u) + (1 - q) * zeta``.
-
-    ``zeta`` has length ``2**m_n``; the previous iterate ``u`` is
-    zero-padded into the (nested) finer span before blending. Level
-    shrinkage is rejected. ``q`` is not range-checked here so the
-    degenerate endpoints remain usable in algebraic tests.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    m_prev, m_new = _level_of(len(u)), _level_of(len(zeta))
-    if m_new < m_prev:
-        raise ValueError(f"level must not shrink: {m_prev} -> {m_new}")
-    padded = np.zeros(len(zeta))
-    padded[: len(u)] = u
-    return q * padded + (1.0 - q) * zeta
-
-
-def discrepancy_update(g_prev, a, gamma_norm, q, variant="formal"):
-    """Advance the discrepancy functional one step.
-
-    ``formal`` computes ``q*G + (1-q)*a*|gamma|``; ``listing`` drops
-    the ``(1-q)`` factor on the increment.
-    """
-    if g_prev < 0 or a < 0 or gamma_norm < 0:
-        raise ValueError("discrepancy inputs must be non-negative")
-    if variant not in _GNM_VARIANTS:
-        raise ValueError(f"variant must be one of {_GNM_VARIANTS}")
-    factor = 1.0 if variant == "listing" else (1.0 - q)
-    return q * g_prev + factor * a * gamma_norm
-
-
 def _check_data(f_samples, delta):
     """Reject non-finite samples and a noise bound that is not finite and positive."""
     if not np.all(np.isfinite(np.asarray(f_samples, dtype=float))):
@@ -214,27 +184,34 @@ def _run_loop(delta, config, systems):
     """Shared driver: systems(a, m_prev) -> (m_raw, m, L, v, g).
 
     ``L`` is the factor of ``a I + A``; the update solves it against
-    ``v`` and the discrepancy solve against ``g``.
+    ``v`` and the discrepancy solve against ``g``. The blend zero-pads
+    ``u_{n-1}`` into the (nested) finer span, and the increment of
+    ``G_n`` carries the factor ``c``: ``1 - q`` for "formal", 1 for
+    "listing". A step is capped when its raw level exceeds its level.
     """
     threshold = config.C * delta ** config.eps
+    q = config.q
+    c = 1.0 if config.gnm_variant == "listing" else 1.0 - q
     a, m, u, G = config.alpha0, 0, np.zeros(1), 0.0
     trace = []
-    capped = False
+    reason = "max_iter"
     for n in range(1, config.max_iter + 1):
-        a = a * config.q
+        a = a * q
         m_raw, m, factor, v, g = systems(a, m)
-        capped = capped or (m_raw > config.m_cap)
         zeta = solve_spd_shifted(factor, v)
         gamma = solve_spd_shifted(factor, g)
-        u = dsm_step(u, zeta, config.q)
+        padded = np.zeros(len(zeta))  # np.pad costs 15x more per call
+        padded[: len(u)] = u
+        u = q * padded + (1.0 - q) * zeta
         gamma_norm = _norm(gamma)
-        G = discrepancy_update(G, a, gamma_norm, config.q, config.gnm_variant)
+        G = q * G + c * a * gamma_norm
         trace.append(StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=G))
         if G <= threshold:
             reason = "discrepancy_met" if n > 1 else "initial_below_threshold"
             break
-    else:
-        reason = "m_cap" if capped else "max_iter"
+    capped = any(rec.m_raw > rec.m for rec in trace)
+    if capped and reason == "max_iter":
+        reason = "m_cap"
     return SolveOutcome(
         solution=HaarCoefficients(level=m, values=u),
         n_delta=len(trace),

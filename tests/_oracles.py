@@ -25,7 +25,6 @@ from fredreg.assembly import solve_spd_shifted
 from fredreg.haar import (
     HaarCoefficients,
     _gauss_cell_nodes,
-    _level_of,
     _tables,
     exp_haar_matrix,
     split_index,
@@ -93,9 +92,12 @@ def join_index(l, p):
 
 
 def coefficients(values):
-    """:class:`HaarCoefficients` of ``values``, whose length must be a power of two."""
+    """:class:`HaarCoefficients` of ``values``, whose length must be a power of two.
+
+    ``HaarCoefficients`` rejects any other length: it does not match the level.
+    """
     values = np.asarray(values, dtype=float)
-    return HaarCoefficients(level=_level_of(len(values)), values=values)
+    return HaarCoefficients(level=len(values).bit_length() - 1, values=values)
 
 
 def forward_residual(problem, n_points=1024):

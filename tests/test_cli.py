@@ -1,7 +1,11 @@
+import inspect
+
 import pytest
 
-from fredreg.cli import main
+from fredreg import cli, experiment
+from fredreg.cli import _config, build_parser, main
 from fredreg.experiment import CSV_COLUMNS, rows_from_csv, run_table
+from fredreg.iteration import SolverConfig
 
 
 def test_help_runs(capsys):
@@ -37,7 +41,7 @@ def test_solve_and_table_report_the_same_run(capsys, scheme):
     # same noise level, seed and scheme, in the same format
     assert main(["solve", "--noise", "0.01", "--seed", "3", "--scheme", scheme]) == 0
     summary = capsys.readouterr().out.splitlines()[-1].strip()
-    [row] = run_table(levels=[0.01], seeds=[3], schemes=scheme, echo=False)
+    [row] = run_table(levels=[0.01], seeds=[3], schemes=scheme)
     assert summary == (
         f"stop={row.stop_reason} n_delta={row.n_iters} m_final={row.m_final} "
         f"G_final={row.G_final:.6e} avg={row.avg:.6f}"
@@ -70,6 +74,43 @@ def test_table_small_sweep(capsys, tmp_path):
     rows = rows_from_csv(text)
     assert len(rows) == 2 * 2 * 2
     assert all(r.stop_reason == "discrepancy_met" for r in rows)
+
+
+def test_table_writes_csv_file(tmp_path, monkeypatch):
+    # the --out file holds exactly the rows run_table returned, wall times included
+    returned = []
+
+    def spy(**kwargs):
+        returned.extend(run_table(**kwargs))
+        return returned
+
+    monkeypatch.setattr(cli, "run_table", spy)
+    path = tmp_path / "rows.csv"
+    code = main([
+        "table", "--noise", "0.05", "--seeds", "2", "--scheme", "adaptive", "--out", str(path),
+    ])
+    assert code == 0
+    assert len(returned) == 2
+    assert rows_from_csv(path.read_text()) == returned
+
+
+@pytest.mark.parametrize("cmd", ["solve", "table"])
+def test_defaults_are_the_config_and_run_table_defaults(cmd):
+    args = build_parser().parse_args([cmd])
+    assert _config(args) == SolverConfig()
+    assert args.fixed_m == inspect.signature(run_table).parameters["fixed_m"].default
+
+
+@pytest.mark.parametrize("cmd", ["solve", "table"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_is_refused_before_any_run(capsys, tmp_path, monkeypatch, cmd, where):
+    runs = []
+    monkeypatch.setattr(experiment, "run_adaptive", lambda *a: runs.append(a))
+    out = tmp_path / "missing" / "u.csv" if where == "missing_dir" else tmp_path
+    argv = [cmd, "--scheme", "adaptive", "--out", str(out)]
+    assert main(argv + (["--seeds", "1"] if cmd == "table" else [])) == 2
+    assert capsys.readouterr().err.startswith("cannot write output:")
+    assert runs == []
 
 
 def test_table_explicit_seed_list(tmp_path):

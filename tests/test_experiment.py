@@ -142,7 +142,6 @@ def small_rows():
         seeds=range(3),
         schemes="both",
         fixed_m=4,
-        echo=False,
     )
 
 
@@ -184,8 +183,7 @@ class TestRunTable:
             seeds=range(3),
             schemes="both",
             fixed_m=4,
-            echo=False,
-        )
+            )
         for a, b in zip(small_rows, again):
             assert (a.delta_rel, a.scheme, a.seed) == (b.delta_rel, b.scheme, b.seed)
             assert a.avg == b.avg
@@ -206,22 +204,9 @@ class TestRunTable:
         ada = [r.m_final for r in small_rows if r.scheme == "adaptive" and r.delta_rel == 0.05]
         assert max(ada) <= 3  # dimension 2**3 <= 2**4 / 2
 
-    def test_writes_csv_file(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        rows = run_table(
-            config=SolverConfig(),
-            levels=(0.05,),
-            seeds=range(2),
-            schemes="adaptive",
-            out_path=str(path),
-            echo=False,
-        )
-        parsed = rows_from_csv(path.read_text())
-        assert parsed == rows
-
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
-            run_table(schemes="noisy", echo=False)
+            run_table(schemes="noisy")
 
     def test_flagged_rows_do_not_raise(self):
         rows = run_table(
@@ -229,6 +214,5 @@ class TestRunTable:
             levels=(0.0005,),
             seeds=range(1),
             schemes="adaptive",
-            echo=False,
-        )
+            )
         assert rows[0].stop_reason == "max_iter"

@@ -199,6 +199,19 @@ class TestIndexing:
     def test_accepts_numpy_integers(self):
         assert split_index(np.int64(5)) == (3, 1)
 
+    @pytest.mark.parametrize("m", range(13))
+    def test_tables_match_the_per_index_definition(self, m):
+        # the module docstring's support and amplitude of every Phi_j, j >= 2,
+        # index by index; the constant Phi_1 has amplitude 1 on [0, 1]
+        want = [[1.0], [0.0], [0.5], [1.0]]
+        for j in range(2, 2 ** m + 1):
+            l, p = split_index(j)
+            w = 1.0 / 2 ** (l - 1)
+            for col, value in zip(want, (2.0 ** ((l - 1) / 2), (p - 1) * w, (p - 0.5) * w, p * w)):
+                col.append(value)
+        for got, expected in zip(_tables(m), want):
+            np.testing.assert_array_equal(got, expected, strict=True)
+
 
 class TestEval:
     def test_constant(self):

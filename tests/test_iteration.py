@@ -19,8 +19,6 @@ from fredreg.assembly import (
 from fredreg.experiment import NoiseSpec, add_noise, exact_problem
 from fredreg.iteration import (
     SolverConfig,
-    discrepancy_update,
-    dsm_step,
     rank_schedule,
     run_adaptive,
     run_fixed,
@@ -186,63 +184,6 @@ class TestRankSchedule:
             rank_schedule(1e-6, C1, 10.0, m_cap=m_cap)
 
 
-class TestDsmStep:
-    def test_first_step_from_zero(self):
-        zeta = np.array([1.0, 2.0, 3.0, 4.0])
-        new = dsm_step(np.zeros(1), zeta, 0.25)
-        np.testing.assert_allclose(new, 0.75 * zeta, atol=0)
-
-    def test_fixed_point(self):
-        u = np.array([1.0, -2.0])
-        new = dsm_step(u, u, 0.25)
-        np.testing.assert_allclose(new, u, atol=1e-16)
-
-    def test_degenerate_blend_q_zero(self):
-        u = np.array([1.0, -2.0])
-        zeta = np.array([5.0, 6.0])
-        new = dsm_step(u, zeta, 0.0)
-        np.testing.assert_array_equal(new, zeta)
-
-    def test_padding_on_growth(self):
-        u = np.array([1.0, 1.0])
-        zeta = np.zeros(8)
-        new = dsm_step(u, zeta, 0.5)
-        np.testing.assert_allclose(new, [0.5, 0.5, 0, 0, 0, 0, 0, 0], atol=0)
-
-    def test_rejects_shrink(self):
-        with pytest.raises(ValueError):
-            dsm_step(np.ones(8), np.ones(4), 0.25)
-
-
-class TestDiscrepancyUpdate:
-    def test_example(self):
-        assert discrepancy_update(0.0, 0.25, 2.0, 0.25) == pytest.approx(0.375, abs=0)
-
-    def test_zero_gamma(self):
-        assert discrepancy_update(0.8, 0.25, 0.0, 0.25) == pytest.approx(0.2, abs=0)
-
-    def test_listing_variant_drops_factor(self):
-        formal = discrepancy_update(1.0, 0.5, 3.0, 0.25, variant="formal")
-        listing = discrepancy_update(1.0, 0.5, 3.0, 0.25, variant="listing")
-        assert formal == pytest.approx(0.25 + 0.75 * 1.5)
-        assert listing == pytest.approx(0.25 + 1.5)
-
-    def test_geometric_decay_limit(self):
-        # constant gamma with a_n = q^n drives G to zero
-        q, g = 0.25, 1.0
-        G, a = 0.0, 1.0
-        for _ in range(60):
-            a *= q
-            G = discrepancy_update(G, a, g, q)
-        assert G < 1e-30
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            discrepancy_update(-1.0, 0.1, 1.0, 0.25)
-        with pytest.raises(ValueError):
-            discrepancy_update(0.0, 0.1, 1.0, 0.25, variant="other")
-
-
 class TestSolverConfig:
     def test_defaults_are_benchmark_preset(self):
         cfg = SolverConfig()
@@ -391,6 +332,22 @@ class TestRunAdaptive:
         with pytest.raises(ValueError):
             run_adaptive(ops, samples, None, SolverConfig())
 
+    @pytest.mark.parametrize("variant", ["formal", "listing"])
+    def test_trace_follows_the_discrepancy_recursion(self, bench, variant):
+        # G_n = q G_{n-1} + c a_n |gamma_n|, c = 1 - q ("formal") or 1 ("listing"),
+        # in this operation order, so every step matches exactly
+        _, ops, samples = bench
+        noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.005, seed=1))
+        cfg = SolverConfig(gnm_variant=variant)
+        out = run_adaptive(ops, noisy, dabs, cfg)
+        assert out.n_delta > 3
+        c = 1.0 if variant == "listing" else 1.0 - cfg.q
+        G = 0.0
+        for rec in out.trace:
+            G = cfg.q * G + c * rec.a * rec.gamma_norm
+            assert rec.G == G
+        assert out.G_final == G
+
     def test_gamma_norm_does_not_underflow(self, bench):
         # at alpha0 = 1e200 every entry of gamma is about 1e-200, whose square
         # underflows; the run must match the one at 1e150 step for step
@@ -414,6 +371,16 @@ class TestRunFixed:
         assert out.stop_reason == "discrepancy_met"
         assert out.m_final == 4
         assert all(rec.m == 4 for rec in out.trace)
+
+    def test_level_above_the_cap_is_not_capped(self, bench):
+        # the fixed scheme never clamps its level, so m_cap does not name
+        # the stop reason even when the fixed level exceeds it
+        _, ops, samples = bench
+        noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.05, seed=0))
+        out = run_fixed(ops, noisy, dabs, SolverConfig(m_cap=6, max_iter=2), 8)
+        assert out.stop_reason == "max_iter"
+        assert out.capped is False
+        assert all(rec.m == rec.m_raw == 8 for rec in out.trace)
 
     def test_adaptive_uses_smaller_space_at_high_noise(self, bench):
         _, ops, samples = bench
