@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# exp_t_haar_matrix is unused here, but perfbench/tracing.py wraps this name
 from .haar import (
     exp_haar_matrix,
     exp_t_haar_matrix,
@@ -359,25 +360,23 @@ class OperatorCache:
         ``m`` and the first ``2**m0`` basis columns, so the finest held
         level ``m0`` is the block ``[::k, :2**m0]`` of level ``m``, bit
         for bit. That block is copied; the fills write the rest, the
-        rows of level ``m0`` from wavelet level ``m0 + 1`` on. The fills
-        are looked up as module globals on every call, so a tracer that
-        replaces them sees each one.
+        rows of level ``m0`` from wavelet level ``m0 + 1`` on. Each fill
+        writes both through ``exp_haar_matrix(..., t_out=)``, looked up as
+        a module global on every call, so a tracer that replaces it sees it.
         """
         c = sample_grid(m)[:-1]
+        e0, e1 = np.empty((len(c), 2 ** m)), np.empty((len(c), 2 ** m))
         held = [key[1] for key in self._store if key[0] == "adjoint" and key[1] < m]
         m0 = max(held, default=None)
         if m0 is None:
-            return exp_haar_matrix(c, m), exp_t_haar_matrix(c, m)
+            return exp_haar_matrix(c, m, out=e0, t_out=e1), e1
         k = 2 ** (m - m0)
-        pair = []
-        for fill, coarse in zip((exp_haar_matrix, exp_t_haar_matrix), self._store["adjoint", m0]):
-            out = np.empty((len(c), 2 ** m))
+        for out, coarse in zip((e0, e1), self._store["adjoint", m0]):
             out[::k, : 2 ** m0] = coarse
-            fill(c[::k], m, out=out[::k], start=m0 + 1)
-            for j in range(1, k):
-                fill(c[j::k], m, out=out[j::k])
-            pair.append(out)
-        return tuple(pair)
+        exp_haar_matrix(c[::k], m, out=e0[::k], start=m0 + 1, t_out=e1[::k])
+        for j in range(1, k):
+            exp_haar_matrix(c[j::k], m, out=e0[j::k], t_out=e1[j::k])
+        return e0, e1
 
     def rhs(self, f_samples, m):
         """Coefficients ``v_i = <Km* f, Phi_i>`` of the approximate adjoint, ``m >= 1``.

@@ -18,12 +18,11 @@ the finest cells, projection onto the span, and a coefficient
 container.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# numpy loads this submodule lazily; load it with fredreg, not in the first request
-from numpy.polynomial.legendre import leggauss
 
 # Below this value of c * (support width), the exponential inner products
 # switch to truncated Taylor expansions of the piece integrals.
@@ -32,8 +31,8 @@ _SMALL_C_WIDTH = 1e-6
 # right-hand side, which is the same function).
 _SMALL_C_MOMENT = 1e-3
 # Entries per block of the whole-row wavelet fill; bounds each temporary
-# array of one block at this many doubles (512 KB).
-_FILL_ENTRIES = 65536
+# array of one block at this many doubles (256 KB).
+_FILL_ENTRIES = 32768
 # Above this rate expm1(c) overflows (and sinh(c*h/2)**2 from about twice
 # it), so the moment formulas would give NaN.
 _MAX_RATE = float(np.log(np.finfo(float).max))
@@ -119,74 +118,14 @@ def _wavelet_levels(m, first=1):
         yield slice(j, 2 * j), amp[j], mid[j] - left[j], right[j] - left[j]
 
 
-def _block_rows(n_cols):
-    """Rows per block of the whole-row fill of ``n_cols`` wavelet columns."""
-    return max(1, _FILL_ENTRIES // n_cols)
+def _column0_exp(c, cs):
+    taylor = 1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0
+    return np.where(c < _SMALL_C_WIDTH, taylor, -np.expm1(-cs) / cs)
 
 
-def _fill(c, m, out, start, column0, block, taylor):
-    """The fill of :func:`exp_haar_matrix` and :func:`exp_t_haar_matrix`.
-
-    Checks the rates, ``m``, ``start`` and ``out`` (a new array unless
-    given), writes column 0 as ``column0(c, cs)``, with ``cs`` being ``c``
-    with 0 read as 1, and the wavelet columns of levels ``max(start, 1)..m``
-    in blocks of whole rows. For each block, ``block(C, Cs, A, H, x, e,
-    expand, out)`` gets the block's ``c`` and ``cs`` as columns ``C`` and
-    ``Cs``, the levels' amplitudes ``A`` and piece widths ``H`` as rows,
-    ``x = -c * mid`` and ``e = exp(x)`` over the levels' columns, ``expand``,
-    which repeats an array of per-(row, level) factors to the levels'
-    columns, and the block of ``out`` to write. ``x`` and ``e`` live in two
-    arrays made once per call, so that a block frees at most one
-    temporary: when every block freed all of its temporaries, the C
-    allocator handed the memory back to the system and the next block
-    faulted it in again. Last, the rows with ``c`` times a level's support
-    width below 1e-6 get ``taylor(C, amp, left, mid, right)`` on that
-    level's columns.
-    """
-    c = _rates(c)
-    _check_level("level", m, 0)
-    if isinstance(start, bool) or not isinstance(start, (int, np.integer)) or not 0 <= start <= m:
-        raise ValueError(f"start must be an integer in [0, {m}], got {start!r}")
-    if out is None:
-        if start > 0:
-            raise ValueError("a fill from a wavelet level needs out holding the columns before it")
-        out = np.empty((len(c), 2 ** m))
-    elif out.shape != (len(c), 2 ** m) or out.dtype != np.float64:
-        raise ValueError(
-            f"out must be a float64 array of shape {(len(c), 2 ** m)}, "
-            f"got {out.dtype} {out.shape}"
-        )
-    cs = np.where(c == 0.0, 1.0, c)
-    if start == 0:
-        out[:, 0] = column0(c, cs)
-    levels = list(_wavelet_levels(m, max(start, 1)))
-    if not levels:
-        return out
-    col0 = levels[0][0].start
-    n_cols = 2 ** m - col0
-    counts = [cols.stop - cols.start for cols, *_ in levels]
-    A = np.array([[a for _, a, _, _ in levels]])
-    H = np.array([[h for _, _, h, _ in levels]])
-    tables = _tables(m)
-    mid = tables[2][None, col0:]
-    C, Cs = c[:, None], cs[:, None]
-    step = _block_rows(n_cols)
-    x_buf, e_buf = (np.empty((min(step, len(c)), n_cols)) for _ in range(2))
-
-    def expand(factor):
-        return np.repeat(factor, counts, axis=1)
-
-    for r0 in range(0, len(c), step):
-        rows = slice(r0, r0 + step)
-        n = len(C[rows])
-        x = np.multiply(-C[rows], mid, out=x_buf[:n])  # -(c * mid), exactly
-        e = np.exp(x, out=e_buf[:n])
-        block(C[rows], Cs[rows], A, H, x, e, expand, out[rows, col0:])
-    for cols, _, _, w in levels:
-        small = c * w < _SMALL_C_WIDTH
-        if small.any():
-            out[small, cols] = taylor(C[small], *(t[None, cols] for t in tables))
-    return out
+def _column0_exp_t(c, cs):
+    taylor1 = 0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
+    return np.where(c < _SMALL_C_MOMENT, taylor1, np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2)
 
 
 def _taylor_exp(C, A, T0, T1, T2):
@@ -214,7 +153,112 @@ def _taylor_exp_t(C, A, T0, T1, T2):
     return A * (moment(T0, T1) - moment(T1, T2))
 
 
-def exp_haar_matrix(c, m, *, out=None, start=0):
+def _output(out, c, m, start):
+    """``out`` once checked, or a new array for None (which needs ``start = 0``)."""
+    if out is None:
+        if start > 0:
+            raise ValueError("a fill from a wavelet level needs out holding the columns before it")
+        return np.empty((len(c), 2 ** m))
+    if out.shape != (len(c), 2 ** m) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array of shape {(len(c), 2 ** m)}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    return out
+
+
+def _in_halves(work, n, step):
+    """``work(0, half)`` here and ``work(half, n)`` on one helper thread, unless ``n <= step``.
+
+    The split is fixed, so the bits do not depend on the core count. The
+    helper is joined before this returns; its exception is raised here.
+    """
+    if n <= step:
+        return work(0, n)
+    half, failed = (n + 1) // 2, []
+
+    def helper():
+        try:
+            work(half, n)
+        except BaseException as error:
+            failed.append(error)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        work(0, half)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _fill(c, m, start, outs, wanted):
+    """The pair (:func:`exp_haar_matrix`, :func:`exp_t_haar_matrix`) written into ``outs``.
+
+    Checks the inputs; an output not ``wanted`` is None and skipped. Per block,
+    ``x = -c*mid``, ``e = exp(x)`` and ``sinh(c*h/2)**2`` serve both; ``x`` and
+    ``e`` reuse two arrays per half (no block hands memory back to the system to
+    fault it in again), and each output is formed contiguously, then copied.
+    """
+    c = _rates(c)
+    _check_level("level", m, 0)
+    if isinstance(start, bool) or not isinstance(start, (int, np.integer)) or not 0 <= start <= m:
+        raise ValueError(f"start must be an integer in [0, {m}], got {start!r}")
+    out, t_out = outs = [_output(o, c, m, start) if w else None for o, w in zip(outs, wanted)]
+    cs = np.where(c == 0.0, 1.0, c)
+    pairs = ((out, _column0_exp, _taylor_exp), (t_out, _column0_exp_t, _taylor_exp_t))
+    outputs = [pair for pair in pairs if pair[0] is not None]
+    for target, column0, _ in outputs if start == 0 else ():
+        target[:, 0] = column0(c, cs)
+    levels = list(_wavelet_levels(m, max(start, 1)))
+    if not levels:
+        return outs
+    col0 = levels[0][0].start
+    n_cols = 2 ** m - col0
+    counts = [cols.stop - cols.start for cols, *_ in levels]
+    A = np.array([[a for _, a, _, _ in levels]])
+    H = np.array([[h for _, _, h, _ in levels]])
+    tables = _tables(m)
+    mid = tables[2][None, col0:]
+    C, Cs = c[:, None], cs[:, None]
+    step = max(1, _FILL_ENTRIES // n_cols)  # rows per block
+
+    def expand(factor):
+        return np.repeat(factor, counts, axis=1)
+
+    def fill_rows(first, stop):
+        x_buf, e_buf = np.empty((2, min(step, stop - first), n_cols))
+        for r0 in range(first, stop, step):
+            rows = slice(r0, min(r0 + step, stop))
+            Cr, Csr = C[rows], Cs[rows]
+            x = np.multiply(-Cr, mid, out=x_buf[: len(Cr)])  # -(c * mid), exactly
+            e = np.exp(x, out=e_buf[: len(Cr)])
+            sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
+            if out is not None:
+                plain = expand(A / Csr)
+                plain *= e
+                plain *= 4.0
+                plain *= sinh2
+                out[rows, col0:] = plain
+            if t_out is not None:
+                np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
+                x *= 4.0
+                x *= sinh2
+                x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
+                e *= expand(A / Csr ** 2)
+                x *= e
+                t_out[rows, col0:] = x
+
+    _in_halves(fill_rows, len(c), step)
+    for cols, _, _, w in levels:
+        small = c * w < _SMALL_C_WIDTH
+        for target, _, taylor in outputs if small.any() else ():
+            target[small, cols] = taylor(C[small], *(t[None, cols] for t in tables))
+    return outs
+
+
+def exp_haar_matrix(c, m, *, out=None, start=0, t_out=None):
     """Matrix of ``int_0^1 exp(-c_k t) Phi_j(t) dt`` for ``j = 1..2**m``.
 
     Parameters
@@ -230,64 +274,38 @@ def exp_haar_matrix(c, m, *, out=None, start=0):
         First level filled: 0 (the default) fills every column; ``l >= 1``
         fills the wavelet columns of levels ``l..m`` only and leaves the
         first ``2**(l-1)`` columns of ``out`` as they are.
+    t_out : ndarray, optional
+        A second such array; the same pass writes :func:`exp_t_haar_matrix`
+        of ``c``, ``m`` and ``start`` into it.
 
     The wavelet columns use the cancellation-free form
     ``((A/c) * exp(-c*mid) * 4) * sinh(c*h/2)**2`` (``A`` the amplitude,
     ``h`` the piece width), with a Taylor branch when ``c`` times the
     support width is below 1e-6. Column ``j = 1`` is ``-expm1(-c)/c``.
 
-    The wavelet columns are filled in blocks of whole rows, straight
-    into the result: ``A/c`` and ``sinh(c*h/2)**2`` are evaluated once
-    per row and level and repeated to the level's columns, ``exp`` once
-    per entry, and the Taylor branch only on the rows below the
-    threshold. Every entry keeps the operation sequence of the
-    elementwise formula, so the result is bit-identical to it; peak
-    memory is the result plus the temporaries of one block.
+    The wavelet columns are filled in blocks of whole rows (32 768
+    entries), the first half of the rows on the calling thread and the
+    second on one helper thread: ``exp`` once per entry for both outputs,
+    every factor of the row and level alone once per row and level. Every
+    entry keeps the operation sequence of the elementwise formula, so the
+    result is bit-identical to it on any number of cores; peak memory is
+    the results plus one block per thread.
     """
-    def column0(c, cs):
-        return np.where(
-            c < _SMALL_C_WIDTH,
-            1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0,
-            -np.expm1(-cs) / cs,
-        )
-
-    def block(C, Cs, A, H, x, e, expand, out):
-        e *= expand(A / Cs)
-        e *= 4.0
-        np.multiply(e, expand(np.sinh(C * H / 2.0) ** 2), out=out)
-
-    return _fill(c, m, out, start, column0, block, _taylor_exp)
+    return _fill(c, m, start, (out, t_out), (True, t_out is not None))[0]
 
 
-def exp_t_haar_matrix(c, m, *, out=None, start=0):
+def exp_t_haar_matrix(c, m):
     """Matrix of ``int_0^1 t exp(-c_k t) Phi_j(t) dt``, shape ``(len(c), 2**m)``.
 
     Companion of :func:`exp_haar_matrix` for the t-weighted moment that
-    appears in the first-order Taylor replacement of the adjoint; ``out``
-    and ``start`` work the same way. The wavelet columns are
+    appears in the first-order Taylor replacement of the adjoint; to write
+    it into an array, or from a level on, pass that array as
+    ``exp_haar_matrix``'s ``t_out``. The wavelet columns are
     ``((A/c**2) * exp(-c*mid)) * bracket`` with
     ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
-    filled in blocks of whole rows like :func:`exp_haar_matrix`:
-    ``A/c**2``, ``sinh(c*h/2)**2`` and ``2*c*h*sinh(c*h)`` once per row
-    and level, ``exp`` once per entry, the Taylor branch only below the
-    threshold, and the result bit-identical to the elementwise formula.
+    filled like :func:`exp_haar_matrix` and bit-identical to the formula.
     """
-    def column0(c, cs):
-        direct = np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2
-        taylor1 = (
-            0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
-        )
-        return np.where(c < _SMALL_C_MOMENT, taylor1, direct)
-
-    def block(C, Cs, A, H, x, e, expand, out):
-        np.subtract(1.0, x, out=x)      # c * mid + 1.0, exactly
-        x *= 4.0
-        x *= expand(np.sinh(C * H / 2.0) ** 2)
-        x -= expand(2.0 * C * H * np.sinh(C * H))
-        e *= expand(A / Cs ** 2)
-        np.multiply(e, x, out=out)
-
-    return _fill(c, m, out, start, column0, block, _taylor_exp_t)
+    return _fill(c, m, 0, (None, None), (False, True))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +380,9 @@ class HaarCoefficients:
 
 
 def _gauss_cell_nodes(m, nodes_per_cell):
+    # imported by its only user, so a run without Galerkin matrix or callable
+    # project never loads it (sweep's set-up builds the Galerkin matrix)
+    from numpy.polynomial.legendre import leggauss
     gx, gw = leggauss(nodes_per_cell)
     n = 2 ** m
     w = 1.0 / n

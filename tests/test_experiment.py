@@ -16,8 +16,9 @@ from fredreg.experiment import (
     sample_grid,
     trapezoid_norm,
 )
+from fredreg.assembly import OperatorCache
 from fredreg.haar import project
-from fredreg.iteration import SolverConfig
+from fredreg.iteration import SolverConfig, run_adaptive
 
 from _oracles import coefficients, forward_residual
 
@@ -216,3 +217,32 @@ class TestRunTable:
             schemes="adaptive",
             )
         assert rows[0].stop_reason == "max_iter"
+
+
+class TestConvergence:
+    """The paper's claim, ``u_{n_delta} -> u`` as ``delta -> 0``, at ``m_cap = 8``."""
+
+    LEVELS = (5e-2, 1e-2, 5e-3, 5e-4, 1e-4, 1e-5, 1e-6, 1e-7)
+
+    def test_median_avg_falls_as_the_noise_vanishes(self):
+        # one m_cap = 8 cache for the 24 adaptive runs (about 1.2 s)
+        problem = exact_problem()
+        config = SolverConfig(m_cap=8)
+        ops = OperatorCache(problem.kernel)
+        f_exact = problem.exact_rhs(sample_grid(config.m_cap))
+        medians, capped = [], set()
+        for level in self.LEVELS:
+            avgs = []
+            for seed in range(3):
+                noisy, delta = add_noise(f_exact, NoiseSpec(rel_level=level, seed=seed))
+                outcome = run_adaptive(ops, noisy, delta, config)
+                avgs.append(avg_error(outcome.solution, problem.exact_solution))
+                if outcome.capped:
+                    capped.add((level, seed))
+            medians.append(float(np.median(avgs)))
+        assert all(b <= a for a, b in zip(medians, medians[1:])), medians
+        # measured 0.248 at 5e-2 down to 0.00102 at 1e-7
+        assert medians[0] > 0.2 and medians[-1] < 0.0015, medians
+        # the runs at 5e-2 and 1e-2 ask for raw levels 3 and 7 and are not
+        # capped; every run from 5e-3 on asks for 9 to 29 and is capped at 8
+        assert capped == {(level, seed) for level in self.LEVELS[2:] for seed in range(3)}

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fredreg import haar
 from fredreg.haar import (
     exp_haar_matrix,
     exp_t_haar_matrix,
@@ -12,7 +18,7 @@ from fredreg.haar import (
     project,
     split_index,
     _analysis,
-    _block_rows,
+    _FILL_ENTRIES,
     _SMALL_C_MOMENT,
     _SMALL_C_WIDTH,
     _gauss_cell_nodes,
@@ -166,7 +172,7 @@ def _hand_rates():
         10.0 ** rng.uniform(-12.0, 1.0, 300),
     ])
     rng.shuffle(c)
-    assert all(len(c) % _block_rows(2 ** m - 1) != 0 for m in range(1, 10))
+    assert all(len(c) % max(1, _FILL_ENTRIES // (2 ** m - 1)) != 0 for m in range(1, 10))
     return c
 
 
@@ -346,79 +352,172 @@ def _fill_inputs(m):
     }
 
 
+def _pair(c, m, **kwargs):
+    """Both moment matrices from one pass: ``exp_haar_matrix`` with ``t_out``."""
+    t_out = kwargs.pop("t_out", None)
+    if t_out is None:
+        t_out = np.empty((len(c), 2 ** m))
+    return exp_haar_matrix(c, m, t_out=t_out, **kwargs), t_out
+
+
 class TestMomentMatrixFill:
     """The whole-row blocked fill against the elementwise formulas."""
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_bit_identical_to_elementwise_formula(self, m):
+        # each matrix alone and the one-pass pair; chunks of about 3000
+        # rows are split in two halves (one helper thread) from m = 4 on
         for name, c in _fill_inputs(m).items():
             # the formulas are row-wise, so compare in row chunks to bound
             # the oracle's temporaries (ten full-size arrays)
             for rows in np.array_split(np.arange(len(c)), max(1, len(c) // 3000)):
-                for fill, ref in ((exp_haar_matrix, _exp_haar_matrix_ref),
-                                  (exp_t_haar_matrix, _exp_t_haar_matrix_ref)):
-                    got = fill(c[rows], m)
-                    assert np.array_equal(got, ref(c[rows], m)), (fill.__name__, name)
+                want0 = _exp_haar_matrix_ref(c[rows], m)
+                want1 = _exp_t_haar_matrix_ref(c[rows], m)
+                assert np.array_equal(exp_haar_matrix(c[rows], m), want0), name
+                assert np.array_equal(exp_t_haar_matrix(c[rows], m), want1), name
+                got0, got1 = _pair(c[rows], m)
+                assert np.array_equal(got0, want0), ("pair", name)
+                assert np.array_equal(got1, want1), ("pair", name)
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_partial_fill_into_prefilled_array_equals_full_fill(self, m):
-        # ``start = l`` keeps the first 2**(l-1) columns of ``out`` and
-        # writes the rest; about 2000 evenly spaced rows per rate set
+        # ``start = l`` keeps the first 2**(l-1) columns of ``out`` (and of
+        # ``t_out``) and writes the rest; about 2000 evenly spaced rows per rate set
         for name, c in _fill_inputs(m).items():
             c = c[:: max(1, len(c) // 2000)]
-            for fill in (exp_haar_matrix, exp_t_haar_matrix):
-                full = fill(c, m)
+            fills = ((exp_haar_matrix, (exp_haar_matrix(c, m),)), (_pair, _pair(c, m)))
+            for fill, full in fills:
                 for start in range(1, m + 1):
                     held = 2 ** (start - 1)
-                    out = full.copy()
-                    out[:, held:] = np.nan
-                    assert fill(c, m, out=out, start=start) is out
-                    assert np.array_equal(out, full), (fill.__name__, name, start)
-                    out[:, :held] = -1.0
-                    fill(c, m, out=out, start=start)
-                    assert (out[:, :held] == -1.0).all()
+                    outs = [f.copy() for f in full]
+                    for out in outs:
+                        out[:, held:] = np.nan
+                    kwargs = {"t_out": outs[1]} if len(outs) == 2 else {}
+                    got = fill(c, m, out=outs[0], start=start, **kwargs)
+                    assert (got[0] if fill is _pair else got) is outs[0]
+                    for out, want in zip(outs, full):
+                        assert np.array_equal(out, want), (fill.__name__, name, start)
+                        out[:, :held] = -1.0
+                    fill(c, m, out=outs[0], start=start, **kwargs)
+                    assert all((out[:, :held] == -1.0).all() for out in outs)
 
     def test_fill_into_strided_rows_equals_full_fill(self):
         c = _hand_rates()
-        for fill in (exp_haar_matrix, exp_t_haar_matrix):
-            full = fill(c, 6)
-            out = np.full((2 * len(c), 2 ** 6), np.nan)
-            fill(c, 6, out=out[1::2])
-            assert np.array_equal(out[1::2], full)
+        full = exp_haar_matrix(c, 6)
+        out = np.full((2 * len(c), 2 ** 6), np.nan)
+        exp_haar_matrix(c, 6, out=out[1::2])
+        assert np.array_equal(out[1::2], full)
+        assert np.isnan(out[::2]).all()
+        # the pair, over enough rows that the helper thread fills half of them
+        c = np.tile(c, 8)
+        full = _pair(c, 6)
+        outs = [np.full((2 * len(c), 2 ** 6), np.nan) for _ in full]
+        _pair(c, 6, out=outs[0][1::2], t_out=outs[1][1::2])
+        for out, want in zip(outs, full):
+            assert np.array_equal(out[1::2], want)
             assert np.isnan(out[::2]).all()
 
     def test_no_rates_give_no_rows(self):
         for fill in (exp_haar_matrix, exp_t_haar_matrix):
             assert fill([], 3).shape == (0, 8)
+        assert [a.shape for a in _pair([], 3)] == [(0, 8), (0, 8)]
 
     def test_rejects_bad_output_or_start(self):
         c = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(ValueError, match="needs out"):
+            exp_haar_matrix(c, 3, start=2)
+        with pytest.raises(ValueError, match="shape"):
+            exp_haar_matrix(c, 3, out=np.empty((5, 4)))
+        with pytest.raises(ValueError, match="float64"):
+            exp_haar_matrix(c, 3, out=np.empty((5, 8), dtype=np.float32))
+        for start in (-1, 4, True, 1.0):
+            with pytest.raises(ValueError, match="start"):
+                exp_haar_matrix(c, 3, out=np.empty((5, 8)), start=start)
         for fill in (exp_haar_matrix, exp_t_haar_matrix):
-            with pytest.raises(ValueError, match="needs out"):
-                fill(c, 3, start=2)
-            with pytest.raises(ValueError, match="shape"):
-                fill(c, 3, out=np.empty((5, 4)))
-            with pytest.raises(ValueError, match="float64"):
-                fill(c, 3, out=np.empty((5, 8), dtype=np.float32))
-            for start in (-1, 4, True, 1.0):
-                with pytest.raises(ValueError, match="start"):
-                    fill(c, 3, out=np.empty((5, 8)), start=start)
             for m in (-1, 2.5, True):
                 with pytest.raises(ValueError, match="level"):
                     fill(c, m)
+        for t_out in (np.empty((5, 4)), np.empty((5, 8), dtype=np.float32)):
+            with pytest.raises(ValueError, match="shape"):
+                exp_haar_matrix(c, 3, t_out=t_out)
+
+    @pytest.mark.parametrize("failing_half", ["helper", "caller"])
+    def test_an_exception_in_either_half_reaches_the_caller(self, monkeypatch, failing_half):
+        # the helper is joined before the error propagates: no thread is left
+        real = haar._in_halves
+
+        def in_halves(work, n, step):
+            def failing(first, stop):
+                on_helper = threading.current_thread() is not threading.main_thread()
+                if on_helper == (failing_half == "helper"):
+                    raise RuntimeError(f"{failing_half} half failed")
+                work(first, stop)
+
+            real(failing, n, step)
+
+        monkeypatch.setattr(haar, "_in_halves", in_halves)
+        before = threading.active_count()
+        c = sample_grid(6)[:-1]
+        with pytest.raises(RuntimeError, match=f"{failing_half} half failed"):
+            _pair(c, 6)
+        assert threading.active_count() == before
+
+    def test_concurrent_fills_under_frequent_switching(self):
+        # four callers at once, each with its helper, switching every 1 us:
+        # every result is bit-identical to the elementwise formulas
+        c = np.tile(_hand_rates(), 4)
+        want = (_exp_haar_matrix_ref(c, 6), _exp_t_haar_matrix_ref(c, 6))
+        results = [None] * 4
+
+        def call(i):
+            results[i] = _pair(c, 6)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for got in results:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw))
+        got = _pair(_hand_rates(), 3)  # 630 rows of 7 wavelet columns: one block
+        assert started == []
+        assert np.array_equal(got[0], _exp_haar_matrix_ref(_hand_rates(), 3))
 
     def test_peak_memory_is_the_output(self):
         c = sample_grid(8)[:-1]
         _tables(8)
-        for fill in (exp_haar_matrix, exp_t_haar_matrix):
+        for fill in (exp_haar_matrix, exp_t_haar_matrix, _pair):
             tracemalloc.start()
             try:
-                out = fill(c, 8)
+                outs = fill(c, 8)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.25 * out.nbytes, fill.__name__
-            del out
+            outs = outs if isinstance(outs, tuple) else (outs,)
+            assert peak <= 1.25 * sum(out.nbytes for out in outs), fill.__name__
+            del outs
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # leggauss is imported inside _gauss_cell_nodes, reached only from the
+    # Galerkin matrix and callable projection
+    code = "import sys, fredreg.cli; print([m for m in sys.modules if m.startswith('numpy.polynomial')])"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestTrapezoidBlocks:
