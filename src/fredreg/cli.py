@@ -1,6 +1,7 @@
 """Command-line front end for the benchmark experiment.
 
-Two subcommands drive the built-in problem:
+Two subcommands drive the built-in problem through the one sweep of
+:mod:`.experiment`, which checks every input before the first run:
 
 * ``solve``: one (noise level, seed) reconstruction, printing the
   iteration trace and summary, optionally writing the reconstruction.
@@ -8,11 +9,11 @@ Two subcommands drive the built-in problem:
   printing median-aggregated results and optionally writing the row CSV.
 
 Exit codes: 0 on success, 2 on configuration errors (among them every
-level, count or index that is not an integer or is out of range), when
-memory runs out and when ``--out`` cannot be written (it is opened
-before the first solve), 3 when any run stopped for a reason other than
-the discrepancy rule, 4 on a numerical breakdown (a shifted system that
-Cholesky cannot factor).
+level, count or index that is not an integer or is out of range, and an
+empty list of noise levels or seeds), when memory runs out and when
+``--out`` cannot be written (it is opened before the first solve), 3
+when any run stopped for a reason other than the discrepancy rule, 4 on
+a numerical breakdown (a shifted system that Cholesky cannot factor).
 """
 
 import argparse
@@ -20,11 +21,9 @@ import sys
 from contextlib import nullcontext
 from dataclasses import fields
 
-import numpy as np
-
-from .assembly import FactorizationError, OperatorCache, sample_grid
+from .assembly import FactorizationError
 from .experiment import (
-    PAPER_NOISE_LEVELS, _run_one, exact_problem, format_summary, rows_to_csv, run_table,
+    _EVAL_GRID, PAPER_NOISE_LEVELS, _runs, format_summary, rows_to_csv, run_table,
 )
 from .iteration import _GNM_VARIANTS, SolverConfig
 
@@ -100,21 +99,11 @@ def _config(args):
 
 
 def _cmd_solve(args, config, out):
-    level, seed = args.noise, args.seed
-    problem = exact_problem()
-    ops = OperatorCache(problem.kernel)
-    grid = sample_grid(config.m_cap)
-    f_exact_samples = problem.exact_rhs(grid)
-
-    schemes = ("adaptive", "fixed") if args.scheme == "both" else (args.scheme,)
-    reconstructions = {}
-    for scheme in schemes:
-        row, outcome = _run_one(
-            ops, problem, f_exact_samples, level, seed, scheme, config, args.fixed_m
-        )
-        reconstructions[scheme] = outcome
-        print(f"[{scheme}] noise={level:g} seed={seed} delta_abs={outcome.delta_abs:.6e} "
-              f"threshold={outcome.threshold:.6e}")
+    outcomes = {}
+    for row, outcome in _runs(config, [args.noise], [args.seed], args.scheme, args.fixed_m):
+        outcomes[row.scheme] = outcome
+        print(f"[{row.scheme}] noise={row.delta_rel:g} seed={row.seed} "
+              f"delta_abs={outcome.delta_abs:.6e} threshold={outcome.threshold:.6e}")
         print("  n        a_n   m  m_raw      |gamma|            G")
         for rec in outcome.trace:
             print(f"  {rec.n:2d} {rec.a:10.3e} {rec.m:3d} {rec.m_raw:5d} "
@@ -123,14 +112,13 @@ def _cmd_solve(args, config, out):
               f"m_final={outcome.m_final} G_final={outcome.G_final:.6e} avg={row.avg:.6f}")
 
     if out:
-        t = 0.01 * np.arange(100)
-        sols = {s: reconstructions[s].solution.evaluate(t) for s in schemes}
-        lines = ["t," + ",".join(f"u_{s}" for s in schemes) + ",u_exact"]
-        for i, ti in enumerate(t):
-            vals = ",".join(repr(float(sols[s][i])) for s in schemes)
+        sols = {s: o.solution.evaluate(_EVAL_GRID) for s, o in outcomes.items()}
+        lines = ["t," + ",".join(f"u_{s}" for s in sols) + ",u_exact"]
+        for i, ti in enumerate(_EVAL_GRID):
+            vals = ",".join(repr(float(u[i])) for u in sols.values())
             lines.append(f"{float(ti)!r},{vals},{float(ti)!r}")
         out.write("\n".join(lines) + "\n")
-    failed = any(o.stop_reason not in _OK_STOPS for o in reconstructions.values())
+    failed = any(o.stop_reason not in _OK_STOPS for o in outcomes.values())
     return 3 if failed else 0
 
 
@@ -138,17 +126,7 @@ def _cmd_table(args, config, out):
     if args.seed is not None and args.seeds is not None:
         print("give either --seed or --seeds, not both", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        seeds = args.seed
-    else:
-        seeds = list(range(args.seeds if args.seeds is not None else 20))
-    if not seeds or not args.noise:
-        print("need at least one seed and one noise level", file=sys.stderr)
-        return 2
-    for level in args.noise:
-        if not 0.0 < level < 1.0:
-            print(f"noise level must lie in (0, 1), got {level}", file=sys.stderr)
-            return 2
+    seeds = args.seed if args.seed is not None else range(20 if args.seeds is None else args.seeds)
     rows = run_table(
         config=config,
         levels=args.noise,

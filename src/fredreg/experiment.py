@@ -25,10 +25,13 @@ import numpy as np
 from numpy.random import default_rng
 
 from .assembly import Kernel, OperatorCache, exponential_kernel, sample_grid
-from .haar import _check_grid, exp_t_haar_matrix
+from .haar import _check_grid, _check_level, exp_t_haar_matrix
 from .iteration import SolverConfig, run_adaptive, run_fixed
 
 PAPER_NOISE_LEVELS = (0.05, 0.01, 0.005, 0.0005)
+# The evaluation grid t_j = 0.01 (j - 1), j = 1..100, of the error and the reconstruction
+_EVAL_GRID = 0.01 * np.arange(100)
+_EVAL_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 < self.rel_level < 1.0:
             raise ValueError(f"rel_level must lie in (0, 1), got {self.rel_level}")
+        _check_level("seed", self.seed, 0)
 
 
 def add_noise(f_samples, spec):
@@ -101,9 +105,8 @@ def add_noise(f_samples, spec):
 
 def avg_error(u_coeffs, u_exact):
     """Mean absolute error on the grid ``t_j = 0.01 (j - 1), j = 1..100``."""
-    t = 0.01 * np.arange(100)
-    approx = u_coeffs.evaluate(t)
-    return float(np.mean(np.abs(np.asarray(u_exact(t)) - approx)))
+    approx = u_coeffs.evaluate(_EVAL_GRID)
+    return float(np.mean(np.abs(np.asarray(u_exact(_EVAL_GRID)) - approx)))
 
 
 @dataclass(frozen=True)
@@ -126,27 +129,48 @@ _CSV_FIELDS = fields(ExperimentRow)
 CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
 
 
-def _run_one(ops, problem, f_exact_samples, level, seed, scheme, config, fixed_m):
-    noisy, delta_abs = add_noise(f_exact_samples, NoiseSpec(rel_level=level, seed=seed))
-    start = time.perf_counter()
-    if scheme == "adaptive":
-        outcome = run_adaptive(ops, noisy, delta_abs, config)
-    else:
-        outcome = run_fixed(ops, noisy, delta_abs, config, fixed_m)
-    wall = time.perf_counter() - start
-    avg = avg_error(outcome.solution, problem.exact_solution)
-    row = ExperimentRow(
-        delta_rel=level,
-        scheme=scheme,
-        seed=seed,
-        avg=avg,
-        m_final=outcome.m_final,
-        n_iters=outcome.n_delta,
-        G_final=outcome.G_final,
-        wall_seconds=wall,
-        stop_reason=outcome.stop_reason,
-    )
-    return row, outcome
+def _runs(config, levels, seeds, schemes, fixed_m):
+    """Yield ``(row, outcome)`` per (level, seed, scheme) of the benchmark, in that order.
+
+    The sweep behind :func:`run_table` and ``fredreg solve``; it checks
+    every input as :func:`run_table` states, before the first run. The
+    problem, the cache and the data grid are built once, and each (level,
+    seed)'s noise is drawn once for every scheme.
+    """
+    if schemes not in ("adaptive", "fixed", "both"):
+        raise ValueError(f"schemes must be 'adaptive', 'fixed' or 'both', got {schemes!r}")
+    scheme_list = ("adaptive", "fixed") if schemes == "both" else (schemes,)
+    seeds = list(seeds)
+    specs = [NoiseSpec(rel_level=level, seed=seed) for level in levels for seed in seeds]
+    if not specs:
+        raise ValueError("need at least one noise level and one seed")
+    problem = exact_problem()
+    ops = OperatorCache(problem.kernel)
+    f_exact_samples = problem.exact_rhs(sample_grid(config.m_cap))
+    if "fixed" in scheme_list:
+        _check_level("fixed level", fixed_m, 1)
+        _check_grid(f_exact_samples, 2 ** fixed_m)
+    for spec in specs:
+        noisy, delta_abs = add_noise(f_exact_samples, spec)
+        for scheme in scheme_list:
+            start = time.perf_counter()
+            if scheme == "adaptive":
+                outcome = run_adaptive(ops, noisy, delta_abs, config)
+            else:
+                outcome = run_fixed(ops, noisy, delta_abs, config, fixed_m)
+            wall = time.perf_counter() - start
+            row = ExperimentRow(
+                delta_rel=spec.rel_level,
+                scheme=scheme,
+                seed=spec.seed,
+                avg=avg_error(outcome.solution, problem.exact_solution),
+                m_final=outcome.m_final,
+                n_iters=outcome.n_delta,
+                G_final=outcome.G_final,
+                wall_seconds=wall,
+                stop_reason=outcome.stop_reason,
+            )
+            yield row, outcome
 
 
 def run_table(
@@ -160,29 +184,15 @@ def run_table(
 
     Returns one :class:`ExperimentRow` per combination, in (level, seed,
     scheme) order, and writes or prints nothing: :func:`rows_to_csv` and
-    :func:`format_summary` render them. A failed stopping rule is
-    recorded in the row's ``stop_reason``, never raised.
+    :func:`format_summary` render them. ``levels`` and ``seeds`` may be
+    any iterables, each read once. Before the first run, ``ValueError``
+    is raised for an unknown scheme, no level or no seed, a level outside
+    (0, 1), a seed that is not an integer ``>= 0`` and, with the fixed
+    scheme, a ``fixed_m`` that is not an integer ``>= 1`` or that the data
+    grid does not refine. A failed stopping rule is recorded in the row's
+    ``stop_reason``, never raised.
     """
-    config = config or SolverConfig()
-    if schemes == "both":
-        scheme_list = ("adaptive", "fixed")
-    elif schemes in ("adaptive", "fixed"):
-        scheme_list = (schemes,)
-    else:
-        raise ValueError(f"schemes must be 'adaptive', 'fixed' or 'both', got {schemes!r}")
-    problem = exact_problem()
-    ops = OperatorCache(problem.kernel)
-    grid = sample_grid(config.m_cap)
-    f_exact_samples = problem.exact_rhs(grid)
-    rows = []
-    for level in levels:
-        for seed in seeds:
-            for scheme in scheme_list:
-                row, _ = _run_one(
-                    ops, problem, f_exact_samples, level, seed, scheme, config, fixed_m
-                )
-                rows.append(row)
-    return rows
+    return [row for row, _ in _runs(config or SolverConfig(), levels, seeds, schemes, fixed_m)]
 
 
 def format_summary(rows):

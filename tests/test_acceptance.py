@@ -20,7 +20,7 @@ from fredreg.assembly import (
     sample_grid,
     simpson_rule,
 )
-from fredreg.experiment import _run_one, exact_problem
+from fredreg.experiment import _runs, exact_problem
 from fredreg.iteration import SolverConfig, rank_schedule, run_adaptive
 
 from _oracles import closed_form_iterate, geometric_weights, run_steps, synthesis_matrix
@@ -38,22 +38,11 @@ def report(num, ok, detail):
 def sweep():
     """Benchmark-preset sweep shared by criteria 5, 7 and 8.
 
-    The runs of ``run_table(schemes="both", fixed_m=4)``, made by its
-    ``_run_one`` in its loop order, with each run's outcome kept for the
-    bound checks.
+    The runs of ``run_table(schemes="both", fixed_m=4)``, made by its own
+    sweep generator, with each run's outcome kept for the bound checks.
     """
     start = time.perf_counter()
-    config = SolverConfig()
-    problem = exact_problem()
-    ops = OperatorCache(problem.kernel)
-    f_exact = problem.exact_rhs(sample_grid(config.m_cap))
-    rows, outcomes = [], []
-    for level in LEVELS:
-        for seed in SEEDS:
-            for scheme in ("adaptive", "fixed"):
-                row, outcome = _run_one(ops, problem, f_exact, level, seed, scheme, config, 4)
-                rows.append(row)
-                outcomes.append(outcome)
+    rows, outcomes = zip(*_runs(SolverConfig(), LEVELS, SEEDS, "both", 4))
     elapsed = time.perf_counter() - start
     return rows, outcomes, elapsed
 

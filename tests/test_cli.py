@@ -144,6 +144,23 @@ def test_config_error_exit_code(capsys):
     assert main(["solve", "--C", "inf"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--noise", "0.05,1.5", "--seeds", "1"],
+    ["table", "--noise", "", "--seeds", "1"],
+    ["table", "--seeds", "0"],
+    ["table", "--seeds", "1", "--scheme", "both", "--fixed-m", "9"],
+    ["solve", "--scheme", "both", "--fixed-m", "9"],
+])
+def test_bad_inputs_are_refused_before_any_run(capsys, monkeypatch, argv):
+    # the sweep checks them all; in the last two an adaptive run
+    # comes before the fixed one whose level the data grid does not refine
+    runs = []
+    monkeypatch.setattr(experiment, "run_adaptive", lambda *a: runs.append(a))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert runs == []
+
+
 def test_alpha0_whose_first_shift_rounds_to_zero(capsys):
     # a_1 = 5e-324 * 0.25 is 0: the message names the inputs, not the product
     assert main(["solve", "--alpha0", "5e-324"]) == 2

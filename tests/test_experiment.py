@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fredreg import experiment
 from fredreg.experiment import (
     CSV_COLUMNS,
     NoiseSpec,
+    _runs,
     add_noise,
     avg_error,
     exact_problem,
@@ -16,9 +18,8 @@ from fredreg.experiment import (
     sample_grid,
     trapezoid_norm,
 )
-from fredreg.assembly import OperatorCache
 from fredreg.haar import project
-from fredreg.iteration import SolverConfig, run_adaptive
+from fredreg.iteration import SolverConfig
 
 from _oracles import coefficients, forward_residual
 
@@ -115,6 +116,12 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             NoiseSpec(rel_level=1.0, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "3"])
+    def test_rejects_a_seed_that_is_not_an_integer_at_least_0(self, seed):
+        # a float seed would reach numpy's TypeError, and True would run as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            NoiseSpec(rel_level=0.05, seed=seed)
+
 
 class TestAvgError:
     def test_exact_match_is_zero(self):
@@ -209,6 +216,56 @@ class TestRunTable:
         with pytest.raises(ValueError):
             run_table(schemes="noisy")
 
+    def test_reads_the_seeds_once(self):
+        # a one-shot iterable serves every level, not only the first
+        rows = run_table(levels=(0.05, 0.01), seeds=iter([0, 1]), schemes="adaptive")
+        assert [(r.delta_rel, r.seed) for r in rows] == [
+            (0.05, 0), (0.05, 1), (0.01, 0), (0.01, 1)
+        ]
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(levels=(0.05, 1.5), seeds=range(3)), "rel_level must lie in"),
+        (dict(levels=(0.05,), seeds=(0, 1.5)), "seed must be an integer"),
+        (dict(levels=()), "at least one noise level and one seed"),
+        (dict(seeds=()), "at least one noise level and one seed"),
+        (dict(schemes="both", fixed_m=9), "does not refine the grid of 512 cells"),
+        (dict(schemes="both", fixed_m=0), "fixed level must be an integer >= 1"),
+        (dict(schemes="fixed", fixed_m=2.0), "fixed level must be an integer >= 1"),
+    ], ids=["level", "seed", "no-level", "no-seed", "fixed_m-9", "fixed_m-0", "fixed_m-float"])
+    def test_refuses_a_bad_input_before_any_run(self, monkeypatch, kwargs, match):
+        runs = []
+        monkeypatch.setattr(experiment, "run_adaptive", lambda *a: runs.append(a))
+        monkeypatch.setattr(experiment, "run_fixed", lambda *a: runs.append(a))
+        with pytest.raises(ValueError, match=match):
+            run_table(config=SolverConfig(m_cap=6), **kwargs)
+        assert runs == []
+
+    def test_fixed_m_is_not_checked_without_the_fixed_scheme(self):
+        [row] = run_table(levels=(0.05,), seeds=(0,), schemes="adaptive", fixed_m=0)
+        assert row.scheme == "adaptive"
+
+    def test_both_schemes_share_one_noise_draw(self, monkeypatch):
+        specs, data = [], []
+
+        def spy(name, record):
+            real = getattr(experiment, name)
+
+            def wrapped(*args):
+                record.append(args[1])  # add_noise's spec, or a run's noisy samples
+                return real(*args)
+
+            monkeypatch.setattr(experiment, name, wrapped)
+
+        spy("add_noise", specs)
+        spy("run_adaptive", data)
+        spy("run_fixed", data)
+        rows = run_table(levels=(0.05,), seeds=(0, 1), schemes="both")
+        assert [(r.seed, r.scheme) for r in rows] == [
+            (0, "adaptive"), (0, "fixed"), (1, "adaptive"), (1, "fixed")
+        ]
+        assert specs == [NoiseSpec(0.05, 0), NoiseSpec(0.05, 1)]
+        assert data[0] is data[1] and data[2] is data[3] and data[0] is not data[2]
+
     def test_flagged_rows_do_not_raise(self):
         rows = run_table(
             config=SolverConfig(max_iter=1),
@@ -225,21 +282,14 @@ class TestConvergence:
     LEVELS = (5e-2, 1e-2, 5e-3, 5e-4, 1e-4, 1e-5, 1e-6, 1e-7)
 
     def test_median_avg_falls_as_the_noise_vanishes(self):
-        # one m_cap = 8 cache for the 24 adaptive runs (about 1.2 s)
-        problem = exact_problem()
-        config = SolverConfig(m_cap=8)
-        ops = OperatorCache(problem.kernel)
-        f_exact = problem.exact_rhs(sample_grid(config.m_cap))
-        medians, capped = [], set()
-        for level in self.LEVELS:
-            avgs = []
-            for seed in range(3):
-                noisy, delta = add_noise(f_exact, NoiseSpec(rel_level=level, seed=seed))
-                outcome = run_adaptive(ops, noisy, delta, config)
-                avgs.append(avg_error(outcome.solution, problem.exact_solution))
-                if outcome.capped:
-                    capped.add((level, seed))
-            medians.append(float(np.median(avgs)))
+        # one m_cap = 8 cache for the 24 adaptive runs (about 1.2 s), made by
+        # the sweep generator of run_table, with each run's outcome kept
+        runs = list(_runs(SolverConfig(m_cap=8), self.LEVELS, range(3), "adaptive", 4))
+        medians = [
+            float(np.median([row.avg for row, _ in runs if row.delta_rel == level]))
+            for level in self.LEVELS
+        ]
+        capped = {(row.delta_rel, row.seed) for row, outcome in runs if outcome.capped}
         assert all(b <= a for a, b in zip(medians, medians[1:])), medians
         # measured 0.248 at 5e-2 down to 0.00102 at 1e-7
         assert medians[0] > 0.2 and medians[-1] < 0.0015, medians

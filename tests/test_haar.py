@@ -1,5 +1,6 @@
 import math
 import os
+from decimal import Decimal, localcontext
 import subprocess
 import sys
 import threading
@@ -340,6 +341,50 @@ class TestExponentialInnerProducts:
         for m in (0, 1, 5, 10):
             for matrix in (exp_haar_matrix, exp_t_haar_matrix):
                 assert np.all(np.isfinite(matrix(c, m)))
+
+
+def _decimal_moments(c, m, weight):
+    """Row ``int_0^1 t**weight exp(-c t) Phi_j(t) dt``, ``j = 1..2**m``, as 60-digit decimals.
+
+    From the exact antiderivatives ``P(x) = int_0^x t**weight exp(-c t) dt``
+    at the dyadic points ``k / 2**m``, with ``c`` the float's exact value;
+    call it inside a 60-digit decimal context.
+    """
+    c, n = Decimal(c), 2 ** m
+    x = [Decimal(k) / n for k in range(n + 1)]
+    if c == 0:
+        P = [xk ** (weight + 1) / (weight + 1) for xk in x]
+    elif weight == 0:
+        P = [(1 - (-c * xk).exp()) / c for xk in x]
+    else:
+        P = [(1 - (1 + c * xk) * (-c * xk).exp()) / c ** 2 for xk in x]
+    row = [P[n] - P[0]]
+    for l in range(1, m + 1):
+        amp, w = Decimal(2).sqrt() ** (l - 1), n >> (l - 1)  # support width in cells
+        row += [amp * (2 * P[k + w // 2] - P[k] - P[k + w]) for k in range(0, n, w)]
+    return row
+
+
+class TestMomentDecimalOracle:
+    """Both moment matrices at m = 8 against exact antiderivatives in 60 digits."""
+
+    # c = 0; both sides of the Taylor branch (c * width < 1e-6) at widths 1/4,
+    # 1/8 and 1/128; both sides of the j = 1 t-moment's series (c < 1e-3);
+    # moderate and large rates
+    RATES = (0.0, 1e-9, 3.9e-6, 7.8e-6, 1.27e-4, 1.29e-4, 1e-3, 1.5e-3, 0.5, 1.0, 50.0)
+
+    @pytest.mark.parametrize("weight, matrix", [(0, exp_haar_matrix), (1, exp_t_haar_matrix)])
+    def test_each_row_within_2e_13_of_its_largest_entry(self, weight, matrix):
+        # measured worst 7.7e-14: column 0 of the t-moment at c = 1.5e-3, just
+        # above the series branch, where the closed form cancels about 2.5 digits
+        got = matrix(np.array(self.RATES), 8)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for c, row in zip(self.RATES, got):
+                want = _decimal_moments(c, 8, weight)
+                err = max(abs(Decimal(float(g)) - w) for g, w in zip(row, want))
+                scale = max(abs(w) for w in want)
+                assert err <= Decimal("2e-13") * scale, (c, float(err / scale))
 
 
 def _fill_inputs(m):
