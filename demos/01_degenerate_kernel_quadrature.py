@@ -13,13 +13,13 @@ import numpy as np
 from fredreg import error_budget, exponential_kernel, simpson_rule
 
 print("=== the rule at level m = 2 ===")
-rule = simpson_rule(2)
-print("points :", rule.points)
-print("weights:", rule.weights, " (sum = %.17f)" % rule.weights.sum())
+points, weights = simpson_rule(2)
+print("points :", points)
+print("weights:", weights, " (sum = %.17f)" % weights.sum())
 
 print("\n=== polynomial exactness (degree <= 3) ===")
 for k in range(5):
-    approx = rule.weights @ rule.points ** k
+    approx = weights @ points ** k
     exact = 1.0 / (k + 1)
     print(f"  int t^{k} dt: rule = {approx:.12f}, exact = {exact:.12f}, "
           f"error = {abs(approx - exact):.2e}")
@@ -33,9 +33,9 @@ g_exact = -np.expm1(-xz) / xz       # int_0^1 e^{-s(x+z)} ds in closed form
 print(f"{'m':>3} {'measured ||T - T^(m)||':>24} {'bound c1/2^4m':>16} {'ratio':>8}")
 prev = None
 for m in range(1, 6):
-    r = simpson_rule(m)
-    e = np.exp(-np.outer(r.points, xs))
-    g_m = e.T @ (r.weights[:, None] * e)
+    s, beta = simpson_rule(m)
+    e = np.exp(-np.outer(s, xs))
+    g_m = e.T @ (beta[:, None] * e)
     measured = np.linalg.norm(g_exact - g_m, 2) / n
     bound = error_budget(kernel, m).bound_normal
     order = "" if prev is None else f"   (order {np.log2(prev / measured):.2f})"

@@ -136,26 +136,6 @@ def solve_spd_shifted(factor, rhs):
     return x
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Compound Simpson rule with ``2**level + 1`` points on [0,1].
-
-    Attributes
-    ----------
-    level : int
-        Dyadic refinement level ``m``; the step size is ``1/2**m``.
-    points : ndarray
-        Collocation points ``s_j = (j-1)/2**m``, ``j = 1..2**m+1``.
-    weights : ndarray
-        Weights ``beta_j``; endpoints ``(1/3)/2**m``, interior points
-        alternate ``(4/3)/2**m`` (even ``j``) and ``(2/3)/2**m``.
-    """
-
-    level: int
-    points: np.ndarray
-    weights: np.ndarray
-
-
 def simpson_rule(m):
     """Build the compound Simpson rule at dyadic level ``m >= 1``.
 
@@ -168,9 +148,12 @@ def simpson_rule(m):
 
     Returns
     -------
-    QuadratureRule
-        The weights sum to 1 exactly up to roundoff, and the rule
-        integrates polynomials of degree <= 3 exactly.
+    points, weights : ndarray
+        Read-only. The points are ``s_j = (j-1)/2**m``, ``j = 1..2**m+1``;
+        the weights ``beta_j`` are ``(1/3)/2**m`` at the endpoints and
+        alternate ``(4/3)/2**m`` (even ``j``) and ``(2/3)/2**m`` inside.
+        They sum to 1 up to roundoff, and the rule integrates
+        polynomials of degree <= 3 exactly.
     """
     _check_level("simpson_rule level", m, 1)
     n = 2 ** m
@@ -181,7 +164,7 @@ def simpson_rule(m):
     weights[1:-1] = np.where(j % 2 == 0, (4.0 / 3.0) / n, (2.0 / 3.0) / n)
     points.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(level=int(m), points=points, weights=weights)
+    return points, weights
 
 
 def sample_grid(m_cap):
@@ -249,7 +232,6 @@ class ErrorBudget:
     for the exponential kernel).
     """
 
-    level: int
     bound_normal: float
     bound_adjoint: float
     bound_mixed: float
@@ -264,9 +246,9 @@ def assemble_gram(m):
     construction. Returns a read-only ``(2**m, 2**m)`` array. The level
     is checked by :func:`simpson_rule`.
     """
-    rule = simpson_rule(m)
-    p = exp_haar_matrix(rule.points, m)  # (2**m + 1, 2**m)
-    a = p.T @ (rule.weights[:, None] * p)
+    points, weights = simpson_rule(m)
+    p = exp_haar_matrix(points, m)  # (2**m + 1, 2**m)
+    a = p.T @ (weights[:, None] * p)
     a = 0.5 * (a + a.T)
     a.setflags(write=False)
     return a
@@ -292,7 +274,6 @@ def error_budget(kernel, m):
     four = 2.0 ** (4 * m)
     two = 2.0 ** (2 * m)
     return ErrorBudget(
-        level=int(m),
         bound_normal=kernel.c1 / four,
         bound_adjoint=1.0 / (two * 180.0),
         bound_mixed=(kernel.c1 + kernel.sup_bound / 180.0) / two,

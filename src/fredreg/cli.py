@@ -1,7 +1,9 @@
 """Command-line front end for the benchmark experiment.
 
 Two subcommands drive the built-in problem through the one sweep of
-:mod:`.experiment`, which checks every input before the first run:
+:mod:`.experiment`, which checks every input before the first run (the
+parser only converts: a seed is any integer, and the sweep refuses a
+negative one):
 
 * ``solve``: one (noise level, seed) reconstruction, printing the
   iteration trace and summary, optionally writing the reconstruction.
@@ -23,7 +25,7 @@ from dataclasses import fields
 
 from .assembly import FactorizationError
 from .experiment import (
-    _EVAL_GRID, PAPER_NOISE_LEVELS, _runs, format_summary, rows_to_csv, run_table,
+    _EVAL_GRID, _SCHEMES, PAPER_NOISE_LEVELS, _runs, format_summary, rows_to_csv, run_table,
 )
 from .iteration import _GNM_VARIANTS, SolverConfig
 
@@ -34,15 +36,8 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _seed(text):
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("seeds must be non-negative integers")
-    return seed
-
-
-def _seed_list(text):
-    return [_seed(tok) for tok in text.split(",") if tok]
+def _int_list(text):
+    return [int(tok) for tok in text.split(",") if tok]
 
 
 def build_parser():
@@ -73,10 +68,8 @@ def build_parser():
     solve = sub.add_parser("solve", help="run a single reconstruction")
     add_common(solve)
     solve.add_argument("--noise", type=float, default=0.05, help="relative noise level")
-    solve.add_argument("--seed", type=_seed, default=0, help="RNG seed")
-    solve.add_argument(
-        "--scheme", choices=("adaptive", "fixed", "both"), default="adaptive"
-    )
+    solve.add_argument("--seed", type=int, default=0, help="RNG seed")
+    solve.add_argument("--scheme", choices=_SCHEMES, default="adaptive")
 
     table = sub.add_parser("table", help="run the noise-level sweep")
     add_common(table)
@@ -86,9 +79,9 @@ def build_parser():
         default=list(PAPER_NOISE_LEVELS),
         help="comma-separated relative noise levels",
     )
-    table.add_argument("--seed", type=_seed_list, default=None, help="explicit seed list")
+    table.add_argument("--seed", type=_int_list, default=None, help="explicit seed list")
     table.add_argument("--seeds", type=int, default=None, help="use seeds 0..n-1")
-    table.add_argument("--scheme", choices=("adaptive", "fixed", "both"), default="both")
+    table.add_argument("--scheme", choices=_SCHEMES, default="both")
 
     return parser
 

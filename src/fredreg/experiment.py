@@ -26,9 +26,11 @@ from numpy.random import default_rng
 
 from .assembly import Kernel, OperatorCache, exponential_kernel, sample_grid
 from .haar import _check_grid, _check_level, exp_t_haar_matrix
-from .iteration import SolverConfig, run_adaptive, run_fixed
+from .iteration import SolverConfig, _norm, run_adaptive, run_fixed
 
 PAPER_NOISE_LEVELS = (0.05, 0.01, 0.005, 0.0005)
+# The two schemes, and the choice that runs both
+_SCHEMES = ("adaptive", "fixed", "both")
 # The evaluation grid t_j = 0.01 (j - 1), j = 1..100, of the error and the reconstruction
 _EVAL_GRID = 0.01 * np.arange(100)
 _EVAL_GRID.setflags(write=False)
@@ -63,13 +65,16 @@ def exact_problem():
 
 
 def trapezoid_norm(values):
-    """Discrete L2 norm (trapezoid rule) of samples on the uniform grid."""
+    """Discrete L2 norm (trapezoid rule) of samples on the uniform grid.
+
+    Scaled where the squares underflow or overflow, as the solver's norms are.
+    """
     values = _check_grid(values, 1)
     n = len(values) - 1
     w = np.full(n + 1, 1.0 / n)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return float(np.sqrt(w @ values ** 2))
+    return _norm(values, lambda v: np.sqrt(w @ v ** 2))
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,9 @@ def _runs(config, levels, seeds, schemes, fixed_m):
     problem, the cache and the data grid are built once, and each (level,
     seed)'s noise is drawn once for every scheme.
     """
-    if schemes not in ("adaptive", "fixed", "both"):
-        raise ValueError(f"schemes must be 'adaptive', 'fixed' or 'both', got {schemes!r}")
-    scheme_list = ("adaptive", "fixed") if schemes == "both" else (schemes,)
+    if schemes not in _SCHEMES:
+        raise ValueError(f"schemes must be one of {_SCHEMES}, got {schemes!r}")
+    scheme_list = _SCHEMES[:2] if schemes == "both" else (schemes,)
     seeds = list(seeds)
     specs = [NoiseSpec(rel_level=level, seed=seed) for level in levels for seed in seeds]
     if not specs:
@@ -198,7 +203,7 @@ def run_table(
 def format_summary(rows):
     """Median-per-level summary table, one line per noise level."""
     levels = sorted({r.delta_rel for r in rows}, reverse=True)
-    schemes = [s for s in ("adaptive", "fixed") if any(r.scheme == s for r in rows)]
+    schemes = [s for s in _SCHEMES[:2] if any(r.scheme == s for r in rows)]
     header = f"{'noise':>8} "
     for s in schemes:
         header += f"| {s:>8}: {'avg':>8} {'m':>2} {'n':>2} {'sec':>7} "

@@ -166,18 +166,21 @@ def _check_data(f_samples, delta):
         raise ValueError(f"delta must be finite and positive, got {delta}")
 
 
-def _norm(x):
-    """Euclidean norm of ``x``, scaled where the squares would underflow.
+def _norm(x, norm=lambda v: math.sqrt(v.dot(v))):
+    """``norm(x)`` of a 2-norm ``norm``, scaled where the squares underflow or overflow.
 
-    Above 1e-150 the squares stay normal and this is ``np.linalg.norm``;
-    below, the entries are first divided by their largest magnitude.
+    The default is the Euclidean norm in ``np.linalg.norm``'s arithmetic.
+    Between 1e-150 and ``inf`` this is ``norm(x)`` itself; outside, the
+    entries are first divided by their largest magnitude, if that is
+    finite and non-zero.
     """
-    norm = float(np.linalg.norm(x))
-    if norm < 1e-150:
+    with np.errstate(over="ignore"):
+        value = float(norm(x))
+    if value < 1e-150 or value == math.inf:
         scale = float(np.max(np.abs(x)))
-        if scale > 0.0:
-            norm = scale * float(np.linalg.norm(x / scale))
-    return norm
+        if 0.0 < scale < math.inf:
+            value = scale * float(norm(x / scale))
+    return value
 
 
 def _run_loop(delta, config, systems):

@@ -10,6 +10,9 @@
   length implies.
 * :func:`forward_residual` checks a problem's exact solution against
   its right-hand side on a dense midpoint grid.
+* :func:`chebyshev_interpolation` is the barycentric interpolation
+  matrix at second-kind Chebyshev points on ``[0, 1]``, the low-rank
+  form of the moment matrices' rows as functions of the rate.
 * :func:`synthesis_matrix`, :func:`galerkin_gather` and
   :func:`haar_eval_piecewise` are the dense and piecewise forms that the
   Haar pyramid transform replaced: the basis on the finest cells as a
@@ -111,6 +114,28 @@ def forward_residual(problem, n_points=1024):
     ku = kmat @ (np.asarray(problem.exact_solution(t)) / n_points)
     resid = ku - np.asarray(problem.exact_rhs(s))
     return float(np.sqrt(np.mean(resid ** 2)))
+
+
+def chebyshev_interpolation(c, r):
+    """``(x, L)``: the ``r`` second-kind Chebyshev points ``x`` on [0, 1] and ``L(c)``.
+
+    Row ``i`` of the ``(len(c), r)`` matrix ``L`` holds the barycentric
+    weights of the point ``c_i`` in [0, 1], so ``L @ y`` evaluates the
+    degree ``r - 1`` interpolant of the values ``y`` at ``x`` (Berrut &
+    Trefethen, SIAM Rev. 2004): node weights ``(-1)**j``, halved at both
+    ends, and a unit row where ``c_i`` is a node.
+    """
+    x = 0.5 - 0.5 * np.cos(np.pi * np.arange(r) / (r - 1))
+    w = (-1.0) ** np.arange(r)
+    w[[0, -1]] *= 0.5
+    diff = np.asarray(c, dtype=float)[:, None] - x
+    at_node = diff == 0.0
+    diff[at_node] = 1.0
+    terms = w / diff
+    L = terms / terms.sum(axis=1, keepdims=True)
+    hit = at_node.any(axis=1)
+    L[hit] = at_node[hit]
+    return x, L
 
 
 def synthesis_matrix(m):

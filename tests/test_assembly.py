@@ -27,7 +27,9 @@ from fredreg.haar import (
     haar_eval,
 )
 
-from _oracles import galerkin_gather, synthesis_matrix
+from fredreg.experiment import exact_problem, trapezoid_norm
+
+from _oracles import chebyshev_interpolation, galerkin_gather, synthesis_matrix
 
 C1 = 16.0 / 180.0
 
@@ -43,9 +45,9 @@ def dense_gram_oracle(m, grid_n=1024):
     grid_n**2 >= 1e6 points and projects onto the Haar tensor basis.
     """
     xs = midpoint_grid(grid_n)
-    rule = simpson_rule(m)
-    e = np.exp(-np.outer(rule.points, xs))
-    g = e.T @ (rule.weights[:, None] * e)
+    points, weights = simpson_rule(m)
+    e = np.exp(-np.outer(points, xs))
+    g = e.T @ (weights[:, None] * e)
     s = synthesis_matrix(m)
     idx = np.minimum((xs * 2 ** m).astype(int), 2 ** m - 1)
     p = s[:, idx]
@@ -77,11 +79,11 @@ class TestGramAssembly:
         # its slices projected by per-cell Gauss quadrature of exp(-s t),
         # is the matrix the discrepancy solve uses in its place
         for m in (1, 2, 4):
-            rule = simpson_rule(m)
+            points, weights = simpson_rule(m)
             x, xw = _gauss_cell_nodes(m, 8)
-            cells = np.exp(-x[None, :] * rule.points[:, None]) * xw
-            p = cells.reshape(len(rule.points), 2 ** m, 8).sum(axis=2) @ synthesis_matrix(m).T
-            b = p.T @ (rule.weights[:, None] * p)
+            cells = np.exp(-x[None, :] * points[:, None]) * xw
+            p = cells.reshape(len(points), 2 ** m, 8).sum(axis=2) @ synthesis_matrix(m).T
+            b = p.T @ (weights[:, None] * p)
             assert np.max(np.abs(assemble_gram(m) - b)) < 1e-13
 
     def test_first_entry_against_dense_oracle(self):
@@ -253,6 +255,52 @@ class TestAdjointReuse:
         assert peak <= 1.25 * (e0.nbytes + e1.nbytes)
 
 
+class TestLowRankPremise:
+    """The rows of both moment matrices are analytic in the rate ``c``.
+
+    At r = 12 second-kind Chebyshev rates ``x`` on [0, 1], the barycentric
+    interpolant ``L(c) E(x)`` reproduces the moment matrices on the left
+    ends ``c`` of ``sample_grid(m)`` to roundoff, and with them the adjoint
+    right-hand side; ``A_m`` has numerical rank 5. A spectral path of a
+    few columns per level, in place of the dense ``180 * 4**m`` fill,
+    rests on these.
+    """
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_moment_rows_and_rhs_are_chebyshev_interpolants(self, m):
+        # measured worst (m = 8): 7.8e-16 for E, 6.7e-16 for the wavelet
+        # columns of Et, 7.2e-15 for v and 6.8e-8 of bound_adjoint. Column 0
+        # of Et is up to 1.83e-13 of its row's largest entry off, at
+        # c = 50/46080: the fill's own error just above its series branch
+        # (TestMomentDecimalOracle), so it is held to that test's 2e-13
+        f = exact_problem().exact_rhs(sample_grid(m))
+        ops = OperatorCache(exponential_kernel())
+        v = ops.rhs(f, m)
+        e0, e1 = ops._store["adjoint", m]
+        c = sample_grid(m)[:-1]
+        x, L = chebyshev_interpolation(c, 12)
+        E, Et = exp_haar_matrix(x, m), exp_t_haar_matrix(x, m)
+        scale0, scale1 = max(e0.max(), -e0.min()), max(e1.max(), -e1.min())
+        for r0 in range(0, len(c), 11520):  # row blocks bound the temporaries
+            rows = slice(r0, r0 + 11520)
+            assert np.abs(e0[rows] - L[rows] @ E).max() <= 1e-14 * scale0
+            t = L[rows] @ Et
+            assert np.abs(e1[rows, 1:] - t[:, 1:]).max() <= 1e-14 * scale1
+            row_max = np.abs(e1[rows]).max(axis=1)
+            assert np.all(np.abs(e1[rows, 0] - t[:, 0]) <= 2e-13 * row_max)
+        m0, m1 = _moments(f, m)
+        gap = np.linalg.norm(E.T @ (L.T @ m0) - Et.T @ (L.T @ m1) - v)
+        assert gap <= 1e-13 * np.linalg.norm(v)
+        bound = error_budget(exponential_kernel(), m).bound_adjoint
+        assert gap / trapezoid_norm(f) <= 1e-3 * bound
+
+    def test_gram_has_at_most_6_eigenvalues_above_1e_14_of_the_largest(self):
+        # measured 2 at m = 1, 4 at m = 2 and 5 from m = 3 on
+        for m in range(1, 9):
+            lam = np.linalg.eigvalsh(assemble_gram(m))
+            assert np.count_nonzero(lam > 1e-14 * lam[-1]) <= 6, m
+
+
 class TestDataCoefficients:
     data = staticmethod(OperatorCache(exponential_kernel()).data)
 
@@ -323,9 +371,9 @@ class TestMeasuredOperatorError:
         g_exact = -np.expm1(-xz) / xz
         k = exponential_kernel()
         for m in range(1, 5):
-            rule = simpson_rule(m)
-            e = np.exp(-np.outer(rule.points, xs))
-            g_m = e.T @ (rule.weights[:, None] * e)
+            points, weights = simpson_rule(m)
+            e = np.exp(-np.outer(points, xs))
+            g_m = e.T @ (weights[:, None] * e)
             opnorm = np.linalg.norm(g_exact - g_m, 2) / n
             assert opnorm <= error_budget(k, m).bound_normal
 

@@ -54,10 +54,27 @@ def test_solve_rejects_multiple_levels(capsys):
     assert info.value.code == 2
 
 
-def test_solve_rejects_negative_seed(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["solve", "--noise", "0.05", "--seed", "-1"])
-    assert info.value.code == 2
+def _refused_before_any_run(capsys, monkeypatch, argv):
+    """``main(argv)`` exits 2 with a configuration error, and no run starts."""
+    runs = []
+    monkeypatch.setattr(experiment, "run_adaptive", lambda *a: runs.append(a))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert runs == []
+    return err
+
+
+def test_solve_rejects_negative_seed(capsys, monkeypatch):
+    # the sweep's NoiseSpec is the one seed check
+    argv = ["solve", "--noise", "0.05", "--seed", "-1"]
+    err = _refused_before_any_run(capsys, monkeypatch, argv)
+    assert err.startswith("configuration error: seed must be an integer >= 0, got -1")
+
+
+def test_table_rejects_negative_seed(capsys, monkeypatch):
+    argv = ["table", "--noise", "0.05", "--seed", "1,-2", "--scheme", "adaptive"]
+    err = _refused_before_any_run(capsys, monkeypatch, argv)
+    assert err.startswith("configuration error: seed must be an integer >= 0, got -2")
 
 
 def test_table_small_sweep(capsys, tmp_path):
@@ -154,11 +171,7 @@ def test_config_error_exit_code(capsys):
 def test_bad_inputs_are_refused_before_any_run(capsys, monkeypatch, argv):
     # the sweep checks them all; in the last two an adaptive run
     # comes before the fixed one whose level the data grid does not refine
-    runs = []
-    monkeypatch.setattr(experiment, "run_adaptive", lambda *a: runs.append(a))
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
-    assert runs == []
+    assert _refused_before_any_run(capsys, monkeypatch, argv).startswith("configuration error:")
 
 
 def test_alpha0_whose_first_shift_rounds_to_zero(capsys):

@@ -98,6 +98,19 @@ class TestAddNoise:
             with pytest.raises(ValueError, match="at least 2 values"):
                 add_noise(np.array(short), NoiseSpec(rel_level=0.01, seed=0))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-160])
+    def test_norm_scales_with_data_whose_squares_overflow_or_underflow(self, scale):
+        # above about 1e154 the squares overflow and the plain norm reads inf,
+        # so add_noise returned non-finite samples and delta_abs = inf; below
+        # about 1e-154 they underflow and the norm came out up to 100 % low
+        f = exact_problem().exact_rhs(sample_grid(2))
+        norm = trapezoid_norm(f) * scale
+        assert trapezoid_norm(f * scale) == pytest.approx(norm, rel=1e-15, abs=0.0)
+        noisy, dabs = add_noise(f * scale, NoiseSpec(rel_level=0.01, seed=0))
+        assert dabs == pytest.approx(0.01 * norm, rel=1e-15, abs=0.0)
+        assert np.all(np.isfinite(noisy))
+        assert trapezoid_norm(noisy - f * scale) == pytest.approx(dabs, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
     def test_bit_identical_to_uniform_draw(self, seed):
         # the draw ``-1 + 2 r`` as ``rng.uniform(-1, 1)`` computes it

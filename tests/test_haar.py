@@ -369,14 +369,19 @@ class TestMomentDecimalOracle:
     """Both moment matrices at m = 8 against exact antiderivatives in 60 digits."""
 
     # c = 0; both sides of the Taylor branch (c * width < 1e-6) at widths 1/4,
-    # 1/8 and 1/128; both sides of the j = 1 t-moment's series (c < 1e-3);
+    # 1/8 and 1/128; both sides of the j = 1 t-moment's series (c < 1e-3),
+    # with the worst rates of sample_grid(8) and sample_grid(6) above it;
     # moderate and large rates
-    RATES = (0.0, 1e-9, 3.9e-6, 7.8e-6, 1.27e-4, 1.29e-4, 1e-3, 1.5e-3, 0.5, 1.0, 50.0)
+    RATES = (
+        0.0, 1e-9, 3.9e-6, 7.8e-6, 1.27e-4, 1.29e-4, 1e-3, 50 / 46080, 14 / 11520, 1.5e-3,
+        0.5, 1.0, 50.0,
+    )
 
     @pytest.mark.parametrize("weight, matrix", [(0, exp_haar_matrix), (1, exp_t_haar_matrix)])
     def test_each_row_within_2e_13_of_its_largest_entry(self, weight, matrix):
-        # measured worst 7.7e-14: column 0 of the t-moment at c = 1.5e-3, just
-        # above the series branch, where the closed form cancels about 2.5 digits
+        # measured worst 1.83e-13: column 0 of the t-moment at c = 50/46080,
+        # just above the series branch, where the closed form cancels about
+        # 3 digits (1.21e-13 at c = 14/11520, 7.6e-14 at c = 1.5e-3)
         got = matrix(np.array(self.RATES), 8)
         with localcontext() as ctx:
             ctx.prec = 60
@@ -391,7 +396,7 @@ def _fill_inputs(m):
     """The four rate sets of the fill oracles at level ``m``."""
     return {
         "partition": sample_grid(m)[:-1],
-        "simpson": simpson_rule(m).points,
+        "simpson": simpson_rule(m)[0],
         "gauss": _gauss_cell_nodes(m, 4)[0],
         "hand": _hand_rates(),
     }

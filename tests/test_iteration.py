@@ -263,6 +263,12 @@ class TestClosedFormOracle:
             closed_form_iterate(ops, samples, 2, [1], cfg)
 
 
+def _noisy_benchmark(m_cap, seed):
+    """``(samples, delta)``: benchmark data on ``sample_grid(m_cap)``, 1 % noise of ``seed``."""
+    f = exact_problem().exact_rhs(sample_grid(m_cap))
+    return add_noise(f, NoiseSpec(rel_level=0.01, seed=seed))
+
+
 class TestRunAdaptive:
     def test_noisy_run_terminates_by_discrepancy(self, bench):
         _, ops, samples = bench
@@ -361,6 +367,65 @@ class TestRunAdaptive:
         for rec_low, rec_high in zip(low.trace, high.trace):
             assert rec_high.gamma_norm == pytest.approx(rec_low.gamma_norm * 1e-50, rel=1e-12)
             assert rec_high.G == pytest.approx(rec_low.G, rel=1e-12)
+
+    def test_gamma_norm_does_not_overflow(self):
+        # benchmark data with 1 % noise scaled by 1e200: the entries of gamma
+        # pass 1e154, whose squares overflow. |gamma| read inf from step 1 and
+        # the run reported a cap it never hit (stop=m_cap after 50 steps,
+        # G_final = inf). gamma is linear in the data and the levels depend
+        # on a_n alone, so every |gamma| is the unscaled run's times 1e200
+        ops = OperatorCache(exponential_kernel())
+        noisy, dabs = _noisy_benchmark(2, seed=0)
+        config = SolverConfig(m_cap=2)
+        high = run_adaptive(ops, noisy * 1e200, dabs * 1e200, config)
+        assert (high.stop_reason, high.n_delta) == ("discrepancy_met", 10)
+        assert high.G_final <= high.threshold < math.inf
+        low = run_steps(ops, noisy, high.n_delta, config)
+        for rec_low, rec_high in zip(low.trace, high.trace):
+            assert rec_high.gamma_norm == pytest.approx(rec_low.gamma_norm * 1e200, rel=1e-12)
+
+
+def test_scaled_data_returns_or_breaks_down_honestly():
+    # any finite data with a finite delta > 0 gives an honest outcome or a
+    # breakdown, never a non-finite G or solution; the example is the 1e200
+    # case that overflowed |gamma|
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ops = OperatorCache(exponential_kernel())
+    bench_delta = _noisy_benchmark(2, seed=0)[1]
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        m_cap=st.integers(1, 3),
+        kind=st.sampled_from(["benchmark", "uniform"]),
+        seed=st.integers(0, 2 ** 32),
+        exponent=st.floats(-150.0, 200.0),
+        # delta relative to the data's scale: the paper's range, or any float
+        delta_rel=st.floats(1e-6, 1.0) | st.floats(0.0, sys.float_info.max, exclude_min=True),
+    )
+    @hypothesis.example(m_cap=2, kind="benchmark", seed=0, exponent=200.0, delta_rel=bench_delta)
+    def check(m_cap, kind, seed, exponent, delta_rel):
+        scale = 10.0 ** exponent
+        delta = delta_rel * scale
+        hypothesis.assume(0.0 < delta < math.inf)
+        if kind == "benchmark":
+            samples = _noisy_benchmark(m_cap, seed)[0]
+        else:
+            samples = np.random.default_rng(seed).uniform(-1.0, 1.0, len(sample_grid(m_cap)))
+        config = SolverConfig(m_cap=m_cap)
+        try:
+            out = run_adaptive(ops, samples * scale, delta, config)
+        except FactorizationError:
+            return
+        stops = ("discrepancy_met", "initial_below_threshold", "max_iter", "m_cap")
+        assert out.stop_reason in stops
+        assert math.isfinite(out.G_final)
+        assert np.all(np.isfinite(out.solution.values))
+        levels = [rec.m for rec in out.trace]
+        assert levels == sorted(levels) and levels[-1] <= m_cap
+        assert all(rec.G >= 0.0 for rec in out.trace)
+
+    check()
 
 
 class TestRunFixed:
