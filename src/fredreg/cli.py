@@ -15,7 +15,8 @@ level, count or index that is not an integer or is out of range, and an
 empty list of noise levels or seeds), when memory runs out and when
 ``--out`` cannot be written (it is opened before the first solve), 3
 when any run stopped for a reason other than the discrepancy rule, 4 on
-a numerical breakdown (a shifted system that Cholesky cannot factor).
+a numerical breakdown (a shifted system Cholesky cannot factor, or a run
+whose discrepancy or iterate overflows).
 """
 
 import argparse
@@ -23,7 +24,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import fields
 
-from .assembly import FactorizationError
+from numpy.linalg import LinAlgError
+
 from .experiment import (
     _EVAL_GRID, _SCHEMES, PAPER_NOISE_LEVELS, _runs, format_summary, rows_to_csv, run_table,
 )
@@ -143,8 +145,7 @@ def main(argv=None):
         config = _config(args)
         with open(args.out, "w", newline="") if args.out else nullcontext() as out:
             return command(args, config, out)
-    except FactorizationError as exc:
-        # a LinAlgError, hence a ValueError: catch it first
+    except LinAlgError as exc:  # a ValueError: catch it first
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

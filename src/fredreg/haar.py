@@ -15,10 +15,9 @@ Besides pointwise evaluation the module provides closed-form inner
 products of the basis against exponentials ``exp(-c*t)`` (and their
 ``t``-weighted variant), the pyramid transform between the basis and
 the finest cells, projection onto the span, and a coefficient
-container.
+container. Everything runs on the calling thread.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -167,38 +166,12 @@ def _output(out, c, m, start):
     return out
 
 
-def _in_halves(work, n, step):
-    """``work(0, half)`` here and ``work(half, n)`` on one helper thread, unless ``n <= step``.
-
-    The split is fixed, so the bits do not depend on the core count. The
-    helper is joined before this returns; its exception is raised here.
-    """
-    if n <= step:
-        return work(0, n)
-    half, failed = (n + 1) // 2, []
-
-    def helper():
-        try:
-            work(half, n)
-        except BaseException as error:
-            failed.append(error)
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
-        work(0, half)
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
-
-
 def _fill(c, m, start, outs, wanted):
     """The pair (:func:`exp_haar_matrix`, :func:`exp_t_haar_matrix`) written into ``outs``.
 
     Checks the inputs; an output not ``wanted`` is None and skipped. Per block,
     ``x = -c*mid``, ``e = exp(x)`` and ``sinh(c*h/2)**2`` serve both; ``x`` and
-    ``e`` reuse two arrays per half (no block hands memory back to the system to
+    ``e`` reuse two arrays per call (no block hands memory back to the system to
     fault it in again), and each output is formed contiguously, then copied.
     """
     c = _rates(c)
@@ -227,30 +200,27 @@ def _fill(c, m, start, outs, wanted):
     def expand(factor):
         return np.repeat(factor, counts, axis=1)
 
-    def fill_rows(first, stop):
-        x_buf, e_buf = np.empty((2, min(step, stop - first), n_cols))
-        for r0 in range(first, stop, step):
-            rows = slice(r0, min(r0 + step, stop))
-            Cr, Csr = C[rows], Cs[rows]
-            x = np.multiply(-Cr, mid, out=x_buf[: len(Cr)])  # -(c * mid), exactly
-            e = np.exp(x, out=e_buf[: len(Cr)])
-            sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
-            if out is not None:
-                plain = expand(A / Csr)
-                plain *= e
-                plain *= 4.0
-                plain *= sinh2
-                out[rows, col0:] = plain
-            if t_out is not None:
-                np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
-                x *= 4.0
-                x *= sinh2
-                x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
-                e *= expand(A / Csr ** 2)
-                x *= e
-                t_out[rows, col0:] = x
-
-    _in_halves(fill_rows, len(c), step)
+    x_buf, e_buf = np.empty((2, min(step, len(c)), n_cols))
+    for r0 in range(0, len(c), step):
+        rows = slice(r0, r0 + step)
+        Cr, Csr = C[rows], Cs[rows]
+        x = np.multiply(-Cr, mid, out=x_buf[: len(Cr)])  # -(c * mid), exactly
+        e = np.exp(x, out=e_buf[: len(Cr)])
+        sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
+        if out is not None:
+            plain = expand(A / Csr)
+            plain *= e
+            plain *= 4.0
+            plain *= sinh2
+            out[rows, col0:] = plain
+        if t_out is not None:
+            np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
+            x *= 4.0
+            x *= sinh2
+            x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
+            e *= expand(A / Csr ** 2)
+            x *= e
+            t_out[rows, col0:] = x
     for cols, _, _, w in levels:
         small = c * w < _SMALL_C_WIDTH
         for target, _, taylor in outputs if small.any() else ():
@@ -283,13 +253,12 @@ def exp_haar_matrix(c, m, *, out=None, start=0, t_out=None):
     ``h`` the piece width), with a Taylor branch when ``c`` times the
     support width is below 1e-6. Column ``j = 1`` is ``-expm1(-c)/c``.
 
-    The wavelet columns are filled in blocks of whole rows (32 768
-    entries), the first half of the rows on the calling thread and the
-    second on one helper thread: ``exp`` once per entry for both outputs,
+    The wavelet columns are filled on the calling thread in blocks of
+    whole rows (32 768 entries): ``exp`` once per entry for both outputs,
     every factor of the row and level alone once per row and level. Every
     entry keeps the operation sequence of the elementwise formula, so the
-    result is bit-identical to it on any number of cores; peak memory is
-    the results plus one block per thread.
+    result is bit-identical to it; peak memory is the results plus under
+    2 MiB of temporaries (one block's and a few of length ``len(c)``).
     """
     return _fill(c, m, start, (out, t_out), (True, t_out is not None))[0]
 

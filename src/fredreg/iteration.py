@@ -191,6 +191,7 @@ def _run_loop(delta, config, systems):
     ``u_{n-1}`` into the (nested) finer span, and the increment of
     ``G_n`` carries the factor ``c``: ``1 - q`` for "formal", 1 for
     "listing". A step is capped when its raw level exceeds its level.
+    A non-finite ``G_n`` or final iterate raises ``np.linalg.LinAlgError``.
     """
     threshold = config.C * delta ** config.eps
     q = config.q
@@ -209,9 +210,13 @@ def _run_loop(delta, config, systems):
         gamma_norm = _norm(gamma)
         G = q * G + c * a * gamma_norm
         trace.append(StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=G))
+        if not math.isfinite(G):
+            raise np.linalg.LinAlgError(f"G is not finite after step {n} (level {m}, shift {a!r})")
         if G <= threshold:
             reason = "discrepancy_met" if n > 1 else "initial_below_threshold"
             break
+    if not np.isfinite(u).all():
+        raise np.linalg.LinAlgError(f"u is not finite after step {n} (level {m}, shift {a!r})")
     capped = any(rec.m_raw > rec.m for rec in trace)
     if capped and reason == "max_iter":
         reason = "m_cap"
@@ -248,7 +253,8 @@ def run_adaptive(ops, f_samples, delta, config):
 
     Raises ``ValueError`` before any assembly on non-finite samples, on
     a grid that does not refine as above and on a ``delta`` that is not
-    finite and positive. The data are projected once, at ``m_cap``.
+    finite and positive, and ``np.linalg.LinAlgError`` on a breakdown
+    (see :func:`_run_loop`). The data are projected once, at ``m_cap``.
     """
     _check_data(f_samples, delta)
     _check_grid(f_samples, 180 * 2 ** config.m_cap)

@@ -210,3 +210,14 @@ def test_numerical_breakdown_exit_code(capsys):
     assert main(["solve", "--noise", "1e-17", "--seed", "0"]) == 4
     err = capsys.readouterr().err
     assert "numerical breakdown" in err and "configuration error" not in err
+
+
+def test_overflowing_discrepancy_exit_code(monkeypatch, capsys):
+    # data scaled by 1e306 overflow G at step 11: a breakdown (4), not an
+    # exhausted budget (3) nor a configuration error (2)
+    add_noise = experiment.add_noise
+    monkeypatch.setattr(
+        experiment, "add_noise", lambda f, spec: tuple(x * 1e306 for x in add_noise(f, spec))
+    )
+    assert main(["solve", "--noise", "0.01", "--m-cap", "2"]) == 4
+    assert capsys.readouterr().err.startswith("numerical breakdown: G is not finite")

@@ -27,7 +27,7 @@ from fredreg.haar import (
     _tables,
     _trapezoid_blocks,
 )
-from fredreg.assembly import _moments, sample_grid, simpson_rule
+from fredreg.assembly import OperatorCache, _moments, exponential_kernel, sample_grid, simpson_rule
 
 from _oracles import coefficients, haar_eval_piecewise, join_index, synthesis_matrix
 
@@ -416,7 +416,7 @@ class TestMomentMatrixFill:
     @pytest.mark.parametrize("m", range(1, 10))
     def test_bit_identical_to_elementwise_formula(self, m):
         # each matrix alone and the one-pass pair; chunks of about 3000
-        # rows are split in two halves (one helper thread) from m = 4 on
+        # rows take more than one block from m = 4 on
         for name, c in _fill_inputs(m).items():
             # the formulas are row-wise, so compare in row chunks to bound
             # the oracle's temporaries (ten full-size arrays)
@@ -458,7 +458,7 @@ class TestMomentMatrixFill:
         exp_haar_matrix(c, 6, out=out[1::2])
         assert np.array_equal(out[1::2], full)
         assert np.isnan(out[::2]).all()
-        # the pair, over enough rows that the helper thread fills half of them
+        # the pair, over ten blocks of rows
         c = np.tile(c, 8)
         full = _pair(c, 6)
         outs = [np.full((2 * len(c), 2 ** 6), np.nan) for _ in full]
@@ -491,29 +491,8 @@ class TestMomentMatrixFill:
             with pytest.raises(ValueError, match="shape"):
                 exp_haar_matrix(c, 3, t_out=t_out)
 
-    @pytest.mark.parametrize("failing_half", ["helper", "caller"])
-    def test_an_exception_in_either_half_reaches_the_caller(self, monkeypatch, failing_half):
-        # the helper is joined before the error propagates: no thread is left
-        real = haar._in_halves
-
-        def in_halves(work, n, step):
-            def failing(first, stop):
-                on_helper = threading.current_thread() is not threading.main_thread()
-                if on_helper == (failing_half == "helper"):
-                    raise RuntimeError(f"{failing_half} half failed")
-                work(first, stop)
-
-            real(failing, n, step)
-
-        monkeypatch.setattr(haar, "_in_halves", in_halves)
-        before = threading.active_count()
-        c = sample_grid(6)[:-1]
-        with pytest.raises(RuntimeError, match=f"{failing_half} half failed"):
-            _pair(c, 6)
-        assert threading.active_count() == before
-
     def test_concurrent_fills_under_frequent_switching(self):
-        # four callers at once, each with its helper, switching every 1 us:
+        # four callers at once, switching every 1 us:
         # every result is bit-identical to the elementwise formulas
         c = np.tile(_hand_rates(), 4)
         want = (_exp_haar_matrix_ref(c, 6), _exp_t_haar_matrix_ref(c, 6))
@@ -536,26 +515,42 @@ class TestMomentMatrixFill:
         for got in results:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
-        started = []
-        monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw))
-        got = _pair(_hand_rates(), 3)  # 630 rows of 7 wavelet columns: one block
-        assert started == []
-        assert np.array_equal(got[0], _exp_haar_matrix_ref(_hand_rates(), 3))
+    def test_fills_start_no_thread(self, monkeypatch):
+        # the multi-block level-6 pair, then the cache's fills of level 5 and
+        # of level 6 after it (a copy of level 5's block and the fills of the rest)
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a fill started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        fills = [(6, _pair(sample_grid(6)[:-1], 6))]
+        ops = OperatorCache(exponential_kernel())
+        for m in (5, 6):
+            ops.rhs(np.zeros(len(sample_grid(m))), m)
+            fills.append((m, ops._store["adjoint", m]))
+        for m, got in fills:
+            c = sample_grid(m)[:-1]
+            for rows in np.array_split(np.arange(len(c)), len(c) // 3000):
+                assert np.array_equal(got[0][rows], _exp_haar_matrix_ref(c[rows], m)), m
+                assert np.array_equal(got[1][rows], _exp_t_haar_matrix_ref(c[rows], m)), m
 
     def test_peak_memory_is_the_output(self):
-        c = sample_grid(8)[:-1]
-        _tables(8)
-        for fill in (exp_haar_matrix, exp_t_haar_matrix, _pair):
-            tracemalloc.start()
-            try:
-                outs = fill(c, 8)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            outs = outs if isinstance(outs, tuple) else (outs,)
-            assert peak <= 1.25 * sum(out.nbytes for out in outs), fill.__name__
-            del outs
+        # the results plus at most 2 MiB of block and rate-vector temporaries;
+        # at m = 8 that is also within a quarter of the results
+        for m in (6, 8):
+            c = sample_grid(m)[:-1]
+            _tables(m)
+            for fill in (exp_haar_matrix, exp_t_haar_matrix, _pair):
+                tracemalloc.start()
+                try:
+                    outs = fill(c, m)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                outs = outs if isinstance(outs, tuple) else (outs,)
+                held = sum(out.nbytes for out in outs)
+                assert peak <= held + 2 * 2 ** 20, (m, fill.__name__)
+                assert m < 8 or peak <= 1.25 * held, fill.__name__
+                del outs
 
 
 def test_cli_import_loads_no_numpy_polynomial():

@@ -385,10 +385,39 @@ class TestRunAdaptive:
             assert rec_high.gamma_norm == pytest.approx(rec_low.gamma_norm * 1e200, rel=1e-12)
 
 
+@pytest.mark.parametrize("scheme", ["adaptive", "fixed"])
+def test_overflowing_discrepancy_is_a_breakdown(scheme):
+    # benchmark data with 1 % noise scaled by 1e306: G overflows at step 11,
+    # a breakdown rather than an exhausted budget (m_cap or max_iter with
+    # G = nan); scaled by 1e300 both schemes stop by the rule
+    ops = OperatorCache(exponential_kernel())
+    noisy, dabs = _noisy_benchmark(2, seed=0)
+    config = SolverConfig(m_cap=2)
+
+    def run(scale):
+        if scheme == "adaptive":
+            return run_adaptive(ops, noisy * scale, dabs * scale, config)
+        return run_fixed(ops, noisy * scale, dabs * scale, config, 2)
+
+    assert run(1e300).stop_reason == "discrepancy_met"
+    with pytest.raises(np.linalg.LinAlgError, match=r"G is not finite after step 11 \(level 2, shift"):
+        run(1e306)
+
+
+def test_overflowing_iterate_is_a_breakdown():
+    # g = 0 keeps G at 0, so the rule holds at step 1, while v / a overflows u
+    def systems(a, m_prev):
+        factor = assembly.factor_spd_shifted(np.zeros((2, 2)), a)
+        return 1, 1, factor, np.full(2, 1e308), np.zeros(2)
+
+    with pytest.raises(np.linalg.LinAlgError, match=r"u is not finite after step 1 \(level 1"):
+        iteration._run_loop(1.0, SolverConfig(), systems)
+
+
 def test_scaled_data_returns_or_breaks_down_honestly():
     # any finite data with a finite delta > 0 gives an honest outcome or a
-    # breakdown, never a non-finite G or solution; the example is the 1e200
-    # case that overflowed |gamma|
+    # breakdown, never a non-finite G or solution; the examples are the 1e200
+    # case that overflowed |gamma| and the 1e306 case that overflowed G
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ops = OperatorCache(exponential_kernel())
@@ -404,6 +433,7 @@ def test_scaled_data_returns_or_breaks_down_honestly():
         delta_rel=st.floats(1e-6, 1.0) | st.floats(0.0, sys.float_info.max, exclude_min=True),
     )
     @hypothesis.example(m_cap=2, kind="benchmark", seed=0, exponent=200.0, delta_rel=bench_delta)
+    @hypothesis.example(m_cap=2, kind="benchmark", seed=0, exponent=306.0, delta_rel=bench_delta)
     def check(m_cap, kind, seed, exponent, delta_rel):
         scale = 10.0 ** exponent
         delta = delta_rel * scale
@@ -415,7 +445,7 @@ def test_scaled_data_returns_or_breaks_down_honestly():
         config = SolverConfig(m_cap=m_cap)
         try:
             out = run_adaptive(ops, samples * scale, delta, config)
-        except FactorizationError:
+        except np.linalg.LinAlgError:  # FactorizationError among them
             return
         stops = ("discrepancy_met", "initial_below_threshold", "max_iter", "m_cap")
         assert out.stop_reason in stops
