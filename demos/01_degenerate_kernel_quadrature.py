@@ -10,7 +10,7 @@ tracks the a-priori bound c1 / 2**(4m).
 
 import numpy as np
 
-from fredreg import error_budget, exponential_kernel, simpson_rule
+from fredreg import error_budget, simpson_rule
 
 print("=== the rule at level m = 2 ===")
 points, weights = simpson_rule(2)
@@ -25,7 +25,6 @@ for k in range(5):
           f"error = {abs(approx - exact):.2e}")
 
 print("\n=== operator error vs the bound, kernel exp(-s t) ===")
-kernel = exponential_kernel()
 n = 512
 xs = (np.arange(n) + 0.5) / n
 xz = xs[:, None] + xs[None, :]
@@ -37,7 +36,7 @@ for m in range(1, 6):
     e = np.exp(-np.outer(s, xs))
     g_m = e.T @ (beta[:, None] * e)
     measured = np.linalg.norm(g_exact - g_m, 2) / n
-    bound = error_budget(kernel, m).bound_normal
+    bound = error_budget(m).bound_normal
     order = "" if prev is None else f"   (order {np.log2(prev / measured):.2f})"
     print(f"{m:>3} {measured:>24.3e} {bound:>16.3e} {measured / bound:>8.3f}{order}")
     prev = measured

@@ -24,7 +24,7 @@ from fredreg import (
 )
 
 problem = exact_problem()
-ops = OperatorCache(problem.kernel)
+ops = OperatorCache()
 
 print("=== Gram matrix at level 2 ===")
 a2 = ops.gram(2)
@@ -36,7 +36,7 @@ print("symmetric to", np.max(np.abs(a2 - a2.T)), "; smallest eigenvalue", eigs.m
 print("\n=== error budgets per level ===")
 print(f"{'m':>3} {'normal-op bound':>16} {'adjoint bound':>14} {'mixed bound':>12}")
 for m in range(1, 7):
-    b = error_budget(problem.kernel, m)
+    b = error_budget(m)
     print(f"{m:>3} {b.bound_normal:>16.3e} {b.bound_adjoint:>14.3e} {b.bound_mixed:>12.3e}")
 
 print("\n=== adjoint right-hand side accuracy ===")
@@ -52,7 +52,7 @@ for m in (1, 2, 3, 4):
     sw = np.tile(gw * w / 2, ncell)
     exact = exp_haar_matrix(s, m).T @ (sw * problem.exact_rhs(s))
     err = np.linalg.norm(v - exact)
-    bound = trapezoid_norm(samples) * error_budget(problem.kernel, m).bound_adjoint
+    bound = trapezoid_norm(samples) * error_budget(m).bound_adjoint
     print(f"  m = {m}: ||v - exact|| = {err:.3e}  (bound {bound:.3e})")
 
 print("\nThe adjoint replacement error stays orders of magnitude below its")

@@ -22,7 +22,7 @@ from fredreg import (
 )
 
 problem = exact_problem()
-ops = OperatorCache(problem.kernel)
+ops = OperatorCache()
 config = SolverConfig()
 grid = sample_grid(config.m_cap)
 f_exact = problem.exact_rhs(grid)

@@ -31,7 +31,7 @@ problem = exact_problem()
 table = {}
 for m_cap in CAPS:
     config = SolverConfig(m_cap=m_cap)
-    ops = OperatorCache(problem.kernel)
+    ops = OperatorCache()
     f_exact = problem.exact_rhs(sample_grid(m_cap))
     for level in LEVELS:
         runs = []

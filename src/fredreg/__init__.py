@@ -8,10 +8,8 @@ decays, stopped by a discrepancy-type rule.
 """
 
 from .assembly import (
-    FactorizationError,
     OperatorCache,
     error_budget,
-    exponential_kernel,
     sample_grid,
     simpson_rule,
 )
@@ -33,7 +31,6 @@ __version__ = "0.1.0"
 # The public API: the names the demos, the CLI, the README and the
 # benchmark import. Everything else is reached through its module.
 __all__ = [
-    "FactorizationError",
     "NoiseSpec",
     "OperatorCache",
     "PAPER_NOISE_LEVELS",
@@ -43,7 +40,6 @@ __all__ = [
     "error_budget",
     "exact_problem",
     "exp_haar_matrix",
-    "exponential_kernel",
     "haar_eval",
     "project",
     "rank_schedule",

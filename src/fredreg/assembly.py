@@ -14,7 +14,8 @@ builds
   replaced by its first-order Taylor expansion on each cell,
 * the data coefficients ``g_i = <f, Phi_i>``, closed-form a-priori
   bounds on the three operator approximation errors per level, and
-* the Cholesky factor of ``a I + A`` (scipy's LAPACK) and its solves.
+* the Cholesky factor of ``a I + A`` (scipy's LAPACK) and its solves;
+  a breakdown raises ``numpy.linalg.LinAlgError`` naming the pivot.
 
 Gram matrices are read-only ``(2**m, 2**m)`` arrays. The
 :class:`OperatorCache` memoizes the level-dependent pieces and the
@@ -77,21 +78,6 @@ _flapack = _load_flapack()
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
-class FactorizationError(np.linalg.LinAlgError):
-    """Cholesky breakdown; ``pivot`` is the 1-based offending leading minor.
-
-    Possible only when the matrix violates the positive semidefinite
-    contract upstream (the shift makes honest Gram inputs definite).
-    """
-
-    def __init__(self, pivot):
-        self.pivot = int(pivot)
-        super().__init__(
-            f"Cholesky factorization failed at pivot {self.pivot}; "
-            "matrix is not positive definite"
-        )
-
-
 def factor_spd_shifted(matrix, shift):
     """Read-only lower Cholesky factor of ``shift I + M`` for symmetric PSD ``M``.
 
@@ -101,6 +87,7 @@ def factor_spd_shifted(matrix, shift):
     ``M + shift * np.eye(n)``. The factor is the ``dpotrf`` output: its
     lower triangle holds ``L``, its strict upper triangle is left as it
     was, and :func:`solve_spd_shifted` reads the lower triangle only.
+    A breakdown raises ``numpy.linalg.LinAlgError`` naming the 1-based pivot.
     """
     matrix = np.asarray(matrix, dtype=float)
     if not 0.0 < shift < np.inf:
@@ -113,7 +100,9 @@ def factor_spd_shifted(matrix, shift):
     shifted[diag, diag] += shift
     factor, info = dpotrf(shifted, lower=1, overwrite_a=1)
     if info > 0:
-        raise FactorizationError(info)
+        raise np.linalg.LinAlgError(
+            f"Cholesky factorization failed at pivot {info}; matrix is not positive definite"
+        )
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of the factorization")
     factor.setflags(write=False)
@@ -198,27 +187,9 @@ class Kernel:
     c1: float
     sup_bound: float
 
-    def __post_init__(self):
-        if not self.c1 > 0:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
-        if not self.sup_bound > 0:
-            raise ValueError(f"sup_bound must be positive, got {self.sup_bound}")
 
-
-_EXPONENTIAL_KERNEL = Kernel(
-    c1=16.0 / 180.0,
-    sup_bound=1.0,
-)
-
-
-def exponential_kernel():
-    """The kernel ``k(s, t) = exp(-s t)``.
-
-    Always the same instance: :class:`OperatorCache` assembles this
-    kernel's closed-form slice projections and adjoint, and accepts no
-    other kernel object.
-    """
-    return _EXPONENTIAL_KERNEL
+# The one kernel fredreg assembles, k(s, t) = exp(-s t)
+_EXPONENTIAL_KERNEL = Kernel(c1=16.0 / 180.0, sup_bound=1.0)
 
 
 @dataclass(frozen=True)
@@ -268,15 +239,16 @@ def _moments(samples, m):
     return h * (blocks @ w0), h * h * (blocks @ w1)
 
 
-def error_budget(kernel, m):
-    """Closed-form approximation bounds for level ``m >= 1``."""
+def error_budget(m):
+    """Closed-form approximation bounds of the exponential kernel at level ``m >= 1``."""
     _check_level("error budget level", m, 1)
     four = 2.0 ** (4 * m)
     two = 2.0 ** (2 * m)
+    c1, sup_bound = _EXPONENTIAL_KERNEL.c1, _EXPONENTIAL_KERNEL.sup_bound
     return ErrorBudget(
-        bound_normal=kernel.c1 / four,
+        bound_normal=c1 / four,
         bound_adjoint=1.0 / (two * 180.0),
-        bound_mixed=(kernel.c1 + kernel.sup_bound / 180.0) / two,
+        bound_mixed=(c1 + sup_bound / 180.0) / two,
     )
 
 
@@ -300,17 +272,19 @@ def galerkin_matrix(m):
 class OperatorCache:
     """Level-keyed cache of the noise-independent assembly products.
 
-    Bound to :func:`exponential_kernel`; safe to share across solver
-    runs. The cached pieces (Gram matrices, adjoint moment matrices,
-    Galerkin matrices, Cholesky factors of the shifted systems) depend
-    only on the level and the shift, never on the data. Every lookup
-    checks its level first, so ``True`` never finds level 1's entry.
+    Bound to the kernel ``exp(-s t)``: ``kernel`` defaults to the one
+    instance accepted, ``exact_problem().kernel``, and any other raises
+    ``ValueError``. Safe to share across solver runs. The cached pieces
+    (Gram matrices, adjoint moment matrices, Galerkin matrices, Cholesky
+    factors of the shifted systems) depend only on the level and the
+    shift, never on the data. Every lookup checks its level first, so
+    ``True`` never finds level 1's entry.
     """
 
-    def __init__(self, kernel):
+    def __init__(self, kernel=_EXPONENTIAL_KERNEL):
         if kernel is not _EXPONENTIAL_KERNEL:
             raise ValueError(
-                "OperatorCache assembles exponential_kernel() only: its slice "
+                "OperatorCache assembles the exponential kernel only: its slice "
                 "projections and Taylor-expansion adjoint are hard-coded"
             )
         self.kernel = kernel

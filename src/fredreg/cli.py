@@ -15,8 +15,9 @@ level, count or index that is not an integer or is out of range, and an
 empty list of noise levels or seeds), when memory runs out and when
 ``--out`` cannot be written (it is opened before the first solve), 3
 when any run stopped for a reason other than the discrepancy rule, 4 on
-a numerical breakdown (a shifted system Cholesky cannot factor, or a run
-whose discrepancy or iterate overflows).
+a numerical breakdown, any ``numpy.linalg.LinAlgError`` (a shifted system
+Cholesky cannot factor, the pivot given in the message, or a run whose
+discrepancy or iterate overflows).
 """
 
 import argparse

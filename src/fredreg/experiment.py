@@ -24,7 +24,7 @@ import numpy as np
 # numpy loads this submodule lazily; load it with fredreg, not in the first request
 from numpy.random import default_rng
 
-from .assembly import Kernel, OperatorCache, exponential_kernel, sample_grid
+from .assembly import _EXPONENTIAL_KERNEL, Kernel, OperatorCache, sample_grid
 from .haar import _check_grid, _check_level, exp_t_haar_matrix
 from .iteration import SolverConfig, _norm, run_adaptive, run_fixed
 
@@ -58,7 +58,7 @@ def _benchmark_rhs(s):
 def exact_problem():
     """The benchmark: exponential kernel, ``u(t) = t``, ``||y|| = 1/sqrt(3)``."""
     return Problem(
-        kernel=exponential_kernel(),
+        kernel=_EXPONENTIAL_KERNEL,
         exact_rhs=_benchmark_rhs,
         exact_solution=lambda t: np.asarray(t, dtype=float),
     )
@@ -150,7 +150,7 @@ def _runs(config, levels, seeds, schemes, fixed_m):
     if not specs:
         raise ValueError("need at least one noise level and one seed")
     problem = exact_problem()
-    ops = OperatorCache(problem.kernel)
+    ops = OperatorCache()
     f_exact_samples = problem.exact_rhs(sample_grid(config.m_cap))
     if "fixed" in scheme_list:
         _check_level("fixed level", fixed_m, 1)

@@ -117,14 +117,22 @@ def _wavelet_levels(m, first=1):
         yield slice(j, 2 * j), amp[j], mid[j] - left[j], right[j] - left[j]
 
 
+# Column j = 1: the closed form over every rate, then its truncated Taylor
+# series written over the rates below the branch point only
 def _column0_exp(c, cs):
-    taylor = 1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0
-    return np.where(c < _SMALL_C_WIDTH, taylor, -np.expm1(-cs) / cs)
+    col = -np.expm1(-cs) / cs
+    small = c < _SMALL_C_WIDTH
+    t = c[small]
+    col[small] = 1.0 - t / 2.0 + t ** 2 / 6.0 - t ** 3 / 24.0
+    return col
 
 
 def _column0_exp_t(c, cs):
-    taylor1 = 0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
-    return np.where(c < _SMALL_C_MOMENT, taylor1, np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2)
+    col = np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2
+    small = c < _SMALL_C_MOMENT
+    t = c[small]
+    col[small] = 0.5 - t / 3.0 + t ** 2 / 8.0 - t ** 3 / 30.0 + t ** 4 / 144.0 - t ** 5 / 840.0
+    return col
 
 
 def _taylor_exp(C, A, T0, T1, T2):

@@ -16,7 +16,6 @@ from fredreg.assembly import (
     OperatorCache,
     assemble_gram,
     error_budget,
-    exponential_kernel,
     sample_grid,
     simpson_rule,
 )
@@ -54,7 +53,7 @@ def _median(values):
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     problem = exact_problem()
-    ops = OperatorCache(problem.kernel)
+    ops = OperatorCache()
     samples = problem.exact_rhs(sample_grid(6))
     worst = 0.0
     for q in (0.25, 0.5):
@@ -95,7 +94,6 @@ def test_criterion_3_simpson_bound_and_order():
     xs = (np.arange(n) + 0.5) / n
     xz = xs[:, None] + xs[None, :]
     g_exact = -np.expm1(-xz) / xz
-    kernel = exponential_kernel()
     norms = []
     ok_bound = True
     for m in range(1, 5):
@@ -104,7 +102,7 @@ def test_criterion_3_simpson_bound_and_order():
         g_m = e.T @ (weights[:, None] * e)
         opnorm = float(np.linalg.norm(g_exact - g_m, 2)) / n
         norms.append(opnorm)
-        ok_bound = ok_bound and opnorm <= error_budget(kernel, m).bound_normal
+        ok_bound = ok_bound and opnorm <= error_budget(m).bound_normal
     orders = [math.log2(a / b) for a, b in zip(norms, norms[1:])]
     elapsed = time.perf_counter() - start
     report(

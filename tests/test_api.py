@@ -6,7 +6,6 @@ from fredreg.assembly import assemble_gram, galerkin_matrix
 from fredreg.haar import HaarCoefficients, exp_haar_matrix, exp_t_haar_matrix
 
 PUBLIC = {
-    "FactorizationError",
     "NoiseSpec",
     "OperatorCache",
     "PAPER_NOISE_LEVELS",
@@ -16,7 +15,6 @@ PUBLIC = {
     "error_budget",
     "exact_problem",
     "exp_haar_matrix",
-    "exponential_kernel",
     "haar_eval",
     "project",
     "rank_schedule",
@@ -32,13 +30,12 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(fredreg.__all__) == len(PUBLIC) == 22
+    assert len(fredreg.__all__) == len(PUBLIC) == 20
     assert set(fredreg.__all__) == PUBLIC
     for name in fredreg.__all__:
         assert getattr(fredreg, name) is not None, name
 
 
-_KERNEL = fredreg.exponential_kernel()
 _SAMPLES = np.ones(len(fredreg.sample_grid(3)))
 
 # Every public entry that takes a level, a level cap or an iteration
@@ -46,7 +43,7 @@ _SAMPLES = np.ones(len(fredreg.sample_grid(3)))
 LEVEL_ENTRIES = {
     "simpson_rule": lambda ops, m: fredreg.simpson_rule(m),
     "sample_grid": lambda ops, m: fredreg.sample_grid(m),
-    "error_budget": lambda ops, m: fredreg.error_budget(_KERNEL, m),
+    "error_budget": lambda ops, m: fredreg.error_budget(m),
     "assemble_gram": lambda ops, m: assemble_gram(m),
     "galerkin_matrix": lambda ops, m: galerkin_matrix(m),
     "exp_haar_matrix": lambda ops, m: exp_haar_matrix([0.5], m),
@@ -69,9 +66,9 @@ LEVEL_ENTRIES = {
 @pytest.mark.parametrize("level", [2.5, True, "2"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize("entry", LEVEL_ENTRIES)
 def test_every_level_entry_rejects_a_non_integer(entry, level):
-    # 2.5 used to pass the `m >= 1` checks (error_budget(k, 2.5) returned
-    # level 2 with level 2.5's bounds) and "2" raised TypeError, not exit 2
-    ops = fredreg.OperatorCache(_KERNEL)
+    # 2.5 passes an `m >= 1` check alone (error_budget would give level
+    # 2.5's bounds) and "2" fails it with TypeError, not exit 2
+    ops = fredreg.OperatorCache()
     with pytest.raises(ValueError, match="integer"):
         LEVEL_ENTRIES[entry](ops, level)
     # a cache checks a level before it looks it up, so it stores nothing
@@ -86,7 +83,7 @@ CACHE_ENTRIES = [name for name in LEVEL_ENTRIES if name.startswith("OperatorCach
 def test_every_level_entry_rejects_a_non_integer_on_a_warm_cache(entry, level):
     # True == 1 and hash(True) == hash(1): a lookup that checked only on a
     # miss returned the stored level-1 entry for True
-    ops = fredreg.OperatorCache(_KERNEL)
+    ops = fredreg.OperatorCache()
     LEVEL_ENTRIES[entry](ops, 1)
     with pytest.raises(ValueError, match="integer"):
         LEVEL_ENTRIES[entry](ops, level)

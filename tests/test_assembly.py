@@ -15,7 +15,6 @@ from fredreg.assembly import (
     _moments,
     assemble_gram,
     error_budget,
-    exponential_kernel,
     galerkin_matrix,
     sample_grid,
     simpson_rule,
@@ -56,21 +55,17 @@ def dense_gram_oracle(m, grid_n=1024):
 
 class TestKernel:
     def test_exponential_kernel_fields(self):
-        k = exponential_kernel()
+        k = exact_problem().kernel
         assert k.c1 == pytest.approx(16 / 180)
         assert k.sup_bound == 1.0
-        assert k is exponential_kernel()
+        assert k is exact_problem().kernel
 
     def test_symmetry_holds_on_grid(self):
-        k = exponential_kernel()
+        k = exact_problem().kernel
         s = np.linspace(0, 1, 17)
         vals = np.exp(-s[:, None] * s[None, :])
         assert np.max(np.abs(vals - vals.T)) < 1e-14
         assert np.max(np.abs(vals)) <= k.sup_bound + 1e-15
-
-    def test_rejects_bad_constants(self):
-        with pytest.raises(ValueError):
-            Kernel(c1=0.0, sup_bound=1.0)
 
 
 class TestGramAssembly:
@@ -118,14 +113,14 @@ class TestGramAssembly:
 class TestAdjointRhs:
     def test_zero_data(self):
         samples = np.zeros(720 * 4 + 1)
-        v = OperatorCache(exponential_kernel()).rhs(samples, 2)
+        v = OperatorCache().rhs(samples, 2)
         assert np.max(np.abs(v)) == 0.0
 
     def test_constant_data_first_coefficient(self):
         # oracle: <K* 1, Phi_1> = int_0^1 int_0^1 e^{-st} ds dt
         oracle = quad(lambda t: -math.expm1(-t) / t if t > 0 else 1.0, 0, 1)[0]
         assert oracle == pytest.approx(0.7965995992970532, abs=1e-12)
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         for m in (1, 3):
             samples = np.ones(180 * 2 ** m * 4 + 1)
             v = ops.rhs(samples, m)
@@ -139,7 +134,7 @@ class TestAdjointRhs:
         prob = exact_problem()
         grid = sample_grid(6)
         samples = prob.exact_rhs(grid)
-        v = OperatorCache(prob.kernel).rhs(samples, m)
+        v = OperatorCache().rhs(samples, m)
         # exact adjoint coefficients by dense Gauss quadrature in s
         gx, gw = np.polynomial.legendre.leggauss(12)
         ncell = 256
@@ -152,15 +147,15 @@ class TestAdjointRhs:
 
     def test_rejects_coarse_samples(self):
         with pytest.raises(ValueError):
-            OperatorCache(exponential_kernel()).rhs(np.ones(181), 1)
+            OperatorCache().rhs(np.ones(181), 1)
 
     def test_rejects_copy_with_other_exponential_slices(self):
         # a Kernel holds only the constants, so a copy with equal ones may
         # stand for slices exp(-2st); the adjoint hard-codes exp(-st), so its
         # right-hand side would be about 20 % off a dense quadrature of that
         # kernel's true adjoint. Any copy is refused at construction
-        copy = dataclasses.replace(exponential_kernel())
-        with pytest.raises(ValueError, match="exponential_kernel"):
+        copy = dataclasses.replace(exact_problem().kernel)
+        with pytest.raises(ValueError, match="exponential kernel only"):
             OperatorCache(copy)
 
 
@@ -215,7 +210,7 @@ class TestAdjointReuse:
         ids=lambda order: "-".join(map(str, order)),
     )
     def test_every_level_equals_a_full_fill(self, order):
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         for i, m in enumerate(order):
             e0, e1 = _adjoint_pair(ops, m)
             # no level is filled before it is asked for, and each is its own array
@@ -237,12 +232,12 @@ class TestAdjointReuse:
             c = sample_grid(m)[:-1]
             m0, m1 = _moments(samples, m)
             want[m] = exp_haar_matrix(c, m).T @ m0 - exp_t_haar_matrix(c, m).T @ m1
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         for m in levels:
             assert np.array_equal(ops.rhs(samples, m), want[m]), m
 
     def test_peak_memory_of_a_reusing_fill_is_the_output(self):
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         _adjoint_pair(ops, 7)
         samples = np.zeros(len(sample_grid(8)))
         tracemalloc.start()
@@ -274,7 +269,7 @@ class TestLowRankPremise:
         # c = 50/46080: the fill's own error just above its series branch
         # (TestMomentDecimalOracle), so it is held to that test's 2e-13
         f = exact_problem().exact_rhs(sample_grid(m))
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         v = ops.rhs(f, m)
         e0, e1 = ops._store["adjoint", m]
         c = sample_grid(m)[:-1]
@@ -291,7 +286,7 @@ class TestLowRankPremise:
         m0, m1 = _moments(f, m)
         gap = np.linalg.norm(E.T @ (L.T @ m0) - Et.T @ (L.T @ m1) - v)
         assert gap <= 1e-13 * np.linalg.norm(v)
-        bound = error_budget(exponential_kernel(), m).bound_adjoint
+        bound = error_budget(m).bound_adjoint
         assert gap / trapezoid_norm(f) <= 1e-3 * bound
 
     def test_gram_has_at_most_6_eigenvalues_above_1e_14_of_the_largest(self):
@@ -302,7 +297,7 @@ class TestLowRankPremise:
 
 
 class TestDataCoefficients:
-    data = staticmethod(OperatorCache(exponential_kernel()).data)
+    data = staticmethod(OperatorCache().data)
 
     def test_constant(self):
         samples = np.ones(8 * 16 + 1)
@@ -334,24 +329,21 @@ class TestDataCoefficients:
 
 class TestErrorBudget:
     def test_benchmark_values(self):
-        k = exponential_kernel()
-        b1 = error_budget(k, 1)
+        b1 = error_budget(1)
         assert b1.bound_normal == pytest.approx(1 / 180, abs=1e-18)
-        b2 = error_budget(k, 2)
+        b2 = error_budget(2)
         assert b2.bound_adjoint == pytest.approx(1 / (16 * 180), abs=1e-18)
         assert b2.bound_adjoint == pytest.approx(3.472e-4, rel=1e-3)
         # mixed bound reduces to 17 / (2**(2m) 180) for this kernel
         assert b1.bound_mixed == pytest.approx(17 / (4 * 180), abs=1e-18)
 
     def test_normal_bound_shrinks_16x_per_level(self):
-        k = exponential_kernel()
         for m in (1, 2, 5):
-            assert error_budget(k, m).bound_normal / error_budget(k, m + 1).bound_normal \
+            assert error_budget(m).bound_normal / error_budget(m + 1).bound_normal \
                 == pytest.approx(16.0, abs=0)
 
     def test_all_bounds_positive_decreasing(self):
-        k = exponential_kernel()
-        budgets = [error_budget(k, m) for m in range(1, 9)]
+        budgets = [error_budget(m) for m in range(1, 9)]
         for field in ("bound_normal", "bound_adjoint", "bound_mixed"):
             vals = [getattr(b, field) for b in budgets]
             assert all(v > 0 for v in vals)
@@ -359,7 +351,7 @@ class TestErrorBudget:
 
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
-            error_budget(exponential_kernel(), 0)
+            error_budget(0)
 
 
 class TestMeasuredOperatorError:
@@ -369,26 +361,24 @@ class TestMeasuredOperatorError:
         xs = midpoint_grid(n)
         xz = xs[:, None] + xs[None, :]
         g_exact = -np.expm1(-xz) / xz
-        k = exponential_kernel()
         for m in range(1, 5):
             points, weights = simpson_rule(m)
             e = np.exp(-np.outer(points, xs))
             g_m = e.T @ (weights[:, None] * e)
             opnorm = np.linalg.norm(g_exact - g_m, 2) / n
-            assert opnorm <= error_budget(k, m).bound_normal
+            assert opnorm <= error_budget(m).bound_normal
 
     def test_normal_bound_holds_with_stable_slack(self):
         # ||A_m - A_{m+2}[:2**m, :2**m]||_2 sits 9.6-11.5x below c1/16**m for
         # m = 1..8 and falls 15.5-16.0x per level from m = 3 on; the m = 2
         # ratio (err_1 / err_2) is 14.1, before the asymptotic rate sets in
-        k = exponential_kernel()
         grams = {m: assemble_gram(m) for m in range(1, 11)}
         err = {
             m: np.linalg.norm(grams[m] - grams[m + 2][: 2 ** m, : 2 ** m], 2)
             for m in range(1, 9)
         }
         for m in range(1, 9):
-            assert error_budget(k, m).bound_normal >= 5.0 * err[m], m
+            assert error_budget(m).bound_normal >= 5.0 * err[m], m
         for m in range(3, 9):
             assert err[m - 1] / err[m] == pytest.approx(16.0, rel=0.1), m
 
@@ -400,8 +390,8 @@ class TestMeasuredOperatorError:
             PAPER_NOISE_LEVELS, NoiseSpec, add_noise, exact_problem, trapezoid_norm,
         )
 
-        k, problem = exponential_kernel(), exact_problem()
-        ops = OperatorCache(k)
+        problem = exact_problem()
+        ops = OperatorCache()
         worst = {}
         for m in range(1, 6):
             exact = problem.exact_rhs(sample_grid(m + 2))
@@ -411,7 +401,7 @@ class TestMeasuredOperatorError:
                     noisy, _ = add_noise(exact, NoiseSpec(rel_level=level, seed=seed))
                     gap = np.linalg.norm(ops.rhs(noisy, m) - ops.rhs(noisy, m + 2)[: 2 ** m])
                     worst[m] = max(worst[m], gap / trapezoid_norm(noisy))
-            assert error_budget(k, m).bound_adjoint >= 1000.0 * worst[m], m
+            assert error_budget(m).bound_adjoint >= 1000.0 * worst[m], m
         for m in range(2, 6):
             assert worst[m - 1] / worst[m] == pytest.approx(4.0, rel=0.1), m
 
@@ -450,16 +440,27 @@ class TestOperatorCache:
         "kernel",
         [
             Kernel(c1=1.0, sup_bound=2.0),  # constants of another kernel
-            dataclasses.replace(exponential_kernel(), c1=1.0),
+            dataclasses.replace(exact_problem().kernel, c1=1.0),
         ],
         ids=["other_eval", "other_c1"],
     )
     def test_rejects_other_kernels(self, kernel):
-        with pytest.raises(ValueError, match="exponential_kernel"):
+        with pytest.raises(ValueError, match="exponential kernel only"):
             OperatorCache(kernel)
 
+    def test_default_kernel_is_the_problem_kernel(self):
+        # perfbench passes problem.kernel; the default is that same object,
+        # and either cache builds the same Gram matrix and right-hand side
+        samples = np.exp(-sample_grid(3))
+        plain, passed = OperatorCache(), OperatorCache(exact_problem().kernel)
+        assert plain.kernel is passed.kernel is exact_problem().kernel
+        assert np.array_equal(plain.gram(3), passed.gram(3))
+        assert np.array_equal(plain.rhs(samples, 3), passed.rhs(samples, 3))
+        with pytest.raises(ValueError, match="exponential kernel only"):
+            OperatorCache(Kernel(c1=16.0 / 180.0, sup_bound=1.0))
+
     def test_cache_returns_identical_objects(self):
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         assert ops.gram(3) is ops.gram(3)
         assert ops.gram(3, side="range") is ops.gram(3)  # symmetric kernel
         with pytest.raises(ValueError):
@@ -469,7 +470,7 @@ class TestOperatorCache:
     def test_cached_rhs_matches_direct_assembly(self):
         # direct: closed-form moment matrices against per-subinterval
         # trapezoid moments M0_j = int_{D_j} f, M1_j = int_{D_j} (s - d_j) f
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         n = 360 * 8
         grid = np.arange(n + 1) / n
         samples = np.exp(-grid)
@@ -498,7 +499,7 @@ class TestOperatorCache:
         for name in ("exp_haar_matrix", "exp_t_haar_matrix", "assemble_gram",
                      "galerkin_matrix", "project"):
             calls[name] = count_calls(monkeypatch, assembly, name)
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         samples = np.exp(-sample_grid(5))
 
         def seen():

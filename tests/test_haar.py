@@ -27,7 +27,7 @@ from fredreg.haar import (
     _tables,
     _trapezoid_blocks,
 )
-from fredreg.assembly import OperatorCache, _moments, exponential_kernel, sample_grid, simpson_rule
+from fredreg.assembly import OperatorCache, _moments, sample_grid, simpson_rule
 
 from _oracles import coefficients, haar_eval_piecewise, join_index, synthesis_matrix
 
@@ -523,7 +523,7 @@ class TestMomentMatrixFill:
 
         monkeypatch.setattr(threading, "Thread", no_thread)
         fills = [(6, _pair(sample_grid(6)[:-1], 6))]
-        ops = OperatorCache(exponential_kernel())
+        ops = OperatorCache()
         for m in (5, 6):
             ops.rhs(np.zeros(len(sample_grid(m))), m)
             fills.append((m, ops._store["adjoint", m]))
@@ -551,6 +551,21 @@ class TestMomentMatrixFill:
                 assert peak <= held + 2 * 2 ** 20, (m, fill.__name__)
                 assert m < 8 or peak <= 1.25 * held, fill.__name__
                 del outs
+
+    def test_column0_peak_memory_is_two_rate_vectors(self):
+        # the closed form over every rate and the Taylor series over the
+        # small rates alone hold about two rate vectors at the peak; both
+        # branches over every rate, picked by np.where, hold about three
+        c = sample_grid(8)[:-1]
+        cs = np.where(c == 0.0, 1.0, c)
+        for column0 in (haar._column0_exp, haar._column0_exp_t):
+            tracemalloc.start()
+            try:
+                column0(c, cs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * 8 * len(c), column0.__name__
 
 
 def test_cli_import_loads_no_numpy_polynomial():

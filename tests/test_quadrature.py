@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fredreg.assembly import OperatorCache, exponential_kernel, sample_grid, simpson_rule
+from fredreg.assembly import OperatorCache, sample_grid, simpson_rule
 
 
 def test_simpson_m1_points_and_weights():
@@ -104,7 +104,7 @@ def test_partition_uniform_widths(m):
 
 
 def test_partition_rejects_bad_levels():
-    ops = OperatorCache(exponential_kernel())
+    ops = OperatorCache()
     samples = np.ones(len(sample_grid(1)))
     with pytest.raises(ValueError):
         ops.rhs(samples, 0)
