@@ -23,11 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-# Below this value of c * (support width), the exponential inner products
-# switch to truncated Taylor expansions of the piece integrals.
-_SMALL_C_WIDTH = 1e-6
-# Branch point for the j = 1 moment integrals (shared with the benchmark
-# right-hand side, which is the same function).
+# Rates below this floor are taken as 0, which moves no entry by more than
+# about 1e-100 of its row's largest; above it no factor of the closed forms
+# underflows at any level whose matrices fit in memory.
+_ZERO_RATE = 1e-100
+# Below this rate column 0 of the t-weighted moment is its truncated
+# series, where the closed form cancels.
 _SMALL_C_MOMENT = 1e-3
 # Entries per block of the whole-row wavelet fill; bounds each temporary
 # array of one block at this many doubles (256 KB).
@@ -96,68 +97,45 @@ def haar_eval(j, x):
 # ---------------------------------------------------------------------------
 
 def _rates(c):
+    """Checked rates as ``(zero, cs)``: the mask of the rates below ``_ZERO_RATE``,
+    taken as 0, and the rates with 1 in their place, so no formula divides by 0."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if np.any(c < 0) or not np.all(np.isfinite(c)):
         raise ValueError("decay rates must be finite and >= 0")
     if np.any(c > _MAX_RATE):
         raise ValueError(f"decay rates must be <= log(float max) = {_MAX_RATE}")
-    return c
+    zero = c < _ZERO_RATE
+    return zero, np.where(zero, 1.0, c)
 
 
 def _wavelet_levels(m, first=1):
-    """Per level ``l = first..m``: column slice, amplitude, piece and support width.
+    """Per level ``l = first..m``: column slice, amplitude and piece width.
 
-    Amplitude and widths are constant within a level (the widths are
-    exact dyadic numbers), so the level's first column of :func:`_tables`
+    Amplitude and width are constant within a level (the width is an
+    exact dyadic number), so the level's first column of :func:`_tables`
     gives them for every column of the level, bit for bit.
     """
-    amp, left, mid, right = _tables(m)
+    amp, left, mid, _ = _tables(m)
     for l in range(first, m + 1):
         j = 2 ** (l - 1)
-        yield slice(j, 2 * j), amp[j], mid[j] - left[j], right[j] - left[j]
+        yield slice(j, 2 * j), amp[j], mid[j] - left[j]
 
 
-# Column j = 1: the closed form over every rate, then its truncated Taylor
-# series written over the rates below the branch point only
-def _column0_exp(c, cs):
+# Column j = 1 over every rate, then its c = 0 limit over the zero rates;
+# the t-weighted one writes its truncated series over the small rates
+def _column0_exp(zero, cs):
     col = -np.expm1(-cs) / cs
-    small = c < _SMALL_C_WIDTH
-    t = c[small]
-    col[small] = 1.0 - t / 2.0 + t ** 2 / 6.0 - t ** 3 / 24.0
+    col[zero] = 1.0
     return col
 
 
-def _column0_exp_t(c, cs):
+def _column0_exp_t(zero, cs):
     col = np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2
-    small = c < _SMALL_C_MOMENT
-    t = c[small]
+    small = cs < _SMALL_C_MOMENT
+    t = cs[small]
     col[small] = 0.5 - t / 3.0 + t ** 2 / 8.0 - t ** 3 / 30.0 + t ** 4 / 144.0 - t ** 5 / 840.0
+    col[zero] = 0.5
     return col
-
-
-def _taylor_exp(C, A, T0, T1, T2):
-    # A * (int_{T0}^{T1} - int_{T1}^{T2}) exp(-c t) dt, truncated Taylor in c
-    H = T1 - T0
-    return A * C * H ** 2 * (
-        1.0
-        - C * T1
-        + C ** 2 * (T1 ** 2 / 2.0 + H ** 2 / 12.0)
-        - C ** 3 * (T1 ** 3 / 6.0 + T1 * H ** 2 / 12.0)
-    )
-
-
-def _taylor_exp_t(C, A, T0, T1, T2):
-    def moment(a, b):
-        # int_a^b t exp(-c t) dt, truncated Taylor in c
-        return (
-            (b ** 2 - a ** 2) / 2.0
-            - C * (b ** 3 - a ** 3) / 3.0
-            + C ** 2 * (b ** 4 - a ** 4) / 8.0
-            - C ** 3 * (b ** 5 - a ** 5) / 30.0
-            + C ** 4 * (b ** 6 - a ** 6) / 144.0
-        )
-
-    return A * (moment(T0, T1) - moment(T1, T2))
 
 
 def _output(out, c, m, start):
@@ -182,41 +160,38 @@ def _fill(c, m, start, outs, wanted):
     ``e`` reuse two arrays per call (no block hands memory back to the system to
     fault it in again), and each output is formed contiguously, then copied.
     """
-    c = _rates(c)
+    zero, cs = _rates(c)
     _check_level("level", m, 0)
     if isinstance(start, bool) or not isinstance(start, (int, np.integer)) or not 0 <= start <= m:
         raise ValueError(f"start must be an integer in [0, {m}], got {start!r}")
-    out, t_out = outs = [_output(o, c, m, start) if w else None for o, w in zip(outs, wanted)]
-    cs = np.where(c == 0.0, 1.0, c)
-    pairs = ((out, _column0_exp, _taylor_exp), (t_out, _column0_exp_t, _taylor_exp_t))
-    outputs = [pair for pair in pairs if pair[0] is not None]
-    for target, column0, _ in outputs if start == 0 else ():
-        target[:, 0] = column0(c, cs)
+    out, t_out = outs = [_output(o, cs, m, start) if w else None for o, w in zip(outs, wanted)]
+    for target, column0 in zip(outs, (_column0_exp, _column0_exp_t)):
+        if target is not None and start == 0:
+            target[:, 0] = column0(zero, cs)
     levels = list(_wavelet_levels(m, max(start, 1)))
     if not levels:
         return outs
     col0 = levels[0][0].start
     n_cols = 2 ** m - col0
     counts = [cols.stop - cols.start for cols, *_ in levels]
-    A = np.array([[a for _, a, _, _ in levels]])
-    H = np.array([[h for _, _, h, _ in levels]])
-    tables = _tables(m)
-    mid = tables[2][None, col0:]
-    C, Cs = c[:, None], cs[:, None]
+    A = np.array([[a for _, a, _ in levels]])
+    H = np.array([[h for _, _, h in levels]])
+    mid = _tables(m)[2][None, col0:]
+    Cs = cs[:, None]
     step = max(1, _FILL_ENTRIES // n_cols)  # rows per block
 
     def expand(factor):
         return np.repeat(factor, counts, axis=1)
 
-    x_buf, e_buf = np.empty((2, min(step, len(c)), n_cols))
-    for r0 in range(0, len(c), step):
+    x_buf, e_buf = np.empty((2, min(step, len(cs)), n_cols))
+    for r0 in range(0, len(cs), step):
         rows = slice(r0, r0 + step)
-        Cr, Csr = C[rows], Cs[rows]
+        Cr = Cs[rows]
         x = np.multiply(-Cr, mid, out=x_buf[: len(Cr)])  # -(c * mid), exactly
         e = np.exp(x, out=e_buf[: len(Cr)])
         sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
         if out is not None:
-            plain = expand(A / Csr)
+            plain = expand(A / Cr)
             plain *= e
             plain *= 4.0
             plain *= sinh2
@@ -226,13 +201,14 @@ def _fill(c, m, start, outs, wanted):
             x *= 4.0
             x *= sinh2
             x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
-            e *= expand(A / Csr ** 2)
+            e *= expand(A / Cr ** 2)
             x *= e
             t_out[rows, col0:] = x
-    for cols, _, _, w in levels:
-        small = c * w < _SMALL_C_WIDTH
-        for target, _, taylor in outputs if small.any() else ():
-            target[small, cols] = taylor(C[small], *(t[None, cols] for t in tables))
+    # the blocks took the zero rates as 1: their rows get the c = 0 limits
+    if out is not None:
+        out[zero, col0:] = 0.0
+    if t_out is not None:
+        t_out[zero, col0:] = expand(-A * H * H)
     return outs
 
 
@@ -256,10 +232,12 @@ def exp_haar_matrix(c, m, *, out=None, start=0, t_out=None):
         A second such array; the same pass writes :func:`exp_t_haar_matrix`
         of ``c``, ``m`` and ``start`` into it.
 
-    The wavelet columns use the cancellation-free form
-    ``((A/c) * exp(-c*mid) * 4) * sinh(c*h/2)**2`` (``A`` the amplitude,
-    ``h`` the piece width), with a Taylor branch when ``c`` times the
-    support width is below 1e-6. Column ``j = 1`` is ``-expm1(-c)/c``.
+    Every entry is one closed form. The wavelet columns use the
+    cancellation-free ``((A/c) * exp(-c*mid) * 4) * sinh(c*h/2)**2``
+    (``A`` the amplitude, ``h`` the piece width); column ``j = 1`` is
+    ``-expm1(-c)/c``. A rate below ``1e-100`` is taken as 0, and the
+    ``c = 0`` row is written from the limits: 1 in column 0 and 0 in the
+    wavelet columns (``exp_t_haar_matrix``: 1/2 and ``-A*h*h``).
 
     The wavelet columns are filled on the calling thread in blocks of
     whole rows (32 768 entries): ``exp`` once per entry for both outputs,
@@ -281,6 +259,8 @@ def exp_t_haar_matrix(c, m):
     ``((A/c**2) * exp(-c*mid)) * bracket`` with
     ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
     filled like :func:`exp_haar_matrix` and bit-identical to the formula.
+    Column ``j = 1`` is ``exp(-c) * (expm1(c) - c) / c**2``, and below
+    ``c = 1e-3``, where that cancels, its series to ``c**5``.
     """
     return _fill(c, m, 0, (None, None), (False, True))[1]
 

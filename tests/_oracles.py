@@ -18,9 +18,14 @@
   Haar pyramid transform replaced: the basis on the finest cells as a
   ``4**m`` matrix, the Galerkin matrix from its gathered columns, and
   ``Phi_j`` from its support breakpoints.
+* :func:`run_extended` runs the adaptive scheme in x86-64's 80-bit long
+  double on the same data, with :func:`extended_moments` for the moment
+  matrices, and :func:`extended_avg_error` scores its result: the answer
+  check that does not read the float64 program's bits.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -32,7 +37,11 @@ from fredreg.haar import (
     exp_haar_matrix,
     split_index,
 )
-from fredreg.iteration import run_adaptive
+from fredreg.iteration import rank_schedule, run_adaptive
+
+LONG = np.longdouble
+# The extended-precision oracles need x86-64's 80-bit long double (or wider)
+EXTENDED = np.finfo(LONG).nmant >= 63
 
 # C * delta**eps is about 2e-297 at the preset: no run of a few steps gets G below it
 UNREACHABLE_DELTA = 1e-300
@@ -180,3 +189,152 @@ def haar_eval_piecewise(j, x):
     xs = np.where(xa == 1.0, np.nextafter(1.0, 0.0), xa)
     out = np.where((xs >= t0) & (xs < t1), a, np.where((xs >= t1) & (xs < t2), -a, 0.0))
     return float(out) if np.ndim(x) == 0 else out
+
+
+def _extended_amplitudes(m):
+    """The ``2**m`` basis amplitudes ``2**((l-1)/2)`` in long double."""
+    powers = [1.0] + [2.0 ** (i.bit_length() - 1) for i in range(1, 2 ** m)]
+    return np.sqrt(np.array(powers, dtype=LONG))
+
+
+def extended_moments(c, m, weight):
+    """``int_0^1 t**weight exp(-c t) Phi_j(t) dt``, ``j = 1..2**m``, in long double.
+
+    The closed forms of :func:`fredreg.haar.exp_haar_matrix` (``weight =
+    0``) and :func:`~fredreg.haar.exp_t_haar_matrix` (``weight = 1``),
+    with column 0 of the t-moment as its 40-term series below ``c = 1``
+    and the ``c = 0`` row from its limits. ``c`` is read as long double.
+    """
+    c = np.atleast_1d(np.asarray(c, dtype=LONG))
+    zero = c == 0
+    cs = np.where(zero, 1, c)
+    out = np.empty((len(c), 2 ** m), dtype=LONG)
+    if weight == 0:
+        out[:, 0] = np.where(zero, 1, -np.expm1(-cs) / cs)
+    else:
+        # sum_k (-c)**k (k + 1) / (k + 2)!, k = 0..39, in Horner form
+        coef = [LONG(k + 1) / np.prod(np.arange(1, k + 3, dtype=LONG)) for k in range(40)]
+        series = np.zeros(len(c), dtype=LONG)
+        for a in reversed(coef):
+            series = series * -c + a
+        out[:, 0] = np.where(c < 1, series, np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2)
+    _, left, mid, _ = _tables(m)
+    A = _extended_amplitudes(m)[None, 1:]
+    T1, H = mid[None, 1:].astype(LONG), (mid - left)[None, 1:].astype(LONG)
+    C = cs[:, None]
+    sinh2 = 4 * np.sinh(C * H / 2) ** 2
+    if weight == 0:
+        wavelets = np.where(zero[:, None], 0, A / C * np.exp(-C * T1) * sinh2)
+    else:
+        bracket = (C * T1 + 1) * sinh2 - 2 * C * H * np.sinh(C * H)
+        wavelets = np.where(zero[:, None], -A * H * H, A / C ** 2 * np.exp(-C * T1) * bracket)
+    out[:, 1:] = wavelets
+    return out
+
+
+def _extended_pyramid(cells, m):
+    """The Haar pyramid of :func:`fredreg.haar._analysis` in long double."""
+    out = np.empty(len(cells), dtype=LONG)
+    for l in range(m, 0, -1):
+        out[2 ** (l - 1): 2 ** l] = cells[0::2] - cells[1::2]
+        cells = cells[0::2] + cells[1::2]
+    out[0] = cells[0]
+    return out * _extended_amplitudes(m)
+
+
+def _extended_trapezoid(samples, n_cells):
+    """Trapezoid ``int f`` and ``int (s - d) f(s) ds`` on ``n_cells`` equal cells ``[d, .)``."""
+    samples = np.asarray(samples, dtype=LONG)
+    k = (len(samples) - 1) // n_cells
+    blocks = samples[np.arange(n_cells)[:, None] * k + np.arange(k + 1)]
+    h = LONG(1) / (len(samples) - 1)
+    w0 = np.ones(k + 1, dtype=LONG)
+    w0[[0, -1]] = LONG(1) / 2
+    w1 = np.arange(k + 1, dtype=LONG)
+    w1[-1] = LONG(k) / 2
+    return h * (blocks @ w0), h * h * (blocks @ w1)
+
+
+@functools.lru_cache(maxsize=None)
+def _extended_operators(m):
+    """The level-``m`` Simpson Gram matrix and the two moment matrices of the adjoint."""
+    n = 2 ** m
+    points = np.arange(n + 1, dtype=LONG) / n
+    weights = np.where(np.arange(n + 1) % 2 == 1, LONG(4) / 3, LONG(2) / 3) / n
+    weights[[0, -1]] = (LONG(1) / 3) / n
+    p = extended_moments(points, m, 0)
+    rates = np.arange(180 * n, dtype=LONG) / (180 * n)  # left ends of sample_grid(m)'s cells
+    return p.T @ (weights[:, None] * p), extended_moments(rates, m, 0), extended_moments(rates, m, 1)
+
+
+def _cholesky_solve(matrix, shift, rhs):
+    """``(shift I + matrix)^{-1} rhs`` by a written-out Cholesky factor and two sweeps."""
+    n = len(rhs)
+    a = matrix + shift * np.eye(n, dtype=LONG)
+    L = np.zeros((n, n), dtype=LONG)
+    for j in range(n):
+        d = a[j, j] - L[j, :j] @ L[j, :j]
+        if not d > 0:
+            raise np.linalg.LinAlgError(f"long double Cholesky failed at pivot {j + 1}")
+        L[j, j] = np.sqrt(d)
+        L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    y = np.empty(n, dtype=LONG)
+    for i in range(n):
+        y[i] = (rhs[i] - L[i, :i] @ y[:i]) / L[i, i]
+    x = np.empty(n, dtype=LONG)
+    for i in reversed(range(n)):
+        x[i] = (y[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
+    return x
+
+
+def run_extended(f_samples, delta, config):
+    """:func:`fredreg.run_adaptive` in long double: ``(u, n, m_final, stop_reason)``.
+
+    The same scheme on the same float64 data: the level rule of
+    :func:`fredreg.rank_schedule` (a choice of integers, taken on the
+    same shifts), the Simpson Gram matrix, the adjoint from the
+    trapezoid moments and :func:`extended_moments` at the exact rates
+    ``k / (180 * 2**m)``, the data projected once at ``m_cap`` by the
+    pyramid, and every solve by :func:`_cholesky_solve`. ``u`` holds the
+    final level's coefficients in long double.
+    """
+    g = _extended_pyramid(_extended_trapezoid(f_samples, 2 ** config.m_cap)[0], config.m_cap)
+    threshold = LONG(config.C) * LONG(delta) ** LONG(config.eps)
+    q = LONG(config.q)
+    c = 1 if config.gnm_variant == "listing" else 1 - q
+    a, m, u, G, capped = config.alpha0, 0, np.zeros(1, dtype=LONG), LONG(0), False
+    reason, rhs = "max_iter", {}
+    for n in range(1, config.max_iter + 1):
+        a = a * config.q
+        m_raw = rank_schedule(a, 16.0 / 180.0, config.eta)
+        m = max(min(m_raw, config.m_cap), m)
+        capped = capped or m_raw > m
+        gram, e0, e1 = _extended_operators(m)
+        if m not in rhs:
+            m0, m1 = _extended_trapezoid(f_samples, 180 * 2 ** m)
+            rhs[m] = m0 @ e0 - m1 @ e1
+        zeta = _cholesky_solve(gram, LONG(a), rhs[m])
+        gamma = _cholesky_solve(gram, LONG(a), g[: 2 ** m])
+        padded = np.zeros(2 ** m, dtype=LONG)
+        padded[: len(u)] = u
+        u = q * padded + (1 - q) * zeta
+        G = q * G + c * LONG(a) * np.sqrt(gamma @ gamma)
+        if G <= threshold:
+            reason = "discrepancy_met" if n > 1 else "initial_below_threshold"
+            break
+    if capped and reason == "max_iter":
+        reason = "m_cap"
+    return u, n, m, reason
+
+
+def extended_avg_error(u, u_exact):
+    """:func:`fredreg.avg_error` of long double coefficients, on the same 100 points."""
+    m = len(u).bit_length() - 1
+    scaled = u * _extended_amplitudes(m)
+    values = scaled[:1]
+    for l in range(1, m + 1):  # the inverse pyramid: v + d and v - d on the halves
+        detail = scaled[2 ** (l - 1): 2 ** l]
+        values = np.stack([values + detail, values - detail], axis=1).ravel()
+    t = 0.01 * np.arange(100)
+    approx = values[np.minimum((t * 2 ** m).astype(int), 2 ** m - 1)]
+    return float(np.mean(np.abs(np.asarray(u_exact(t), dtype=LONG) - approx)))

@@ -21,7 +21,7 @@ from fredreg.haar import (
     _analysis,
     _FILL_ENTRIES,
     _SMALL_C_MOMENT,
-    _SMALL_C_WIDTH,
+    _ZERO_RATE,
     _gauss_cell_nodes,
     _synthesis,
     _tables,
@@ -29,7 +29,14 @@ from fredreg.haar import (
 )
 from fredreg.assembly import OperatorCache, _moments, sample_grid, simpson_rule
 
-from _oracles import coefficients, haar_eval_piecewise, join_index, synthesis_matrix
+from _oracles import (
+    EXTENDED,
+    coefficients,
+    extended_moments,
+    haar_eval_piecewise,
+    join_index,
+    synthesis_matrix,
+)
 
 
 def quad_inner(f, j):
@@ -43,73 +50,38 @@ def quad_inner(f, j):
     return a * (quad(f, t0, t1, limit=200)[0] - quad(f, t1, t2, limit=200)[0])
 
 
+def _ref_rates(c, m):
+    """Rates below the floor as 0 and the zero rates as 1, and the level's column tables."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    c = np.where(c < _ZERO_RATE, 0.0, c)
+    amp, left, mid, _ = _tables(m)
+    return c, np.where(c == 0.0, 1.0, c), amp[None, 1:], mid[None, 1:], (mid - left)[None, 1:]
+
+
 def _exp_haar_matrix_ref(c, m):
     """Elementwise formula of ``exp_haar_matrix``: the bit-identity oracle."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    n = 2 ** m
-    out = np.empty((len(c), n))
-    cs = np.where(c == 0.0, 1.0, c)
-    out[:, 0] = np.where(
-        c < _SMALL_C_WIDTH,
-        1.0 - c / 2.0 + c ** 2 / 6.0 - c ** 3 / 24.0,
-        -np.expm1(-cs) / cs,
-    )
-    if n == 1:
-        return out
-    amp, left, mid, right = _tables(m)
-    A = amp[None, 1:]
-    T1 = mid[None, 1:]
-    H = (mid - left)[None, 1:]
-    W = (right - left)[None, 1:]
-    C = c[:, None]
-    Cs = np.where(C == 0.0, 1.0, C)
-    stable = (A / Cs) * np.exp(-C * T1) * 4.0 * np.sinh(C * H / 2.0) ** 2
-    taylor = A * C * H ** 2 * (
-        1.0
-        - C * T1
-        + C ** 2 * (T1 ** 2 / 2.0 + H ** 2 / 12.0)
-        - C ** 3 * (T1 ** 3 / 6.0 + T1 * H ** 2 / 12.0)
-    )
-    out[:, 1:] = np.where(C * W < _SMALL_C_WIDTH, taylor, stable)
+    c, cs, A, T1, H = _ref_rates(c, m)
+    out = np.empty((len(c), 2 ** m))
+    out[:, 0] = np.where(c == 0.0, 1.0, -np.expm1(-cs) / cs)
+    C = cs[:, None]
+    stable = (A / C) * np.exp(-C * T1) * 4.0 * np.sinh(C * H / 2.0) ** 2
+    out[:, 1:] = np.where(c[:, None] == 0.0, 0.0, stable)
     return out
 
 
 def _exp_t_haar_matrix_ref(c, m):
     """Elementwise formula of ``exp_t_haar_matrix``: the bit-identity oracle."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    n = 2 ** m
-    out = np.empty((len(c), n))
-    cs = np.where(c == 0.0, 1.0, c)
+    c, cs, A, T1, H = _ref_rates(c, m)
+    out = np.empty((len(c), 2 ** m))
     direct = np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2
-    taylor1 = (
+    series = (
         0.5 - c / 3.0 + c ** 2 / 8.0 - c ** 3 / 30.0 + c ** 4 / 144.0 - c ** 5 / 840.0
     )
-    out[:, 0] = np.where(c < _SMALL_C_MOMENT, taylor1, direct)
-    if n == 1:
-        return out
-    amp, left, mid, right = _tables(m)
-    A = amp[None, 1:]
-    T0 = left[None, 1:]
-    T1 = mid[None, 1:]
-    T2 = right[None, 1:]
-    H = T1 - T0
-    W = T2 - T0
-    C = c[:, None]
-    Cs = np.where(C == 0.0, 1.0, C)
+    out[:, 0] = np.where(c < _SMALL_C_MOMENT, series, direct)
+    C = cs[:, None]
     bracket = (C * T1 + 1.0) * 4.0 * np.sinh(C * H / 2.0) ** 2 - 2.0 * C * H * np.sinh(C * H)
-    stable = (A / Cs ** 2) * np.exp(-C * T1) * bracket
-
-    def moment(a, b):
-        return (
-            (b ** 2 - a ** 2) / 2.0
-            - C * (b ** 3 - a ** 3) / 3.0
-            + C ** 2 * (b ** 4 - a ** 4) / 8.0
-            - C ** 3 * (b ** 5 - a ** 5) / 30.0
-            + C ** 4 * (b ** 6 - a ** 6) / 144.0
-        )
-
-    taylor = A * (moment(T0, T1) - moment(T1, T2))
-    out[:, 1:] = np.where(C * W < _SMALL_C_WIDTH, taylor, stable)
+    stable = (A / C ** 2) * np.exp(-C * T1) * bracket
+    out[:, 1:] = np.where(c[:, None] == 0.0, -A * H * H, stable)
     return out
 
 
@@ -160,15 +132,15 @@ def assert_within_ulps(got, want, ulps=4):
 
 
 def _hand_rates():
-    """Unsorted rates: 0, a value under the Taylor threshold of every level
+    """Unsorted rates: 0, a value with ``c * width`` under 1e-6 at every level
     (and one just over it), ordinary values and c = 50; the count is not a
     multiple of the fill block."""
     rng = np.random.default_rng(21)
     widths = 1.0 / 2.0 ** np.arange(10)  # support widths of levels 1..10
     c = np.concatenate([
         [0.0, 50.0, 1.0, 0.5],
-        0.5 * _SMALL_C_WIDTH / widths,
-        1.5 * _SMALL_C_WIDTH / widths,
+        0.5 * 1e-6 / widths,
+        1.5 * 1e-6 / widths,
         rng.uniform(0.0, 2.0, 300),
         10.0 ** rng.uniform(-12.0, 1.0, 300),
     ])
@@ -304,8 +276,9 @@ class TestExponentialInnerProducts:
             want = quad_inner(lambda t: t * math.exp(-c * t), j)
             assert got == pytest.approx(want, abs=1e-13)
 
-    def test_branch_agreement_near_threshold(self):
-        # the Taylor branch and the closed form must agree where they meet
+    def test_small_rates_against_quadrature_oracle(self):
+        # the closed forms where c * width is near 1e-6, and both sides of
+        # column 0's series branch of the t-weighted moment
         for j in (1, 2, 9, 33):
             width = 1.0 if j == 1 else 1.0 / 2 ** (split_index(j)[0] - 1)
             for c in (0.9e-6 / width, 1.1e-6 / width):
@@ -335,6 +308,21 @@ class TestExponentialInnerProducts:
         for matrix in (exp_haar_matrix, exp_t_haar_matrix):
             with pytest.raises(ValueError, match="709.78"):
                 matrix(np.array([0.5, c]), 2)
+
+    def test_rates_below_the_floor_give_the_zero_rate_row(self):
+        # below 1e-100 a rate is taken as 0 (the closed forms' factors
+        # underflow from about 1e-150); just above it the row is finite and
+        # next to the limits. What numpy warns of by default raises here
+        # (underflow it ignores: column 0's series underflows harmlessly)
+        zero = np.array([0.0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for matrix in (exp_haar_matrix, exp_t_haar_matrix):
+                want = matrix(zero, 8)[0]
+                got = matrix(np.array([5e-324, 1e-300, 1e-160, 1e-101]), 8)
+                assert all(row.tobytes() == want.tobytes() for row in got), matrix.__name__
+                above = matrix(np.array([1e-99]), 8)[0]
+                assert np.all(np.isfinite(above))
+                assert np.max(np.abs(above - want)) <= 1e-98, matrix.__name__
 
     def test_moments_finite_up_to_the_rate_bound(self):
         c = np.linspace(0.0, math.log(np.finfo(float).max), 201)
@@ -368,28 +356,52 @@ def _decimal_moments(c, m, weight):
 class TestMomentDecimalOracle:
     """Both moment matrices at m = 8 against exact antiderivatives in 60 digits."""
 
-    # c = 0; both sides of the Taylor branch (c * width < 1e-6) at widths 1/4,
-    # 1/8 and 1/128; both sides of the j = 1 t-moment's series (c < 1e-3),
-    # with the worst rates of sample_grid(8) and sample_grid(6) above it;
-    # moderate and large rates
+    # c = 0; tiny rates, and both sides of c * width = 1e-6 at widths 1/4,
+    # 1/8 and 1/128; the smallest non-zero rates of sample_grid(8) (the
+    # level-8 rows with c * width < 1e-6); both sides of the j = 1
+    # t-moment's series (c < 1e-3), with the worst rates of sample_grid(8)
+    # and sample_grid(6) above it; moderate and large rates
     RATES = (
-        0.0, 1e-9, 3.9e-6, 7.8e-6, 1.27e-4, 1.29e-4, 1e-3, 50 / 46080, 14 / 11520, 1.5e-3,
-        0.5, 1.0, 50.0,
+        0.0, 1e-20, 1e-9, 3.9e-6, 7.8e-6, 1 / 46080, 2 / 46080, 5 / 46080, 1.27e-4, 1.29e-4,
+        1e-3, 50 / 46080, 14 / 11520, 1.5e-3, 0.5, 1.0, 50.0,
     )
 
     @pytest.mark.parametrize("weight, matrix", [(0, exp_haar_matrix), (1, exp_t_haar_matrix)])
     def test_each_row_within_2e_13_of_its_largest_entry(self, weight, matrix):
         # measured worst 1.83e-13: column 0 of the t-moment at c = 50/46080,
         # just above the series branch, where the closed form cancels about
-        # 3 digits (1.21e-13 at c = 14/11520, 7.6e-14 at c = 1.5e-3)
+        # 3 digits (1.21e-13 at c = 14/11520, 7.6e-14 at c = 1.5e-3). The
+        # wavelet columns' closed forms hold to roundoff: worst 2.64e-15
         got = matrix(np.array(self.RATES), 8)
         with localcontext() as ctx:
             ctx.prec = 60
             for c, row in zip(self.RATES, got):
                 want = _decimal_moments(c, 8, weight)
-                err = max(abs(Decimal(float(g)) - w) for g, w in zip(row, want))
+                errs = [abs(Decimal(float(g)) - w) for g, w in zip(row, want)]
                 scale = max(abs(w) for w in want)
-                assert err <= Decimal("2e-13") * scale, (c, float(err / scale))
+                assert max(errs) <= Decimal("2e-13") * scale, (c, float(max(errs) / scale))
+                assert max(errs[1:]) <= Decimal("5e-15") * scale, (c, float(max(errs[1:]) / scale))
+
+    @pytest.mark.skipif(
+        not EXTENDED,
+        reason=f"the 80-bit closed forms need a long double of 64 mantissa bits or "
+        f"more; numpy's has {np.finfo(np.longdouble).nmant + 1} here",
+    )
+    @pytest.mark.parametrize("weight", [0, 1])
+    def test_80_bit_closed_forms_within_1e_17_of_each_row_largest_entry(self, weight):
+        # the long double moments the 80-bit run is built from; measured
+        # worst 1.1e-18, at c = 50. At 60 digits the antiderivatives
+        # themselves lose up to 3e-18 at c = 1e-20, so this check takes 80
+        got = extended_moments(np.array(self.RATES), 8, weight)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for c, row in zip(self.RATES, got):
+                want = _decimal_moments(c, 8, weight)
+                # a 64-bit mantissa is the exact sum of two doubles
+                exact = [Decimal(float(g)) + Decimal(float(g - float(g))) for g in row]
+                err = max(abs(g - w) for g, w in zip(exact, want))
+                scale = max(abs(w) for w in want)
+                assert err <= Decimal("1e-17") * scale, (c, float(err / scale))
 
 
 def _fill_inputs(m):
@@ -553,19 +565,18 @@ class TestMomentMatrixFill:
                 del outs
 
     def test_column0_peak_memory_is_two_rate_vectors(self):
-        # the closed form over every rate and the Taylor series over the
-        # small rates alone hold about two rate vectors at the peak; both
-        # branches over every rate, picked by np.where, hold about three
-        c = sample_grid(8)[:-1]
-        cs = np.where(c == 0.0, 1.0, c)
+        # the closed form over every rate and the series over the small
+        # rates alone hold about two rate vectors at the peak; both branches
+        # over every rate, picked by np.where, hold about three
+        zero, cs = haar._rates(sample_grid(8)[:-1])
         for column0 in (haar._column0_exp, haar._column0_exp_t):
             tracemalloc.start()
             try:
-                column0(c, cs)
+                column0(zero, cs)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2.5 * 8 * len(c), column0.__name__
+            assert peak <= 2.5 * 8 * len(cs), column0.__name__
 
 
 def test_cli_import_loads_no_numpy_polynomial():

@@ -14,7 +14,7 @@ from fredreg.assembly import (
     galerkin_matrix,
     sample_grid,
 )
-from fredreg.experiment import NoiseSpec, add_noise, exact_problem
+from fredreg.experiment import NoiseSpec, add_noise, avg_error, exact_problem
 from fredreg.iteration import (
     SolverConfig,
     rank_schedule,
@@ -22,7 +22,14 @@ from fredreg.iteration import (
     run_fixed,
 )
 
-from _oracles import closed_form_iterate, geometric_weights, run_steps
+from _oracles import (
+    EXTENDED,
+    closed_form_iterate,
+    extended_avg_error,
+    geometric_weights,
+    run_extended,
+    run_steps,
+)
 
 C1 = 16.0 / 180.0
 
@@ -451,6 +458,29 @@ def test_scaled_data_returns_or_breaks_down_honestly():
         assert all(rec.G >= 0.0 for rec in out.trace)
 
     check()
+
+
+@pytest.mark.skipif(
+    not EXTENDED,
+    reason=f"the 80-bit run needs a long double of 64 mantissa bits or more; "
+    f"numpy's has {np.finfo(np.longdouble).nmant + 1} here",
+)
+@pytest.mark.parametrize("level", [5e-2, 5e-3, 5e-4, 1e-5])
+def test_avg_within_1e_7_of_the_80_bit_run(bench, level):
+    # the float64 answer against the same scheme on the same data in long
+    # double: the float64 error grows about as 1/a_n, measured worst 3.3e-9
+    # at 1e-5 (12 steps), 3.8e-9 with OpenBLAS's Haswell kernels and 8.3e-9
+    # with its Sandybridge ones
+    problem, ops, samples = bench
+    config = SolverConfig()
+    for seed in range(3):
+        noisy, delta = add_noise(samples, NoiseSpec(rel_level=level, seed=seed))
+        out = run_adaptive(ops, noisy, delta, config)
+        u, n, m, reason = run_extended(noisy, delta, config)
+        assert (out.n_delta, out.m_final, out.stop_reason) == (n, m, reason), seed
+        avg = avg_error(out.solution, problem.exact_solution)
+        avg80 = extended_avg_error(u, problem.exact_solution)
+        assert abs(avg - avg80) <= 1e-7 * avg80, (seed, abs(avg - avg80) / avg80)
 
 
 class TestRunFixed:
