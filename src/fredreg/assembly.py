@@ -269,6 +269,17 @@ def galerkin_matrix(m):
     return 0.5 * (k + k.T)
 
 
+def _fill_adjoint(m):
+    """The two moment matrices on the left endpoints of ``sample_grid(m)``.
+
+    One ``exp_haar_matrix(..., t_out=)`` call writes both; the name is looked
+    up as a module global on every call, so a tracer that replaces it sees it.
+    """
+    c = sample_grid(m)[:-1]
+    e1 = np.empty((len(c), 2 ** m))
+    return exp_haar_matrix(c, m, t_out=e1), e1
+
+
 class OperatorCache:
     """Level-keyed cache of the noise-independent assembly products.
 
@@ -308,31 +319,6 @@ class OperatorCache:
             raise ValueError(f"side must be 'domain' or 'range', got {side!r}")
         return self._lookup(("gram", m), "gram level", lambda: assemble_gram(m))
 
-    def _fill_adjoint(self, m):
-        """The two moment matrices on the left endpoints of ``sample_grid(m)``.
-
-        Level ``m0 < m`` has every ``k = 2**(m - m0)``-th rate of level
-        ``m`` and the first ``2**m0`` basis columns, so the finest held
-        level ``m0`` is the block ``[::k, :2**m0]`` of level ``m``, bit
-        for bit. That block is copied; the fills write the rest, the
-        rows of level ``m0`` from wavelet level ``m0 + 1`` on. Each fill
-        writes both through ``exp_haar_matrix(..., t_out=)``, looked up as
-        a module global on every call, so a tracer that replaces it sees it.
-        """
-        c = sample_grid(m)[:-1]
-        e0, e1 = np.empty((len(c), 2 ** m)), np.empty((len(c), 2 ** m))
-        held = [key[1] for key in self._store if key[0] == "adjoint" and key[1] < m]
-        m0 = max(held, default=None)
-        if m0 is None:
-            return exp_haar_matrix(c, m, out=e0, t_out=e1), e1
-        k = 2 ** (m - m0)
-        for out, coarse in zip((e0, e1), self._store["adjoint", m0]):
-            out[::k, : 2 ** m0] = coarse
-        exp_haar_matrix(c[::k], m, out=e0[::k], start=m0 + 1, t_out=e1[::k])
-        for j in range(1, k):
-            exp_haar_matrix(c[j::k], m, out=e0[j::k], t_out=e1[j::k])
-        return e0, e1
-
     def rhs(self, f_samples, m):
         """Coefficients ``v_i = <Km* f, Phi_i>`` of the approximate adjoint, ``m >= 1``.
 
@@ -345,7 +331,7 @@ class OperatorCache:
         :mod:`.haar`, ``2 * 180 * 4**m`` doubles per level.
         """
         e0, e1 = self._lookup(
-            ("adjoint", m), "adjoint partition level", lambda: self._fill_adjoint(m)
+            ("adjoint", m), "adjoint partition level", lambda: _fill_adjoint(m)
         )
         m0, m1 = _moments(f_samples, m)
         return e0.T @ m0 - e1.T @ m1

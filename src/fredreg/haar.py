@@ -108,15 +108,15 @@ def _rates(c):
     return zero, np.where(zero, 1.0, c)
 
 
-def _wavelet_levels(m, first=1):
-    """Per level ``l = first..m``: column slice, amplitude and piece width.
+def _wavelet_levels(m):
+    """Per wavelet level ``l = 1..m``: column slice, amplitude and piece width.
 
     Amplitude and width are constant within a level (the width is an
     exact dyadic number), so the level's first column of :func:`_tables`
     gives them for every column of the level, bit for bit.
     """
     amp, left, mid, _ = _tables(m)
-    for l in range(first, m + 1):
+    for l in range(1, m + 1):
         j = 2 ** (l - 1)
         yield slice(j, 2 * j), amp[j], mid[j] - left[j]
 
@@ -138,45 +138,34 @@ def _column0_exp_t(zero, cs):
     return col
 
 
-def _output(out, c, m, start):
-    """``out`` once checked, or a new array for None (which needs ``start = 0``)."""
-    if out is None:
-        if start > 0:
-            raise ValueError("a fill from a wavelet level needs out holding the columns before it")
-        return np.empty((len(c), 2 ** m))
-    if out.shape != (len(c), 2 ** m) or out.dtype != np.float64:
-        raise ValueError(
-            f"out must be a float64 array of shape {(len(c), 2 ** m)}, "
-            f"got {out.dtype} {out.shape}"
-        )
-    return out
+def _fill(c, m, plain, t_out):
+    """:func:`exp_haar_matrix` as a new array if ``plain``, and :func:`exp_t_haar_matrix`
+    written into ``t_out`` unless it is None; returns the pair.
 
-
-def _fill(c, m, start, outs, wanted):
-    """The pair (:func:`exp_haar_matrix`, :func:`exp_t_haar_matrix`) written into ``outs``.
-
-    Checks the inputs; an output not ``wanted`` is None and skipped. Per block,
-    ``x = -c*mid``, ``e = exp(x)`` and ``sinh(c*h/2)**2`` serve both; ``x`` and
-    ``e`` reuse two arrays per call (no block hands memory back to the system to
-    fault it in again), and each output is formed contiguously, then copied.
+    Checks the inputs. Per block, ``x = -c*mid``, ``e = exp(x)`` and
+    ``sinh(c*h/2)**2`` serve both; ``x`` and ``e`` reuse two arrays per call
+    (no block hands memory back to the system to fault it in again), and each
+    output is formed contiguously, then copied.
     """
     zero, cs = _rates(c)
     _check_level("level", m, 0)
-    if isinstance(start, bool) or not isinstance(start, (int, np.integer)) or not 0 <= start <= m:
-        raise ValueError(f"start must be an integer in [0, {m}], got {start!r}")
-    out, t_out = outs = [_output(o, cs, m, start) if w else None for o, w in zip(outs, wanted)]
-    for target, column0 in zip(outs, (_column0_exp, _column0_exp_t)):
-        if target is not None and start == 0:
+    shape = (len(cs), 2 ** m)
+    if t_out is not None and (t_out.shape != shape or t_out.dtype != np.float64):
+        raise ValueError(
+            f"t_out must be a float64 array of shape {shape}, got {t_out.dtype} {t_out.shape}"
+        )
+    out = np.empty(shape) if plain else None
+    for target, column0 in ((out, _column0_exp), (t_out, _column0_exp_t)):
+        if target is not None:
             target[:, 0] = column0(zero, cs)
-    levels = list(_wavelet_levels(m, max(start, 1)))
+    levels = list(_wavelet_levels(m))
     if not levels:
-        return outs
-    col0 = levels[0][0].start
-    n_cols = 2 ** m - col0
+        return out, t_out
+    n_cols = 2 ** m - 1
     counts = [cols.stop - cols.start for cols, *_ in levels]
     A = np.array([[a for _, a, _ in levels]])
     H = np.array([[h for _, _, h in levels]])
-    mid = _tables(m)[2][None, col0:]
+    mid = _tables(m)[2][None, 1:]
     Cs = cs[:, None]
     step = max(1, _FILL_ENTRIES // n_cols)  # rows per block
 
@@ -191,11 +180,11 @@ def _fill(c, m, start, outs, wanted):
         e = np.exp(x, out=e_buf[: len(Cr)])
         sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
         if out is not None:
-            plain = expand(A / Cr)
-            plain *= e
-            plain *= 4.0
-            plain *= sinh2
-            out[rows, col0:] = plain
+            block = expand(A / Cr)
+            block *= e
+            block *= 4.0
+            block *= sinh2
+            out[rows, 1:] = block
         if t_out is not None:
             np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
             x *= 4.0
@@ -203,16 +192,16 @@ def _fill(c, m, start, outs, wanted):
             x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
             e *= expand(A / Cr ** 2)
             x *= e
-            t_out[rows, col0:] = x
+            t_out[rows, 1:] = x
     # the blocks took the zero rates as 1: their rows get the c = 0 limits
     if out is not None:
-        out[zero, col0:] = 0.0
+        out[zero, 1:] = 0.0
     if t_out is not None:
-        t_out[zero, col0:] = expand(-A * H * H)
-    return outs
+        t_out[zero, 1:] = expand(-A * H * H)
+    return out, t_out
 
 
-def exp_haar_matrix(c, m, *, out=None, start=0, t_out=None):
+def exp_haar_matrix(c, m, *, t_out=None):
     """Matrix of ``int_0^1 exp(-c_k t) Phi_j(t) dt`` for ``j = 1..2**m``.
 
     Parameters
@@ -221,16 +210,10 @@ def exp_haar_matrix(c, m, *, out=None, start=0, t_out=None):
         Decay rates in ``[0, log(float max) ~ 709.78]``, one per row.
     m : int
         Span level; the result has shape ``(len(c), 2**m)``.
-    out : ndarray, optional
-        Float64 array of that shape to write into (a view is fine); it
-        is returned. A new array by default.
-    start : int
-        First level filled: 0 (the default) fills every column; ``l >= 1``
-        fills the wavelet columns of levels ``l..m`` only and leaves the
-        first ``2**(l-1)`` columns of ``out`` as they are.
     t_out : ndarray, optional
-        A second such array; the same pass writes :func:`exp_t_haar_matrix`
-        of ``c``, ``m`` and ``start`` into it.
+        Float64 array of that shape (a view is fine); the same pass writes
+        :func:`exp_t_haar_matrix` of ``c`` and ``m`` into it. The result
+        itself is always a new array.
 
     Every entry is one closed form. The wavelet columns use the
     cancellation-free ``((A/c) * exp(-c*mid) * 4) * sinh(c*h/2)**2``
@@ -246,23 +229,24 @@ def exp_haar_matrix(c, m, *, out=None, start=0, t_out=None):
     result is bit-identical to it; peak memory is the results plus under
     2 MiB of temporaries (one block's and a few of length ``len(c)``).
     """
-    return _fill(c, m, start, (out, t_out), (True, t_out is not None))[0]
+    return _fill(c, m, True, t_out)[0]
 
 
 def exp_t_haar_matrix(c, m):
     """Matrix of ``int_0^1 t exp(-c_k t) Phi_j(t) dt``, shape ``(len(c), 2**m)``.
 
     Companion of :func:`exp_haar_matrix` for the t-weighted moment that
-    appears in the first-order Taylor replacement of the adjoint; to write
-    it into an array, or from a level on, pass that array as
-    ``exp_haar_matrix``'s ``t_out``. The wavelet columns are
+    appears in the first-order Taylor replacement of the adjoint; to get
+    both from one pass, pass an array as ``exp_haar_matrix``'s ``t_out``,
+    which this writes into. The wavelet columns are
     ``((A/c**2) * exp(-c*mid)) * bracket`` with
     ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
     filled like :func:`exp_haar_matrix` and bit-identical to the formula.
     Column ``j = 1`` is ``exp(-c) * (expm1(c) - c) / c**2``, and below
     ``c = 1e-3``, where that cancels, its series to ``c**5``.
     """
-    return _fill(c, m, 0, (None, None), (False, True))[1]
+    _check_level("level", m, 0)
+    return _fill(c, m, False, np.empty((np.size(c), 2 ** m)))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -414,12 +414,11 @@ def _fill_inputs(m):
     }
 
 
-def _pair(c, m, **kwargs):
+def _pair(c, m, t_out=None):
     """Both moment matrices from one pass: ``exp_haar_matrix`` with ``t_out``."""
-    t_out = kwargs.pop("t_out", None)
     if t_out is None:
         t_out = np.empty((len(c), 2 ** m))
-    return exp_haar_matrix(c, m, t_out=t_out, **kwargs), t_out
+    return exp_haar_matrix(c, m, t_out=t_out), t_out
 
 
 class TestMomentMatrixFill:
@@ -441,67 +440,31 @@ class TestMomentMatrixFill:
                 assert np.array_equal(got0, want0), ("pair", name)
                 assert np.array_equal(got1, want1), ("pair", name)
 
-    @pytest.mark.parametrize("m", range(1, 10))
-    def test_partial_fill_into_prefilled_array_equals_full_fill(self, m):
-        # ``start = l`` keeps the first 2**(l-1) columns of ``out`` (and of
-        # ``t_out``) and writes the rest; about 2000 evenly spaced rows per rate set
-        for name, c in _fill_inputs(m).items():
-            c = c[:: max(1, len(c) // 2000)]
-            fills = ((exp_haar_matrix, (exp_haar_matrix(c, m),)), (_pair, _pair(c, m)))
-            for fill, full in fills:
-                for start in range(1, m + 1):
-                    held = 2 ** (start - 1)
-                    outs = [f.copy() for f in full]
-                    for out in outs:
-                        out[:, held:] = np.nan
-                    kwargs = {"t_out": outs[1]} if len(outs) == 2 else {}
-                    got = fill(c, m, out=outs[0], start=start, **kwargs)
-                    assert (got[0] if fill is _pair else got) is outs[0]
-                    for out, want in zip(outs, full):
-                        assert np.array_equal(out, want), (fill.__name__, name, start)
-                        out[:, :held] = -1.0
-                    fill(c, m, out=outs[0], start=start, **kwargs)
-                    assert all((out[:, :held] == -1.0).all() for out in outs)
-
     def test_fill_into_strided_rows_equals_full_fill(self):
-        c = _hand_rates()
-        full = exp_haar_matrix(c, 6)
-        out = np.full((2 * len(c), 2 ** 6), np.nan)
-        exp_haar_matrix(c, 6, out=out[1::2])
-        assert np.array_equal(out[1::2], full)
-        assert np.isnan(out[::2]).all()
-        # the pair, over ten blocks of rows
-        c = np.tile(c, 8)
+        # the pair, over ten blocks of rows, with t_out every other row of an array
+        c = np.tile(_hand_rates(), 8)
         full = _pair(c, 6)
-        outs = [np.full((2 * len(c), 2 ** 6), np.nan) for _ in full]
-        _pair(c, 6, out=outs[0][1::2], t_out=outs[1][1::2])
-        for out, want in zip(outs, full):
-            assert np.array_equal(out[1::2], want)
-            assert np.isnan(out[::2]).all()
+        t_out = np.full((2 * len(c), 2 ** 6), np.nan)
+        got = _pair(c, 6, t_out=t_out[1::2])
+        assert np.array_equal(got[0], full[0])
+        assert np.array_equal(t_out[1::2], full[1])
+        assert np.isnan(t_out[::2]).all()
 
     def test_no_rates_give_no_rows(self):
         for fill in (exp_haar_matrix, exp_t_haar_matrix):
             assert fill([], 3).shape == (0, 8)
         assert [a.shape for a in _pair([], 3)] == [(0, 8), (0, 8)]
 
-    def test_rejects_bad_output_or_start(self):
+    def test_rejects_bad_level_or_t_out(self):
         c = np.linspace(0.0, 2.0, 5)
-        with pytest.raises(ValueError, match="needs out"):
-            exp_haar_matrix(c, 3, start=2)
-        with pytest.raises(ValueError, match="shape"):
-            exp_haar_matrix(c, 3, out=np.empty((5, 4)))
-        with pytest.raises(ValueError, match="float64"):
-            exp_haar_matrix(c, 3, out=np.empty((5, 8), dtype=np.float32))
-        for start in (-1, 4, True, 1.0):
-            with pytest.raises(ValueError, match="start"):
-                exp_haar_matrix(c, 3, out=np.empty((5, 8)), start=start)
         for fill in (exp_haar_matrix, exp_t_haar_matrix):
             for m in (-1, 2.5, True):
                 with pytest.raises(ValueError, match="level"):
                     fill(c, m)
-        for t_out in (np.empty((5, 4)), np.empty((5, 8), dtype=np.float32)):
-            with pytest.raises(ValueError, match="shape"):
-                exp_haar_matrix(c, 3, t_out=t_out)
+        with pytest.raises(ValueError, match="shape"):
+            exp_haar_matrix(c, 3, t_out=np.empty((5, 4)))
+        with pytest.raises(ValueError, match="float64"):
+            exp_haar_matrix(c, 3, t_out=np.empty((5, 8), dtype=np.float32))
 
     def test_concurrent_fills_under_frequent_switching(self):
         # four callers at once, switching every 1 us:
@@ -529,7 +492,7 @@ class TestMomentMatrixFill:
 
     def test_fills_start_no_thread(self, monkeypatch):
         # the multi-block level-6 pair, then the cache's fills of level 5 and
-        # of level 6 after it (a copy of level 5's block and the fills of the rest)
+        # of level 6 after it
         def no_thread(*args, **kwargs):
             raise AssertionError("a fill started a thread")
 
@@ -544,6 +507,21 @@ class TestMomentMatrixFill:
             for rows in np.array_split(np.arange(len(c)), len(c) // 3000):
                 assert np.array_equal(got[0][rows], _exp_haar_matrix_ref(c[rows], m)), m
                 assert np.array_equal(got[1][rows], _exp_t_haar_matrix_ref(c[rows], m)), m
+
+    def test_cache_fills_a_level_from_its_own_rates(self):
+        # level 6 reads nothing of the level 5 already held: NaN written over
+        # level 5's pair does not reach level 6, which equals the formulas
+        ops = OperatorCache()
+        samples = np.zeros(len(sample_grid(6)))
+        ops.rhs(samples, 5)
+        for e in ops._store["adjoint", 5]:
+            e[...] = np.nan
+        ops.rhs(samples, 6)
+        got = ops._store["adjoint", 6]
+        c = sample_grid(6)[:-1]
+        for rows in np.array_split(np.arange(len(c)), len(c) // 3000):
+            assert np.array_equal(got[0][rows], _exp_haar_matrix_ref(c[rows], 6))
+            assert np.array_equal(got[1][rows], _exp_t_haar_matrix_ref(c[rows], 6))
 
     def test_peak_memory_is_the_output(self):
         # the results plus at most 2 MiB of block and rate-vector temporaries;
