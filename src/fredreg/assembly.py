@@ -298,7 +298,6 @@ class OperatorCache:
                 "OperatorCache assembles the exponential kernel only: its slice "
                 "projections and Taylor-expansion adjoint are hard-coded"
             )
-        self.kernel = kernel
         self._store = {}
 
     def _lookup(self, key, name, build):

@@ -11,13 +11,14 @@ negative one):
   printing median-aggregated results and optionally writing the row CSV.
 
 Exit codes: 0 on success, 2 on configuration errors (among them every
-level, count or index that is not an integer or is out of range, and an
-empty list of noise levels or seeds), when memory runs out and when
-``--out`` cannot be written (it is opened before the first solve), 3
-when any run stopped for a reason other than the discrepancy rule, 4 on
-a numerical breakdown, any ``numpy.linalg.LinAlgError`` (a shifted system
-Cholesky cannot factor, the pivot given in the message, or a run whose
-discrepancy or iterate overflows).
+level, count or index that is not an integer or is out of range, an
+empty list of noise levels or seeds, and ``--seed`` with ``--seeds``),
+when memory runs out and when ``--out`` cannot be written (it is opened
+before the first solve), 3 when any run stopped for a reason other than
+the discrepancy rule, 4 on a numerical breakdown, any
+``numpy.linalg.LinAlgError`` (a shifted system Cholesky cannot factor,
+the pivot given in the message, or a run whose discrepancy or iterate
+overflows).
 """
 
 import argparse
@@ -30,7 +31,7 @@ from numpy.linalg import LinAlgError
 from .experiment import (
     _EVAL_GRID, _SCHEMES, PAPER_NOISE_LEVELS, _runs, format_summary, rows_to_csv, run_table,
 )
-from .iteration import _GNM_VARIANTS, SolverConfig
+from .iteration import SolverConfig
 
 _OK_STOPS = ("discrepancy_met", "initial_below_threshold")
 
@@ -59,12 +60,6 @@ def build_parser():
         p.add_argument("--eta", type=float, default=cfg.eta, help="level-rule relaxation >= 10")
         p.add_argument("--max-iter", type=int, default=cfg.max_iter, help="iteration cap")
         p.add_argument("--m-cap", type=int, default=cfg.m_cap, help="maximum dyadic level")
-        p.add_argument(
-            "--gnm-variant",
-            choices=_GNM_VARIANTS,
-            default=cfg.gnm_variant,
-            help="discrepancy recursion variant (keep or drop the 1-q factor)",
-        )
         p.add_argument("--fixed-m", type=int, default=4, help="level of the fixed scheme")
         p.add_argument("--out", default=None, help="output CSV path")
 
@@ -120,8 +115,7 @@ def _cmd_solve(args, config, out):
 
 def _cmd_table(args, config, out):
     if args.seed is not None and args.seeds is not None:
-        print("give either --seed or --seeds, not both", file=sys.stderr)
-        return 2
+        raise ValueError("give either --seed or --seeds, not both")
     seeds = args.seed if args.seed is not None else range(20 if args.seeds is None else args.seeds)
     rows = run_table(
         config=config,

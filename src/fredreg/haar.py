@@ -143,9 +143,8 @@ def _fill(c, m, plain, t_out):
     written into ``t_out`` unless it is None; returns the pair.
 
     Checks the inputs. Per block, ``x = -c*mid``, ``e = exp(x)`` and
-    ``sinh(c*h/2)**2`` serve both; ``x`` and ``e`` reuse two arrays per call
-    (no block hands memory back to the system to fault it in again), and each
-    output is formed contiguously, then copied.
+    ``sinh(c*h/2)**2`` serve both, and each output is formed contiguously,
+    then copied.
     """
     zero, cs = _rates(c)
     _check_level("level", m, 0)
@@ -172,12 +171,11 @@ def _fill(c, m, plain, t_out):
     def expand(factor):
         return np.repeat(factor, counts, axis=1)
 
-    x_buf, e_buf = np.empty((2, min(step, len(cs)), n_cols))
     for r0 in range(0, len(cs), step):
         rows = slice(r0, r0 + step)
         Cr = Cs[rows]
-        x = np.multiply(-Cr, mid, out=x_buf[: len(Cr)])  # -(c * mid), exactly
-        e = np.exp(x, out=e_buf[: len(Cr)])
+        x = -Cr * mid  # -(c * mid), exactly
+        e = np.exp(x)
         sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
         if out is not None:
             block = expand(A / Cr)
@@ -290,14 +288,17 @@ def _synthesis(coeffs, m):
 
 @dataclass(frozen=True)
 class HaarCoefficients:
-    """Coefficients of a function in the span of ``{Phi_1..Phi_{2**level}}``."""
+    """Coefficients of a function in the span of ``{Phi_1..Phi_{2**level}}``.
+
+    ``values`` is a read-only copy of the array given, which stays the caller's.
+    """
 
     level: int
     values: np.ndarray
 
     def __post_init__(self):
         _check_level("level", self.level, 0)
-        v = np.ascontiguousarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float, order="C", ndmin=1)
         if len(v) != 2 ** self.level:
             raise ValueError(
                 f"level {self.level} needs {2 ** self.level} coefficients, got {len(v)}"

@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import solve_spd_shifted
+from .assembly import _EXPONENTIAL_KERNEL, solve_spd_shifted
 from .haar import HaarCoefficients, _check_grid, _check_level
-
-_GNM_VARIANTS = ("formal", "listing")
 
 
 @dataclass(frozen=True)
@@ -56,9 +54,6 @@ class SolverConfig:
     m_cap : int
         Maximum dyadic level; the schedule is clamped here and the
         clamping is recorded in the trace.
-    gnm_variant : str
-        "formal" keeps the ``(1 - q)`` factor on the discrepancy
-        increment; "listing" drops it.
     """
 
     alpha0: float = 1.0
@@ -68,7 +63,6 @@ class SolverConfig:
     eta: float = 10.0
     max_iter: int = 50
     m_cap: int = 6
-    gnm_variant: str = "formal"
 
     def __post_init__(self):
         if not 0.0 < self.alpha0 < math.inf:
@@ -88,8 +82,6 @@ class SolverConfig:
             raise ValueError(f"eta must be >= 10 and finite, got {self.eta}")
         _check_level("max_iter", self.max_iter, 1)
         _check_level("m_cap", self.m_cap, 1)
-        if self.gnm_variant not in _GNM_VARIANTS:
-            raise ValueError(f"gnm_variant must be one of {_GNM_VARIANTS}")
 
 
 @dataclass(frozen=True)
@@ -189,13 +181,12 @@ def _run_loop(delta, config, systems):
     ``L`` is the factor of ``a I + A``; the update solves it against
     ``v`` and the discrepancy solve against ``g``. The blend zero-pads
     ``u_{n-1}`` into the (nested) finer span, and the increment of
-    ``G_n`` carries the factor ``c``: ``1 - q`` for "formal", 1 for
-    "listing". A step is capped when its raw level exceeds its level.
+    ``G_n`` carries the factor ``1 - q``. A step is capped when its raw
+    level exceeds its level.
     A non-finite ``G_n`` or final iterate raises ``np.linalg.LinAlgError``.
     """
     threshold = config.C * delta ** config.eps
     q = config.q
-    c = 1.0 if config.gnm_variant == "listing" else 1.0 - q
     a, m, u, G = config.alpha0, 0, np.zeros(1), 0.0
     trace = []
     reason = "max_iter"
@@ -208,7 +199,7 @@ def _run_loop(delta, config, systems):
         padded[: len(u)] = u
         u = q * padded + (1.0 - q) * zeta
         gamma_norm = _norm(gamma)
-        G = q * G + c * a * gamma_norm
+        G = q * G + (1.0 - q) * a * gamma_norm
         trace.append(StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=G))
         if not math.isfinite(G):
             raise np.linalg.LinAlgError(f"G is not finite after step {n} (level {m}, shift {a!r})")
@@ -258,7 +249,7 @@ def run_adaptive(ops, f_samples, delta, config):
     """
     _check_data(f_samples, delta)
     _check_grid(f_samples, 180 * 2 ** config.m_cap)
-    c1 = ops.kernel.c1
+    c1 = _EXPONENTIAL_KERNEL.c1
     g = ops.data(f_samples, config.m_cap)  # the spans nest: level m reads g[: 2**m]
     rhs_cache = {}
 

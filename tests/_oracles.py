@@ -301,7 +301,6 @@ def run_extended(f_samples, delta, config):
     g = _extended_pyramid(_extended_trapezoid(f_samples, 2 ** config.m_cap)[0], config.m_cap)
     threshold = LONG(config.C) * LONG(delta) ** LONG(config.eps)
     q = LONG(config.q)
-    c = 1 if config.gnm_variant == "listing" else 1 - q
     a, m, u, G, capped = config.alpha0, 0, np.zeros(1, dtype=LONG), LONG(0), False
     reason, rhs = "max_iter", {}
     for n in range(1, config.max_iter + 1):
@@ -318,7 +317,7 @@ def run_extended(f_samples, delta, config):
         padded = np.zeros(2 ** m, dtype=LONG)
         padded[: len(u)] = u
         u = q * padded + (1 - q) * zeta
-        G = q * G + c * LONG(a) * np.sqrt(gamma @ gamma)
+        G = q * G + (1 - q) * LONG(a) * np.sqrt(gamma @ gamma)
         if G <= threshold:
             reason = "discrepancy_met" if n > 1 else "initial_below_threshold"
             break

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from fredreg import haar
 from fredreg.haar import (
+    HaarCoefficients,
     exp_haar_matrix,
     exp_t_haar_matrix,
     haar_eval,
@@ -238,6 +239,19 @@ class TestEval:
             got = haar_eval(j, np.array(0.125))
             assert type(got) is float and got == pytest.approx(want)
         assert isinstance(haar_eval(2, np.array([0.25])), np.ndarray)
+
+
+class TestHaarCoefficients:
+    def test_values_are_a_copy(self):
+        # the coefficients neither freeze the caller's array nor follow its writes
+        a = np.zeros(4)
+        HaarCoefficients(level=2, values=a)
+        assert a.flags.writeable
+        base = np.zeros(8)
+        c = HaarCoefficients(level=2, values=base[:4])
+        base[0] = 5.0
+        assert c.evaluate(0.1) == 0.0
+        assert not c.values.flags.writeable
 
 
 def moment(matrix, c, j):

@@ -190,7 +190,6 @@ class TestSolverConfig:
     def test_defaults_are_benchmark_preset(self):
         cfg = SolverConfig()
         assert (cfg.alpha0, cfg.q, cfg.C, cfg.eps, cfg.eta) == (1.0, 0.25, 2.01, 0.99, 10.0)
-        assert cfg.gnm_variant == "formal"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -203,7 +202,6 @@ class TestSolverConfig:
             {"eta": 9.0},
             {"max_iter": 0},
             {"m_cap": 0},
-            {"gnm_variant": "loose"},
             {"m_cap": 6.0},
             {"max_iter": 2.5},
             {"m_cap": True},
@@ -340,19 +338,17 @@ class TestRunAdaptive:
         with pytest.raises(ValueError):
             run_adaptive(ops, samples, None, SolverConfig())
 
-    @pytest.mark.parametrize("variant", ["formal", "listing"])
-    def test_trace_follows_the_discrepancy_recursion(self, bench, variant):
-        # G_n = q G_{n-1} + c a_n |gamma_n|, c = 1 - q ("formal") or 1 ("listing"),
-        # in this operation order, so every step matches exactly
+    def test_trace_follows_the_discrepancy_recursion(self, bench):
+        # G_n = q G_{n-1} + (1 - q) a_n |gamma_n| in this operation order,
+        # so every step matches exactly
         _, ops, samples = bench
         noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.005, seed=1))
-        cfg = SolverConfig(gnm_variant=variant)
+        cfg = SolverConfig()
         out = run_adaptive(ops, noisy, dabs, cfg)
         assert out.n_delta > 3
-        c = 1.0 if variant == "listing" else 1.0 - cfg.q
         G = 0.0
         for rec in out.trace:
-            G = cfg.q * G + c * rec.a * rec.gamma_norm
+            G = cfg.q * G + (1.0 - cfg.q) * rec.a * rec.gamma_norm
             assert rec.G == G
         assert out.G_final == G
 
