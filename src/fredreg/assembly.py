@@ -23,6 +23,7 @@ factors, so that repeated solves (iterations, seeds) only pay for
 matrix-vector work and triangular solves.
 """
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -269,6 +270,26 @@ def galerkin_matrix(m):
     return 0.5 * (k + k.T)
 
 
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or ``None`` where the C library has none.
+
+    glibc serves an allocation below its mmap threshold from the heap, and
+    each mmapped block it frees raises that threshold, up to 32 MB. So
+    after one release a moment array of level 7 (23.6 MB) or below comes
+    from the heap, whose freed pages stay resident until
+    ``malloc_trim(0)`` hands them back.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    return trim
+
+
+_MALLOC_TRIM = _malloc_trim()
+
+
 def _fill_adjoint(m):
     """The two moment matrices on the left endpoints of ``sample_grid(m)``.
 
@@ -289,7 +310,9 @@ class OperatorCache:
     (Gram matrices, adjoint moment matrices, Galerkin matrices, Cholesky
     factors of the shifted systems) depend only on the level and the
     shift, never on the data. Every lookup checks its level first, so
-    ``True`` never finds level 1's entry.
+    ``True`` never finds level 1's entry. Of the adjoint moment
+    matrices one pair is held, at the finest level asked so far; every
+    coarser level reads its block (see :meth:`rhs`).
     """
 
     def __init__(self, kernel=_EXPONENTIAL_KERNEL):
@@ -326,12 +349,33 @@ class OperatorCache:
         expansion ``exp(-d_{j-1} t) [1 - t (s - d_{j-1})]``; the
         s-integrals over ``D_j`` use the trapezoid rule on the samples
         (the sample grid must refine these cells) and the t-integrals
-        against the basis are the cached closed-form moment matrices of
-        :mod:`.haar`, ``2 * 180 * 4**m`` doubles per level.
+        against the basis are the closed-form moment matrices of
+        :mod:`.haar`.
+
+        The cache holds one moment pair, ``2 * 180 * 4**top`` doubles, at
+        the finest level ``top`` asked so far. The partitions nest, so
+        level ``m <= top`` reads the block ``[::2**(top-m), :2**m]`` of
+        it, bit for bit its own fill. A level above ``top`` releases the
+        held pair before it fills its own, so no two pairs are alive at
+        once, and where the C library is glibc its pages go back to the
+        system before the fill; a fill that raises leaves no pair held.
         """
-        e0, e1 = self._lookup(
-            ("adjoint", m), "adjoint partition level", lambda: _fill_adjoint(m)
-        )
+        _check_level("adjoint partition level", m, 1)
+        held = self._store.get("adjoint", (0,))
+        if m > held[0]:
+            del held  # this frame's reference too, or the old pair outlives the fill
+            self._store.pop("adjoint", None)
+            if _MALLOC_TRIM is not None:
+                _MALLOC_TRIM(0)
+            held = self._store["adjoint"] = (m, *_fill_adjoint(m))
+        top, e0, e1 = held
+        step = 2 ** (top - m)
+        e0, e1 = e0[::step, : 2 ** m], e1[::step, : 2 ** m]
+        if m == 1:
+            # OpenBLAS's AVX2 and AVX-512 dgemv sum a leading dimension of
+            # 2 by their own rule; a contiguous copy keeps that rule, and
+            # with it the bits of level 1's own fill
+            e0, e1 = np.ascontiguousarray(e0), np.ascontiguousarray(e1)
         m0, m1 = _moments(f_samples, m)
         return e0.T @ m0 - e1.T @ m1
 

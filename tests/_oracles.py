@@ -22,6 +22,8 @@
   double on the same data, with :func:`extended_moments` for the moment
   matrices, and :func:`extended_avg_error` scores its result: the answer
   check that does not read the float64 program's bits.
+* :func:`adjoint_pair` reads level ``m``'s moment pair out of the one
+  pair an :class:`~fredreg.assembly.OperatorCache` holds.
 """
 
 import dataclasses
@@ -45,6 +47,17 @@ EXTENDED = np.finfo(LONG).nmant >= 63
 
 # C * delta**eps is about 2e-297 at the preset: no run of a few steps gets G below it
 UNREACHABLE_DELTA = 1e-300
+
+
+def adjoint_pair(ops, m):
+    """Level ``m``'s moment pair: the block of the pair ``ops.rhs`` holds, as it reads it.
+
+    The held pair is at the finest level ``top`` asked so far; level
+    ``m <= top`` is its block ``[::2**(top-m), :2**m]``, a view.
+    """
+    top, e0, e1 = ops._store["adjoint"]
+    step = 2 ** (top - m)
+    return e0[::step, : 2 ** m], e1[::step, : 2 ** m]
 
 
 def geometric_weights(n, q):

@@ -28,7 +28,7 @@ from fredreg.haar import (
 
 from fredreg.experiment import exact_problem, trapezoid_norm
 
-from _oracles import chebyshev_interpolation, galerkin_gather, synthesis_matrix
+from _oracles import adjoint_pair, chebyshev_interpolation, galerkin_gather, synthesis_matrix
 
 C1 = 16.0 / 180.0
 
@@ -196,14 +196,8 @@ def _full_fill_rows(m, chunk=11520):
         yield rows, exp_haar_matrix(c[rows], m), exp_t_haar_matrix(c[rows], m)
 
 
-def _adjoint_pair(ops, m):
-    """The moment pair ``OperatorCache.rhs`` holds for level ``m``, filled on a miss."""
-    ops.rhs(np.zeros(len(sample_grid(m))), m)
-    return ops._store["adjoint", m]
-
-
 class TestAdjointFill:
-    """Each level's moment pair is one full fill on that level's rates, whatever else is held."""
+    """Each level's moment pair, own fill or block of a finer one, is one full fill at its rates."""
 
     @pytest.mark.parametrize(
         "order", [list(range(1, 9)), [8, 3]], ids=lambda order: "-".join(map(str, order))
@@ -211,11 +205,16 @@ class TestAdjointFill:
     def test_every_level_equals_a_full_fill(self, order):
         ops = OperatorCache()
         for i, m in enumerate(order):
-            e0, e1 = _adjoint_pair(ops, m)
-            # no level is filled before it is asked for, and each is its own array
-            assert sorted(ops._store) == sorted(("adjoint", level) for level in order[: i + 1])
+            ops.rhs(np.zeros(len(sample_grid(m))), m)
+            e0, e1 = adjoint_pair(ops, m)
+            # one pair is held, as its own arrays, at the finest level asked
+            # so far; no level is filled before it is asked for
+            top = max(order[: i + 1])
+            assert list(ops._store) == ["adjoint"] and ops._store["adjoint"][0] == top
+            for held in ops._store["adjoint"][1:]:
+                assert held.base is None and held.flags.c_contiguous
+                assert held.shape == (180 * 2 ** top, 2 ** top)
             for e in (e0, e1):
-                assert e.base is None and e.flags.c_contiguous
                 assert e.shape == (180 * 2 ** m, 2 ** m)
             for rows, f0, f1 in _full_fill_rows(m):
                 assert np.array_equal(e0[rows], f0), (order, m)
@@ -241,11 +240,73 @@ class TestAdjointFill:
         tracemalloc.start()
         try:
             ops.rhs(samples, 8)
-            e0, e1 = ops._store["adjoint", 8]
+            e0, e1 = adjoint_pair(ops, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (e0.nbytes + e1.nbytes)
+
+    def test_one_pair_is_held_and_coarser_levels_read_it_without_a_fill(self, monkeypatch):
+        # levels 1..8 in order leave one pair, level 8's; levels 1..7 then
+        # read its blocks, bit for bit the products of their own fills
+        grid = sample_grid(8)
+        rng = np.random.default_rng(5)
+        samples = np.exp(-grid) * (1.0 + 0.05 * rng.standard_normal(len(grid)))
+        ops = OperatorCache()
+        own = {m: ops.rhs(samples, m) for m in range(1, 9)}
+        assert list(ops._store) == ["adjoint"] and ops._store["adjoint"][0] == 8
+        calls = count_calls(monkeypatch, assembly, "exp_haar_matrix")
+        for m in range(1, 8):
+            assert np.array_equal(ops.rhs(samples, m), own[m]), m
+        assert calls == []
+
+    def test_a_finer_fill_releases_the_held_pair_first(self):
+        # the peak is level 8's pair and the fill's temporaries, not level
+        # 7's pair held beside it (236 MB)
+        samples = np.zeros(len(sample_grid(8)))
+        ops = OperatorCache()
+        tracemalloc.start()
+        try:
+            ops.rhs(samples, 7)
+            ops.rhs(samples, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pair_bytes = 2 * 180 * 4 ** 8 * 8
+        assert peak <= pair_bytes + 4 * 2 ** 20, peak
+
+    def test_a_finer_fill_trims_the_heap_between_the_release_and_the_fill(self, monkeypatch):
+        # glibc keeps a freed pair under its mmap threshold resident until
+        # malloc_trim; the trim runs once per fill, with no pair held
+        ops = OperatorCache()
+        samples = np.zeros(len(sample_grid(3)))
+        ops.rhs(samples, 2)
+        stores = []
+        monkeypatch.setattr(assembly, "_MALLOC_TRIM", lambda pad: stores.append(dict(ops._store)))
+        ops.rhs(samples, 3)
+        ops.rhs(samples, 2)
+        assert stores == [{}] and ops._store["adjoint"][0] == 3
+
+    def test_a_finer_fill_that_raises_leaves_no_pair_and_a_coarser_level_refills(
+        self, monkeypatch
+    ):
+        samples = np.exp(-sample_grid(6))
+        ops = OperatorCache()
+        want = ops.rhs(samples, 5)
+        fill, filled = assembly._fill_adjoint, []
+
+        def fails_above_5(m):
+            filled.append(m)
+            if m > 5:
+                raise MemoryError(f"level {m}'s pair does not fit")
+            return fill(m)
+
+        monkeypatch.setattr(assembly, "_fill_adjoint", fails_above_5)
+        with pytest.raises(MemoryError):
+            ops.rhs(samples, 6)
+        assert ops._store == {}
+        assert np.array_equal(ops.rhs(samples, 5), want)
+        assert filled == [6, 5] and ops._store["adjoint"][0] == 5
 
 
 class TestLowRankPremise:
@@ -269,7 +330,7 @@ class TestLowRankPremise:
         f = exact_problem().exact_rhs(sample_grid(m))
         ops = OperatorCache()
         v = ops.rhs(f, m)
-        e0, e1 = ops._store["adjoint", m]
+        e0, e1 = adjoint_pair(ops, m)
         c = sample_grid(m)[:-1]
         x, L = chebyshev_interpolation(c, 12)
         E, Et = exp_haar_matrix(x, m), exp_t_haar_matrix(x, m)
@@ -502,12 +563,10 @@ class TestOperatorCache:
         def seen():
             return {name: len(made) for name, made in calls.items() if made}
 
-        ops.rhs(samples, 3)
-        assert seen() == {"exp_haar_matrix": 1}
-        ops.rhs(samples, 5)  # one fill, with level 3 held
-        assert seen() == {"exp_haar_matrix": 2}
-        for (_, kwargs), m in zip(calls["exp_haar_matrix"], (3, 5)):
-            assert kwargs["t_out"] is ops._store["adjoint", m][1]
+        for m, filled in ((3, 1), (5, 2)):  # one fill each; level 5's releases level 3's
+            ops.rhs(samples, m)
+            assert seen() == {"exp_haar_matrix": filled}
+            assert calls["exp_haar_matrix"][-1][1]["t_out"] is adjoint_pair(ops, m)[1].base
         ops.gram(3)
         ops.gram(3)
         assert seen() == {"exp_haar_matrix": 3, "assemble_gram": 1}

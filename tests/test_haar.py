@@ -32,6 +32,7 @@ from fredreg.assembly import OperatorCache, _moments, sample_grid, simpson_rule
 
 from _oracles import (
     EXTENDED,
+    adjoint_pair,
     coefficients,
     extended_moments,
     haar_eval_piecewise,
@@ -515,7 +516,7 @@ class TestMomentMatrixFill:
         ops = OperatorCache()
         for m in (5, 6):
             ops.rhs(np.zeros(len(sample_grid(m))), m)
-            fills.append((m, ops._store["adjoint", m]))
+            fills.append((m, adjoint_pair(ops, m)))
         for m, got in fills:
             c = sample_grid(m)[:-1]
             for rows in np.array_split(np.arange(len(c)), len(c) // 3000):
@@ -528,10 +529,10 @@ class TestMomentMatrixFill:
         ops = OperatorCache()
         samples = np.zeros(len(sample_grid(6)))
         ops.rhs(samples, 5)
-        for e in ops._store["adjoint", 5]:
+        for e in adjoint_pair(ops, 5):
             e[...] = np.nan
         ops.rhs(samples, 6)
-        got = ops._store["adjoint", 6]
+        got = adjoint_pair(ops, 6)
         c = sample_grid(6)[:-1]
         for rows in np.array_split(np.arange(len(c)), len(c) // 3000):
             assert np.array_equal(got[0][rows], _exp_haar_matrix_ref(c[rows], 6))
