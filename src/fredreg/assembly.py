@@ -290,17 +290,6 @@ def _malloc_trim():
 _MALLOC_TRIM = _malloc_trim()
 
 
-def _fill_adjoint(m):
-    """The two moment matrices on the left endpoints of ``sample_grid(m)``.
-
-    One ``exp_haar_matrix(..., t_out=)`` call writes both; the name is looked
-    up as a module global on every call, so a tracer that replaces it sees it.
-    """
-    c = sample_grid(m)[:-1]
-    e1 = np.empty((len(c), 2 ** m))
-    return exp_haar_matrix(c, m, t_out=e1), e1
-
-
 class OperatorCache:
     """Level-keyed cache of the noise-independent assembly products.
 
@@ -355,20 +344,26 @@ class OperatorCache:
         The cache holds one moment pair, ``2 * 180 * 4**top`` doubles, at
         the finest level ``top`` asked so far. The partitions nest, so
         level ``m <= top`` reads the block ``[::2**(top-m), :2**m]`` of
-        it, bit for bit its own fill. A level above ``top`` releases the
-        held pair before it fills its own, so no two pairs are alive at
-        once, and where the C library is glibc its pages go back to the
-        system before the fill; a fill that raises leaves no pair held.
+        it, bit for bit its own fill. The samples are checked first, so a
+        grid that does not refine the cells raises with the held pair
+        untouched. A level above ``top`` then releases the held pair
+        before it fills its own, so no two pairs are alive at once, and
+        where the C library is glibc its pages go back to the system
+        before the fill; a fill that raises leaves no pair held. The fill
+        is one ``exp_haar_matrix(..., t_out=)`` call that writes both
+        matrices; the name is looked up as a module global, so a tracer
+        that replaces it sees every fill.
         """
         _check_level("adjoint partition level", m, 1)
-        held = self._store.get("adjoint", (0,))
-        if m > held[0]:
-            del held  # this frame's reference too, or the old pair outlives the fill
+        m0, m1 = _moments(f_samples, m)
+        if m > self._store.get("adjoint", (0,))[0]:
             self._store.pop("adjoint", None)
             if _MALLOC_TRIM is not None:
                 _MALLOC_TRIM(0)
-            held = self._store["adjoint"] = (m, *_fill_adjoint(m))
-        top, e0, e1 = held
+            c = sample_grid(m)[:-1]
+            e1 = np.empty((len(c), 2 ** m))
+            self._store["adjoint"] = (m, exp_haar_matrix(c, m, t_out=e1), e1)
+        top, e0, e1 = self._store["adjoint"]
         step = 2 ** (top - m)
         e0, e1 = e0[::step, : 2 ** m], e1[::step, : 2 ** m]
         if m == 1:
@@ -376,7 +371,6 @@ class OperatorCache:
             # 2 by their own rule; a contiguous copy keeps that rule, and
             # with it the bits of level 1's own fill
             e0, e1 = np.ascontiguousarray(e0), np.ascontiguousarray(e1)
-        m0, m1 = _moments(f_samples, m)
         return e0.T @ m0 - e1.T @ m1
 
     def data(self, f_samples, m):

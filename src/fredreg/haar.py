@@ -108,19 +108,6 @@ def _rates(c):
     return zero, np.where(zero, 1.0, c)
 
 
-def _wavelet_levels(m):
-    """Per wavelet level ``l = 1..m``: column slice, amplitude and piece width.
-
-    Amplitude and width are constant within a level (the width is an
-    exact dyadic number), so the level's first column of :func:`_tables`
-    gives them for every column of the level, bit for bit.
-    """
-    amp, left, mid, _ = _tables(m)
-    for l in range(1, m + 1):
-        j = 2 ** (l - 1)
-        yield slice(j, 2 * j), amp[j], mid[j] - left[j]
-
-
 # Column j = 1 over every rate, then its c = 0 limit over the zero rates;
 # the t-weighted one writes its truncated series over the small rates
 def _column0_exp(zero, cs):
@@ -142,9 +129,11 @@ def _fill(c, m, plain, t_out):
     """:func:`exp_haar_matrix` as a new array if ``plain``, and :func:`exp_t_haar_matrix`
     written into ``t_out`` unless it is None; returns the pair.
 
-    Checks the inputs. Per block, ``x = -c*mid``, ``e = exp(x)`` and
-    ``sinh(c*h/2)**2`` serve both, and each output is formed contiguously,
-    then copied.
+    Checks the inputs. Amplitude ``A`` and piece width ``h`` are constant
+    within a wavelet level, so each row's factors of them are formed once
+    per level and repeated over its columns. Per block, ``x = -c*mid``,
+    ``e = exp(x)`` and ``sinh(c*h/2)**2`` serve both, and each output is
+    formed contiguously, then copied.
     """
     zero, cs = _rates(c)
     _check_level("level", m, 0)
@@ -157,16 +146,15 @@ def _fill(c, m, plain, t_out):
     for target, column0 in ((out, _column0_exp), (t_out, _column0_exp_t)):
         if target is not None:
             target[:, 0] = column0(zero, cs)
-    levels = list(_wavelet_levels(m))
-    if not levels:
+    if m == 0:
         return out, t_out
-    n_cols = 2 ** m - 1
-    counts = [cols.stop - cols.start for cols, *_ in levels]
-    A = np.array([[a for _, a, _ in levels]])
-    H = np.array([[h for _, _, h in levels]])
-    mid = _tables(m)[2][None, 1:]
+    amp, _, mid, _ = _tables(m)
+    counts = 2 ** np.arange(m)  # wavelet level l has 2**(l-1) columns, from column 2**(l-1)
+    A = amp[counts][None, :]
+    H = 0.5 / counts[None, :]  # the piece width of level l, an exact dyadic number
+    mid = mid[None, 1:]
     Cs = cs[:, None]
-    step = max(1, _FILL_ENTRIES // n_cols)  # rows per block
+    step = max(1, _FILL_ENTRIES // (2 ** m - 1))  # rows per block
 
     def expand(factor):
         return np.repeat(factor, counts, axis=1)

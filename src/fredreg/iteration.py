@@ -124,12 +124,13 @@ def rank_schedule(a, c1, eta, m_cap=None):
 
     The conditions are ``c1 / 16**m <= a/2`` (the normal-operator bound
     of :func:`.error_budget`), ``(17/180) / 4**m <= eta * a**2`` (its mixed
-    bound, with the exponential kernel's ``c1 + sup/180 = 17/180``) and
-    ``c1 / 4**m <= sqrt(a)/2`` (for this kernel ``16 * bound_adjoint``).
-    The level is the largest of their three ceilings, floored at 1 (the
-    raw ceilings go non-positive for large ``a``) and optionally clamped
-    to ``m_cap``, an integer ``>= 1``. The ceilings are taken from sums of
-    logarithms, so every finite ``a > 0`` has a level.
+    bound, with the exponential kernel's ``c1 + sup/180 = 17/180``; the
+    ``c1`` argument does not enter it) and ``c1 / 4**m <= sqrt(a)/2`` (for
+    this kernel ``16 * bound_adjoint``). The level is the largest of their
+    three ceilings, floored at 1 (the raw ceilings go non-positive for
+    large ``a``) and optionally clamped to ``m_cap``, an integer ``>= 1``.
+    The ceilings are taken from sums of logarithms, so every finite
+    ``a > 0`` has a level, and each ceiling never falls as ``a`` falls.
     """
     if not 0.0 < a < math.inf:
         raise ValueError(f"regularization parameter must be positive and finite, got {a}")
@@ -142,7 +143,8 @@ def rank_schedule(a, c1, eta, m_cap=None):
     log2 = math.log(2.0)
     log_a, log_2c1 = math.log(a), math.log(2.0) + math.log(c1)
     t_normal = math.ceil((log_2c1 - log_a) / (4.0 * log2))
-    t_mixed = math.ceil((math.log(17.0 / 180.0) - math.log(eta) - 2.0 * log_a) / (2.0 * log2))
+    mixed = _EXPONENTIAL_KERNEL.c1 + _EXPONENTIAL_KERNEL.sup_bound / 180.0
+    t_mixed = math.ceil((math.log(mixed) - math.log(eta) - 2.0 * log_a) / (2.0 * log2))
     t_adjoint = math.ceil((log_2c1 - 0.5 * log_a) / (2.0 * log2))
     m = max(t_normal, t_mixed, t_adjoint, 1)
     if m_cap is not None:
@@ -176,23 +178,24 @@ def _norm(x, norm=lambda v: math.sqrt(v.dot(v))):
 
 
 def _run_loop(delta, config, systems):
-    """Shared driver: systems(a, m_prev) -> (m_raw, m, L, v, g).
+    """The loop both schemes share: systems(a) -> (m_raw, m, L, v, g) for the shift ``a = a_n``.
 
     ``L`` is the factor of ``a I + A``; the update solves it against
     ``v`` and the discrepancy solve against ``g``. The blend zero-pads
     ``u_{n-1}`` into the (nested) finer span, and the increment of
     ``G_n`` carries the factor ``1 - q``. A step is capped when its raw
-    level exceeds its level.
+    level exceeds its level. The shift never grows from step to step and
+    the level rule never rises as it falls, so the levels never fall.
     A non-finite ``G_n`` or final iterate raises ``np.linalg.LinAlgError``.
     """
     threshold = config.C * delta ** config.eps
     q = config.q
-    a, m, u, G = config.alpha0, 0, np.zeros(1), 0.0
+    a, u, G = config.alpha0, np.zeros(1), 0.0
     trace = []
     reason = "max_iter"
     for n in range(1, config.max_iter + 1):
         a = a * q
-        m_raw, m, factor, v, g = systems(a, m)
+        m_raw, m, factor, v, g = systems(a)
         zeta = solve_spd_shifted(factor, v)
         gamma = solve_spd_shifted(factor, g)
         padded = np.zeros(len(zeta))  # np.pad costs 15x more per call
@@ -253,9 +256,9 @@ def run_adaptive(ops, f_samples, delta, config):
     g = ops.data(f_samples, config.m_cap)  # the spans nest: level m reads g[: 2**m]
     rhs_cache = {}
 
-    def systems(a, m_prev):
+    def systems(a):
         m_raw = rank_schedule(a, c1, config.eta)
-        m = max(min(m_raw, config.m_cap), m_prev)
+        m = min(m_raw, config.m_cap)
         if m not in rhs_cache:
             rhs_cache[m] = ops.rhs(f_samples, m)
         return m_raw, m, ops.factor(m, a), rhs_cache[m], g[: 2 ** m]
@@ -278,7 +281,7 @@ def run_fixed(ops, f_samples, delta, config, m):
     g = ops.data(f_samples, m)
     v = ops.galerkin(m).T @ g
 
-    def systems(a, m_prev):
+    def systems(a):
         return m, m, ops.factor(m, a, galerkin=True), v, g
 
     return _run_loop(delta, config, systems)

@@ -293,20 +293,34 @@ class TestAdjointFill:
         samples = np.exp(-sample_grid(6))
         ops = OperatorCache()
         want = ops.rhs(samples, 5)
-        fill, filled = assembly._fill_adjoint, []
+        fill, filled = assembly.exp_haar_matrix, []
 
-        def fails_above_5(m):
+        def fails_above_5(c, m, **kwargs):
             filled.append(m)
             if m > 5:
                 raise MemoryError(f"level {m}'s pair does not fit")
-            return fill(m)
+            return fill(c, m, **kwargs)
 
-        monkeypatch.setattr(assembly, "_fill_adjoint", fails_above_5)
+        monkeypatch.setattr(assembly, "exp_haar_matrix", fails_above_5)
         with pytest.raises(MemoryError):
             ops.rhs(samples, 6)
         assert ops._store == {}
         assert np.array_equal(ops.rhs(samples, 5), want)
         assert filled == [6, 5] and ops._store["adjoint"][0] == 5
+
+    def test_samples_that_do_not_refine_a_finer_level_raise_before_any_release_or_fill(
+        self, monkeypatch
+    ):
+        samples = np.exp(-sample_grid(3))
+        ops = OperatorCache()
+        ops.rhs(samples, 3)
+        before = adjoint_pair(ops, 3)
+        calls = count_calls(monkeypatch, assembly, "exp_haar_matrix")
+        with pytest.raises(ValueError, match="does not refine"):
+            ops.rhs(samples, 4)
+        assert calls == [] and ops._store["adjoint"][0] == 3
+        after = adjoint_pair(ops, 3)
+        assert all(b.base is a.base for a, b in zip(before, after))
 
 
 class TestLowRankPremise:

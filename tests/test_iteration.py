@@ -122,6 +122,54 @@ class TestRankSchedule:
         values = [rank_schedule(0.5 ** k, C1, 10.0) for k in range(1, 30)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    # run_adaptive puts no floor under the levels: they are non-decreasing
+    # because the shift never grows from step to step and the rule never
+    # rises as it falls, over the whole positive float range
+
+    @pytest.mark.parametrize("eta", [10.0, 1000.0])
+    def test_never_rises_as_a_falls_on_a_log_uniform_sample(self, eta):
+        rng = np.random.default_rng(25)
+        log_min, log_max = math.log(5e-324), math.log(sys.float_info.max)
+        a = np.sort(np.exp(rng.uniform(log_min, log_max, 100_000)))[::-1]
+        a = np.clip(a, 5e-324, sys.float_info.max)
+        levels = [rank_schedule(float(x), C1, eta) for x in a]
+        assert all(lo <= hi for lo, hi in zip(levels, levels[1:]))
+
+    @pytest.mark.parametrize("eta", [10.0, 1000.0])
+    def test_never_rises_along_chains_a_times_q(self, eta):
+        # q = 0.5 runs from float max to the smallest subnormal; the finer
+        # chains cross every level change it brackets, found to the float
+        # by bisection, from just above it
+        def level(x):
+            return rank_schedule(x, C1, eta)
+
+        def chain_levels(a, q, steps):
+            chain = [a]
+            while len(chain) < steps and chain[-1] * q > 0.0:
+                chain.append(chain[-1] * q)
+            levels = [level(x) for x in chain]
+            assert all(lo <= hi for lo, hi in zip(levels, levels[1:])), (a, q)
+            return chain, levels
+
+        def as_float(bits):
+            return float(np.int64(bits).view(np.float64))
+
+        halving, levels = chain_levels(sys.float_info.max, 0.5, 2200)
+        assert halving[-1] == 5e-324
+        for a, below, m, m_below in zip(halving, halving[1:], levels, levels[1:]):
+            if m_below == m:
+                continue
+            # positive floats order as their bit patterns
+            hi, lo = (int(np.float64(x).view(np.int64)) for x in (a, below))
+            while hi - lo > 1:  # hi: the smallest float still at level m
+                mid = (hi + lo) // 2
+                if level(as_float(mid)) > m:
+                    lo = mid
+                else:
+                    hi = mid
+            chain_levels(as_float(hi) / 0.999999 ** 100, 0.999999, 200)
+            chain_levels(as_float(hi + 100), 1.0 - 2.0 ** -52, 200)
+
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(99)
         for _ in range(300):
@@ -404,7 +452,7 @@ def test_overflowing_discrepancy_is_a_breakdown(scheme):
 
 def test_overflowing_iterate_is_a_breakdown():
     # g = 0 keeps G at 0, so the rule holds at step 1, while v / a overflows u
-    def systems(a, m_prev):
+    def systems(a):
         factor = assembly.factor_spd_shifted(np.zeros((2, 2)), a)
         return 1, 1, factor, np.full(2, 1e308), np.zeros(2)
 
