@@ -15,7 +15,10 @@ Besides pointwise evaluation the module provides closed-form inner
 products of the basis against exponentials ``exp(-c*t)`` (and their
 ``t``-weighted variant), the pyramid transform between the basis and
 the finest cells, projection onto the span, and a coefficient
-container. Everything runs on the calling thread.
+container. It also gives the per-cell Gauss-Legendre nodes of callable
+projection and of the Galerkin matrix; their 4- and 8-point rules are
+held as constants, so no code path loads ``numpy.polynomial``.
+Everything runs on the calling thread.
 """
 
 from dataclasses import dataclass
@@ -59,24 +62,22 @@ def split_index(j):
 
 @lru_cache(maxsize=None)
 def _tables(m):
-    """Per-index arrays (amplitude, left, midpoint, right) for j = 1..2**m.
+    """Per-index arrays (amplitude, support midpoint) for j = 1..2**m.
 
-    Entry 0 (j = 1) describes the constant function; its support fields
-    are set to the full interval and are not used by the fast paths.
+    Entry 0 (j = 1) describes the constant function; its midpoint is that
+    of the full interval and is not used by the fast paths.
     """
     n = 2 ** m
-    amp, left, width = np.ones(n), np.zeros(n), np.ones(n)
+    amp, mid = np.ones(n), np.full(n, 0.5)
     for l in range(1, m + 1):
         # j = k + p for offsets p = 1..k share the support width 1/k; every
-        # left end, width, midpoint and right end is an exact dyadic number
+        # midpoint (p - 1/2)/k is an exact dyadic number
         k = 2 ** (l - 1)
         amp[k : 2 * k] = 2.0 ** ((l - 1) / 2.0)
-        left[k : 2 * k] = np.arange(k) * (1.0 / k)
-        width[k : 2 * k] = 1.0 / k
-    mid, right = left + width / 2.0, left + width
-    for a in (amp, left, mid, right):
+        mid[k : 2 * k] = np.arange(k) * (1.0 / k) + 0.5 / k
+    for a in (amp, mid):
         a.setflags(write=False)
-    return amp, left, mid, right
+    return amp, mid
 
 
 def haar_eval(j, x):
@@ -148,7 +149,7 @@ def _fill(c, m, plain, t_out):
             target[:, 0] = column0(zero, cs)
     if m == 0:
         return out, t_out
-    amp, _, mid, _ = _tables(m)
+    amp, mid = _tables(m)
     counts = 2 ** np.arange(m)  # wavelet level l has 2**(l-1) columns, from column 2**(l-1)
     A = amp[counts][None, :]
     H = 0.5 / counts[None, :]  # the piece width of level l, an exact dyadic number
@@ -309,11 +310,44 @@ class HaarCoefficients:
         return float(out) if np.ndim(x) == 0 else out
 
 
+# The positive halves (nodes, weights) of the n-point Gauss-Legendre rules on
+# [-1, 1], as numpy.polynomial.legendre.leggauss(n) gives them
+_GAUSS_LEGENDRE_HALVES = {
+    4: (
+        (0.33998104358485626, 0.8611363115940526),
+        (0.6521451548625464, 0.34785484513745357),
+    ),
+    8: (
+        (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+        (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
+    ),
+}
+
+
+def _gauss_legendre(n):
+    """The ``n``-point Gauss-Legendre rule on [-1, 1] as ``(nodes, weights)``, n = 4 or 8.
+
+    Mirrors the positive half in ``_GAUSS_LEGENDRE_HALVES``. ``leggauss``
+    antisymmetrizes its nodes and symmetrizes its weights, so the mirror
+    is bit-identical to its output.
+    """
+    half_x, half_w = (np.array(v) for v in _GAUSS_LEGENDRE_HALVES[n])
+    return np.concatenate((-half_x[::-1], half_x)), np.concatenate((half_w[::-1], half_w))
+
+
 def _gauss_cell_nodes(m, nodes_per_cell):
-    # imported by its only user, so a run without Galerkin matrix or callable
-    # project never loads it (sweep's set-up builds the Galerkin matrix)
-    from numpy.polynomial.legendre import leggauss
-    gx, gw = leggauss(nodes_per_cell)
+    """Nodes and weights of the ``nodes_per_cell``-point Gauss-Legendre rule on
+    each of the ``2**m`` dyadic cells, as two flat arrays in cell order.
+
+    The rules (8 points for the Galerkin matrix, 4 for callable
+    :func:`project`) are held as constants, written as the ``repr`` of
+    ``numpy.polynomial.legendre.leggauss``'s output. So no run loads
+    ``numpy.polynomial``, whose nine modules held about 1 MB that no
+    solve reads, and no output depends on the installed numpy's
+    ``leggauss``. ``tests/test_haar.py::test_constant_rules_are_gauss_legendre``
+    checks them against the rule's definition and ``leggauss``.
+    """
+    gx, gw = _gauss_legendre(nodes_per_cell)
     n = 2 ** m
     w = 1.0 / n
     t = (np.arange(n)[:, None] * w + (gx[None, :] + 1.0) * w / 2.0).ravel()

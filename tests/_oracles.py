@@ -5,7 +5,8 @@
   weighted sum of shifted solves.
 * :func:`run_steps` runs the recursion itself for exactly ``n`` steps,
   with a noise bound the stopping rule cannot meet.
-* :func:`join_index` inverts :func:`fredreg.haar.split_index`.
+* :func:`join_index` inverts :func:`fredreg.haar.split_index`, and
+  :func:`supports` gives each ``Phi_j``'s support from that index split.
 * :func:`coefficients` builds Haar coefficients at the level their
   length implies.
 * :func:`forward_residual` checks a problem's exact solution against
@@ -116,6 +117,20 @@ def join_index(l, p):
     return 2 ** (l - 1) + p
 
 
+def supports(m):
+    """Left and right ends of the supports of ``Phi_j``, ``j = 1..2**m``.
+
+    From the index definition of :mod:`fredreg.haar`: ``Phi_1`` on [0, 1],
+    and ``Phi_j``, ``j = 2**(l-1) + p``, on ``[(p-1)/2**(l-1), p/2**(l-1))``.
+    """
+    left, right = np.zeros(2 ** m), np.ones(2 ** m)
+    for j in range(2, 2 ** m + 1):
+        l, p = split_index(j)
+        w = 1.0 / 2 ** (l - 1)
+        left[j - 1], right[j - 1] = (p - 1) * w, p * w
+    return left, right
+
+
 def coefficients(values):
     """:class:`HaarCoefficients` of ``values``, whose length must be a power of two.
 
@@ -168,7 +183,8 @@ def synthesis_matrix(m):
     cell-measure factor: ``S S.T = 2**m I``. Dense: ``8 * 4**m`` bytes.
     """
     n = 2 ** m
-    amp, left, mid, right = _tables(m)
+    amp, mid = _tables(m)
+    left, right = supports(m)
     centers = (np.arange(n) + 0.5) / n
     s = np.zeros((n, n))
     s[0, :] = 1.0
@@ -231,7 +247,7 @@ def extended_moments(c, m, weight):
         for a in reversed(coef):
             series = series * -c + a
         out[:, 0] = np.where(c < 1, series, np.exp(-cs) * (np.expm1(cs) - cs) / cs ** 2)
-    _, left, mid, _ = _tables(m)
+    mid, left = _tables(m)[1], supports(m)[0]
     A = _extended_amplitudes(m)[None, 1:]
     T1, H = mid[None, 1:].astype(LONG), (mid - left)[None, 1:].astype(LONG)
     C = cs[:, None]

@@ -37,6 +37,7 @@ from _oracles import (
     extended_moments,
     haar_eval_piecewise,
     join_index,
+    supports,
     synthesis_matrix,
 )
 
@@ -56,7 +57,7 @@ def _ref_rates(c, m):
     """Rates below the floor as 0 and the zero rates as 1, and the level's column tables."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     c = np.where(c < _ZERO_RATE, 0.0, c)
-    amp, left, mid, _ = _tables(m)
+    (amp, mid), left = _tables(m), supports(m)[0]
     return c, np.where(c == 0.0, 1.0, c), amp[None, 1:], mid[None, 1:], (mid - left)[None, 1:]
 
 
@@ -182,13 +183,13 @@ class TestIndexing:
 
     @pytest.mark.parametrize("m", range(13))
     def test_tables_match_the_per_index_definition(self, m):
-        # the module docstring's support and amplitude of every Phi_j, j >= 2,
-        # index by index; the constant Phi_1 has amplitude 1 on [0, 1]
-        want = [[1.0], [0.0], [0.5], [1.0]]
+        # the module docstring's amplitude and support midpoint of every Phi_j,
+        # j >= 2, index by index; the constant Phi_1 has amplitude 1 on [0, 1]
+        want = [[1.0], [0.5]]
         for j in range(2, 2 ** m + 1):
             l, p = split_index(j)
             w = 1.0 / 2 ** (l - 1)
-            for col, value in zip(want, (2.0 ** ((l - 1) / 2), (p - 1) * w, (p - 0.5) * w, p * w)):
+            for col, value in zip(want, (2.0 ** ((l - 1) / 2), (p - 0.5) * w)):
                 col.append(value)
         for got, expected in zip(_tables(m), want):
             np.testing.assert_array_equal(got, expected, strict=True)
@@ -573,15 +574,45 @@ class TestMomentMatrixFill:
 
 
 def test_cli_import_loads_no_numpy_polynomial():
-    # leggauss is imported inside _gauss_cell_nodes, reached only from the
-    # Galerkin matrix and callable projection
-    code = "import sys, fredreg.cli; print([m for m in sys.modules if m.startswith('numpy.polynomial')])"
+    # the Gauss-Legendre rules of the Galerkin matrix and callable projection
+    # are constants: neither the import nor a fixed-scheme solve loads leggauss
+    code = """
+import contextlib, io, sys
+import fredreg.cli
+from fredreg.assembly import galerkin_matrix
+from fredreg.haar import project
+with contextlib.redirect_stdout(io.StringIO()):
+    status = fredreg.cli.main(["solve", "--scheme", "both", "--noise", "0.05"])
+galerkin_matrix(4)
+project(lambda t: t, 3)
+print(status, [m for m in sys.modules if m.startswith("numpy.polynomial")])
+"""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "0 []"
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_constant_rules_are_gauss_legendre(n):
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = haar._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    np.testing.assert_array_equal(x, -x[::-1])
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    np.testing.assert_array_equal(w, w[::-1])
+    assert np.all(w > 0)
+    np.testing.assert_allclose(w.sum(), 2.0, rtol=0, atol=4 * np.spacing(2.0))
+    # exact on every monomial of degree <= 2n - 1: int_{-1}^{1} x**k dx
+    for k in range(2 * n):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(np.dot(w, x ** k) - exact) <= 4 * np.spacing(2.0), k
+    gx, gw = leggauss(n)
+    for got, want in ((x, gx), (w, gw)):
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), n
 
 
 class TestTrapezoidBlocks:
