@@ -9,8 +9,7 @@ function untouched.
 
 import numpy as np
 
-from fredreg import haar_eval, project, split_index
-from fredreg.haar import HaarCoefficients
+from fredreg import haar, haar_eval, project, split_index
 
 print("=== index convention: j = 2**(l-1) + p ===")
 for j in range(2, 9):
@@ -33,20 +32,20 @@ print("  max |<Phi_i, Phi_j> - delta_ij| =", np.max(np.abs(gram - np.eye(64))))
 print("\n=== projecting f(t) = t ===")
 for m in (1, 2, 3):
     coeffs = project(lambda t: t, m)
-    print(f"  level {m}: {np.array2string(coeffs.values, precision=5)}")
+    print(f"  level {m}: {np.array2string(coeffs, precision=5)}")
 err_prev = None
 print("\n  projection error ||P_m f - f|| (exact, via Parseval):")
 for m in range(1, 9):
     coeffs = project(lambda t: t, m)
-    err = np.sqrt(max(1.0 / 3.0 - np.sum(coeffs.values ** 2), 0.0))
+    err = np.sqrt(max(1.0 / 3.0 - np.sum(coeffs ** 2), 0.0))
     note = "" if err_prev is None else f"   (ratio {err / err_prev:.3f})"
     print(f"  m = {m}: {err:.6e}{note}")
     err_prev = err
 
 print("\n=== zero-padding embeds exactly into finer spans ===")
 coarse = project(lambda t: np.cos(3 * t), 3)
-fine = HaarCoefficients(level=6, values=np.pad(coarse.values, (0, 2 ** 6 - 2 ** 3)))
+fine = np.pad(coarse, (0, 2 ** 6 - 2 ** 3))  # coefficients are arrays of length 2**m
 x = np.linspace(0, 1, 7)
-print("  coarse evaluation:", np.round(coarse.evaluate(x), 8))
-print("  padded evaluation:", np.round(fine.evaluate(x), 8))
-print("  max difference   :", np.max(np.abs(coarse.evaluate(x) - fine.evaluate(x))))
+print("  coarse evaluation:", np.round(haar.evaluate(coarse, x), 8))
+print("  padded evaluation:", np.round(haar.evaluate(fine, x), 8))
+print("  max difference   :", np.max(np.abs(haar.evaluate(coarse, x) - haar.evaluate(fine, x))))

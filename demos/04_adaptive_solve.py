@@ -20,6 +20,7 @@ from fredreg import (
     run_fixed,
     sample_grid,
 )
+from fredreg.haar import evaluate
 
 problem = exact_problem()
 ops = OperatorCache()
@@ -42,7 +43,7 @@ print(f"mean absolute error vs u(t) = t: {avg_error(outcome.solution, problem.ex
 
 print("\n=== reconstruction samples ===")
 t = np.linspace(0.05, 0.95, 10)
-u = outcome.solution.evaluate(t)
+u = evaluate(outcome.solution, t)
 for ti, ui in zip(t, u):
     bar = "#" * int(round(40 * max(ui, 0)))
     print(f"  t = {ti:.2f}  u = {ui:+.4f}  exact {ti:+.4f}  {bar}")

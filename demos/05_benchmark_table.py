@@ -5,7 +5,7 @@ four standard noise levels with a handful of seeds each, prints the
 median-aggregated table, and writes the per-run rows as CSV. The full
 20-seed sweep used by the acceptance suite runs the same way via
 
-    fredreg table --seeds 20 --out rows.csv
+    fredreg table --out rows.csv
 """
 
 import os

@@ -264,7 +264,7 @@ def galerkin_matrix(m):
     which makes ``K_m^T K_m`` equal ``K_m K_m^T``.
     """
     _check_level("galerkin level", m, 1)
-    s, sw = _gauss_cell_nodes(m, 8)
+    s, sw = _gauss_cell_nodes(m)
     cells = (sw[:, None] * exp_haar_matrix(s, m)).reshape(2 ** m, 8, -1).sum(axis=1)
     k = _analysis(cells, m)
     return 0.5 * (k + k.T)
@@ -375,7 +375,7 @@ class OperatorCache:
 
     def data(self, f_samples, m):
         """Haar coefficients ``g_i = <f, Phi_i>`` of sampled data (length ``2**m``)."""
-        return project(f_samples, m).values
+        return project(f_samples, m)
 
     def galerkin(self, m):
         return self._lookup(("galerkin", m), "galerkin level", lambda: galerkin_matrix(m))

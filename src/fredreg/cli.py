@@ -11,14 +11,13 @@ negative one):
   printing median-aggregated results and optionally writing the row CSV.
 
 Exit codes: 0 on success, 2 on configuration errors (among them every
-level, count or index that is not an integer or is out of range, an
-empty list of noise levels or seeds, and ``--seed`` with ``--seeds``),
-when memory runs out and when ``--out`` cannot be written (it is opened
-before the first solve), 3 when any run stopped for a reason other than
-the discrepancy rule, 4 on a numerical breakdown, any
-``numpy.linalg.LinAlgError`` (a shifted system Cholesky cannot factor,
-the pivot given in the message, or a run whose discrepancy or iterate
-overflows).
+level, count or index that is not an integer or is out of range and an
+empty list of noise levels or seeds), when memory runs out and when
+``--out`` cannot be written (it is opened before the first solve), 3
+when any run stopped for a reason other than the discrepancy rule, 4 on
+a numerical breakdown, any ``numpy.linalg.LinAlgError`` (a shifted
+system Cholesky cannot factor, the pivot given in the message, or a run
+whose discrepancy or iterate overflows).
 """
 
 import argparse
@@ -31,6 +30,7 @@ from numpy.linalg import LinAlgError
 from .experiment import (
     _EVAL_GRID, _SCHEMES, PAPER_NOISE_LEVELS, _runs, format_summary, rows_to_csv, run_table,
 )
+from .haar import evaluate
 from .iteration import SolverConfig
 
 _OK_STOPS = ("discrepancy_met", "initial_below_threshold")
@@ -77,8 +77,9 @@ def build_parser():
         default=list(PAPER_NOISE_LEVELS),
         help="comma-separated relative noise levels",
     )
-    table.add_argument("--seed", type=_int_list, default=None, help="explicit seed list")
-    table.add_argument("--seeds", type=int, default=None, help="use seeds 0..n-1")
+    table.add_argument(
+        "--seed", type=_int_list, default=list(range(20)), help="comma-separated seeds (0..19)"
+    )
     table.add_argument("--scheme", choices=_SCHEMES, default="both")
 
     return parser
@@ -103,7 +104,7 @@ def _cmd_solve(args, config, out):
               f"m_final={outcome.m_final} G_final={outcome.G_final:.6e} avg={row.avg:.6f}")
 
     if out:
-        sols = {s: o.solution.evaluate(_EVAL_GRID) for s, o in outcomes.items()}
+        sols = {s: evaluate(o.solution, _EVAL_GRID) for s, o in outcomes.items()}
         lines = ["t," + ",".join(f"u_{s}" for s in sols) + ",u_exact"]
         for i, ti in enumerate(_EVAL_GRID):
             vals = ",".join(repr(float(u[i])) for u in sols.values())
@@ -114,16 +115,8 @@ def _cmd_solve(args, config, out):
 
 
 def _cmd_table(args, config, out):
-    if args.seed is not None and args.seeds is not None:
-        raise ValueError("give either --seed or --seeds, not both")
-    seeds = args.seed if args.seed is not None else range(20 if args.seeds is None else args.seeds)
-    rows = run_table(
-        config=config,
-        levels=args.noise,
-        seeds=seeds,
-        schemes=args.scheme,
-        fixed_m=args.fixed_m,
-    )
+    rows = run_table(config=config, levels=args.noise, seeds=args.seed,
+                     schemes=args.scheme, fixed_m=args.fixed_m)
     if out:
         out.write(rows_to_csv(rows))
     print(format_summary(rows))

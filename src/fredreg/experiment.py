@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .assembly import _EXPONENTIAL_KERNEL, Kernel, OperatorCache, sample_grid
-from .haar import _check_grid, _check_level, exp_t_haar_matrix
+from .haar import _check_grid, _check_level, evaluate, exp_t_haar_matrix
 from .iteration import SolverConfig, _norm, run_adaptive, run_fixed
 
 PAPER_NOISE_LEVELS = (0.05, 0.01, 0.005, 0.0005)
@@ -110,7 +110,7 @@ def add_noise(f_samples, spec):
 
 def avg_error(u_coeffs, u_exact):
     """Mean absolute error on the grid ``t_j = 0.01 (j - 1), j = 1..100``."""
-    approx = u_coeffs.evaluate(_EVAL_GRID)
+    approx = evaluate(u_coeffs, _EVAL_GRID)
     return float(np.mean(np.abs(np.asarray(u_exact(_EVAL_GRID)) - approx)))
 
 

@@ -14,14 +14,15 @@ left limit so that evaluation is defined on the closed interval.
 Besides pointwise evaluation the module provides closed-form inner
 products of the basis against exponentials ``exp(-c*t)`` (and their
 ``t``-weighted variant), the pyramid transform between the basis and
-the finest cells, projection onto the span, and a coefficient
-container. It also gives the per-cell Gauss-Legendre nodes of callable
-projection and of the Galerkin matrix; their 4- and 8-point rules are
+the finest cells, projection onto the span and evaluation of a
+coefficient vector. Coefficients are plain float64 arrays whose length
+``2**m`` gives their level; the spans nest, so zero-padding embeds a
+coarser vector exactly. It also gives the per-cell Gauss-Legendre nodes
+of callable projection and of the Galerkin matrix; their 8-point rule is
 held as constants, so no code path loads ``numpy.polynomial``.
 Everything runs on the calling thread.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,8 +34,9 @@ _ZERO_RATE = 1e-100
 # Below this rate column 0 of the t-weighted moment is its truncated
 # series, where the closed form cancels.
 _SMALL_C_MOMENT = 1e-3
-# Entries per block of the whole-row wavelet fill; bounds each temporary
-# array of one block at this many doubles (256 KB).
+# Entries per block of the whole-row wavelet fill, and per row chunk of
+# exp_t_haar_matrix; bounds each temporary array of one block or chunk at
+# this many doubles (256 KB).
 _FILL_ENTRIES = 32768
 # Above this rate expm1(c) overflows (and sinh(c*h/2)**2 from about twice
 # it), so the moment formulas would give NaN.
@@ -87,10 +89,31 @@ def haar_eval(j, x):
     rejected. Returns a scalar for scalar input, else an ndarray.
     """
     _check_level("basis index", j, 1)
-    level = (int(j) - 1).bit_length()  # the coarsest span holding Phi_j
-    unit = np.zeros(2 ** level)
+    unit = np.zeros(2 ** (int(j) - 1).bit_length())  # the coarsest span holding Phi_j
     unit[j - 1] = 1.0
-    return HaarCoefficients(level=level, values=unit).evaluate(x)
+    return evaluate(unit, x)
+
+
+def evaluate(coeffs, x):
+    """Evaluate ``sum_j coeffs[j-1] Phi_j`` at points ``x`` in [0,1].
+
+    ``coeffs`` is a non-empty 1-d array whose length ``2**m`` gives the
+    level; any other shape raises ``ValueError``, as do points outside
+    [0,1] or NaN. ``x = 1`` takes the left limit. Returns a float for
+    scalar input, else an ndarray.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = len(coeffs) if coeffs.ndim == 1 else 0
+    if n == 0 or n & (n - 1):
+        raise ValueError(
+            f"coefficients must be a 1-d array of length 2**m, got shape {coeffs.shape}"
+        )
+    xa = np.asarray(x, dtype=float)
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):  # NaN fails both
+        raise ValueError("evaluation points must lie in [0, 1]")
+    idx = np.minimum((xa * n).astype(int), n - 1)
+    out = _synthesis(coeffs, n.bit_length() - 1)[idx]
+    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -126,68 +149,6 @@ def _column0_exp_t(zero, cs):
     return col
 
 
-def _fill(c, m, plain, t_out):
-    """:func:`exp_haar_matrix` as a new array if ``plain``, and :func:`exp_t_haar_matrix`
-    written into ``t_out`` unless it is None; returns the pair.
-
-    Checks the inputs. Amplitude ``A`` and piece width ``h`` are constant
-    within a wavelet level, so each row's factors of them are formed once
-    per level and repeated over its columns. Per block, ``x = -c*mid``,
-    ``e = exp(x)`` and ``sinh(c*h/2)**2`` serve both, and each output is
-    formed contiguously, then copied.
-    """
-    zero, cs = _rates(c)
-    _check_level("level", m, 0)
-    shape = (len(cs), 2 ** m)
-    if t_out is not None and (t_out.shape != shape or t_out.dtype != np.float64):
-        raise ValueError(
-            f"t_out must be a float64 array of shape {shape}, got {t_out.dtype} {t_out.shape}"
-        )
-    out = np.empty(shape) if plain else None
-    for target, column0 in ((out, _column0_exp), (t_out, _column0_exp_t)):
-        if target is not None:
-            target[:, 0] = column0(zero, cs)
-    if m == 0:
-        return out, t_out
-    amp, mid = _tables(m)
-    counts = 2 ** np.arange(m)  # wavelet level l has 2**(l-1) columns, from column 2**(l-1)
-    A = amp[counts][None, :]
-    H = 0.5 / counts[None, :]  # the piece width of level l, an exact dyadic number
-    mid = mid[None, 1:]
-    Cs = cs[:, None]
-    step = max(1, _FILL_ENTRIES // (2 ** m - 1))  # rows per block
-
-    def expand(factor):
-        return np.repeat(factor, counts, axis=1)
-
-    for r0 in range(0, len(cs), step):
-        rows = slice(r0, r0 + step)
-        Cr = Cs[rows]
-        x = -Cr * mid  # -(c * mid), exactly
-        e = np.exp(x)
-        sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
-        if out is not None:
-            block = expand(A / Cr)
-            block *= e
-            block *= 4.0
-            block *= sinh2
-            out[rows, 1:] = block
-        if t_out is not None:
-            np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
-            x *= 4.0
-            x *= sinh2
-            x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
-            e *= expand(A / Cr ** 2)
-            x *= e
-            t_out[rows, 1:] = x
-    # the blocks took the zero rates as 1: their rows get the c = 0 limits
-    if out is not None:
-        out[zero, 1:] = 0.0
-    if t_out is not None:
-        t_out[zero, 1:] = expand(-A * H * H)
-    return out, t_out
-
-
 def exp_haar_matrix(c, m, *, t_out=None):
     """Matrix of ``int_0^1 exp(-c_k t) Phi_j(t) dt`` for ``j = 1..2**m``.
 
@@ -216,7 +177,54 @@ def exp_haar_matrix(c, m, *, t_out=None):
     result is bit-identical to it; peak memory is the results plus under
     2 MiB of temporaries (one block's and a few of length ``len(c)``).
     """
-    return _fill(c, m, True, t_out)[0]
+    zero, cs = _rates(c)
+    _check_level("level", m, 0)
+    shape = (len(cs), 2 ** m)
+    if t_out is not None and (t_out.shape != shape or t_out.dtype != np.float64):
+        raise ValueError(
+            f"t_out must be a float64 array of shape {shape}, got {t_out.dtype} {t_out.shape}"
+        )
+    out = np.empty(shape)
+    out[:, 0] = _column0_exp(zero, cs)
+    if t_out is not None:
+        t_out[:, 0] = _column0_exp_t(zero, cs)
+    if m == 0:
+        return out
+    amp, mid = _tables(m)
+    counts = 2 ** np.arange(m)  # wavelet level l has 2**(l-1) columns, from column 2**(l-1)
+    A = amp[counts][None, :]
+    H = 0.5 / counts[None, :]  # the piece width of level l, an exact dyadic number
+    mid = mid[None, 1:]
+    Cs = cs[:, None]
+    step = max(1, _FILL_ENTRIES // (2 ** m - 1))  # rows per block
+
+    def expand(factor):
+        return np.repeat(factor, counts, axis=1)
+
+    for r0 in range(0, len(cs), step):
+        rows = slice(r0, r0 + step)
+        Cr = Cs[rows]
+        x = -Cr * mid  # -(c * mid), exactly
+        e = np.exp(x)
+        sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
+        block = expand(A / Cr)
+        block *= e
+        block *= 4.0
+        block *= sinh2
+        out[rows, 1:] = block
+        if t_out is not None:
+            np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
+            x *= 4.0
+            x *= sinh2
+            x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
+            e *= expand(A / Cr ** 2)
+            x *= e
+            t_out[rows, 1:] = x
+    # the blocks took the zero rates as 1: their rows get the c = 0 limits
+    out[zero, 1:] = 0.0
+    if t_out is not None:
+        t_out[zero, 1:] = expand(-A * H * H)
+    return out
 
 
 def exp_t_haar_matrix(c, m):
@@ -225,15 +233,22 @@ def exp_t_haar_matrix(c, m):
     Companion of :func:`exp_haar_matrix` for the t-weighted moment that
     appears in the first-order Taylor replacement of the adjoint; to get
     both from one pass, pass an array as ``exp_haar_matrix``'s ``t_out``,
-    which this writes into. The wavelet columns are
+    as this function does. The wavelet columns are
     ``((A/c**2) * exp(-c*mid)) * bracket`` with
     ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
     filled like :func:`exp_haar_matrix` and bit-identical to the formula.
     Column ``j = 1`` is ``exp(-c) * (expm1(c) - c) / c**2``, and below
-    ``c = 1e-3``, where that cancels, its series to ``c**5``.
+    ``c = 1e-3``, where that cancels, its series to ``c**5``. The rows go
+    through ``exp_haar_matrix`` in chunks of 32 768 entries, so the
+    matrix it returns alongside, dropped here, costs one chunk of memory.
     """
     _check_level("level", m, 0)
-    return _fill(c, m, False, np.empty((np.size(c), 2 ** m)))[1]
+    c = np.ravel(c)
+    t_out = np.empty((len(c), 2 ** m))
+    step = max(1, _FILL_ENTRIES // 2 ** m)
+    for r0 in range(0, len(c), step):
+        exp_haar_matrix(c[r0: r0 + step], m, t_out=t_out[r0: r0 + step])
+    return t_out
 
 
 # ---------------------------------------------------------------------------
@@ -275,79 +290,38 @@ def _synthesis(coeffs, m):
     return values
 
 
-@dataclass(frozen=True)
-class HaarCoefficients:
-    """Coefficients of a function in the span of ``{Phi_1..Phi_{2**level}}``.
-
-    ``values`` is a read-only copy of the array given, which stays the caller's.
-    """
-
-    level: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_level("level", self.level, 0)
-        v = np.array(self.values, dtype=float, order="C", ndmin=1)
-        if len(v) != 2 ** self.level:
-            raise ValueError(
-                f"level {self.level} needs {2 ** self.level} coefficients, got {len(v)}"
-            )
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def cell_values(self):
-        """Values of the represented step function on the finest cells."""
-        return _synthesis(self.values, self.level)
-
-    def evaluate(self, x):
-        """Pointwise evaluation on [0,1]; ``x = 1`` takes the left limit."""
-        xa = np.asarray(x, dtype=float)
-        if not np.all((xa >= 0.0) & (xa <= 1.0)):  # NaN fails both
-            raise ValueError("evaluation points must lie in [0, 1]")
-        n = 2 ** self.level
-        idx = np.minimum((xa * n).astype(int), n - 1)
-        out = self.cell_values()[idx]
-        return float(out) if np.ndim(x) == 0 else out
+# The positive half (nodes, weights) of the 8-point Gauss-Legendre rule on
+# [-1, 1], as numpy.polynomial.legendre.leggauss(8) gives it
+_GAUSS_LEGENDRE_HALF = (
+    (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+    (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
+)
 
 
-# The positive halves (nodes, weights) of the n-point Gauss-Legendre rules on
-# [-1, 1], as numpy.polynomial.legendre.leggauss(n) gives them
-_GAUSS_LEGENDRE_HALVES = {
-    4: (
-        (0.33998104358485626, 0.8611363115940526),
-        (0.6521451548625464, 0.34785484513745357),
-    ),
-    8: (
-        (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
-        (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
-    ),
-}
+def _gauss_legendre():
+    """The 8-point Gauss-Legendre rule on [-1, 1] as ``(nodes, weights)``.
 
-
-def _gauss_legendre(n):
-    """The ``n``-point Gauss-Legendre rule on [-1, 1] as ``(nodes, weights)``, n = 4 or 8.
-
-    Mirrors the positive half in ``_GAUSS_LEGENDRE_HALVES``. ``leggauss``
+    Mirrors the positive half in ``_GAUSS_LEGENDRE_HALF``. ``leggauss``
     antisymmetrizes its nodes and symmetrizes its weights, so the mirror
     is bit-identical to its output.
     """
-    half_x, half_w = (np.array(v) for v in _GAUSS_LEGENDRE_HALVES[n])
+    half_x, half_w = (np.array(v) for v in _GAUSS_LEGENDRE_HALF)
     return np.concatenate((-half_x[::-1], half_x)), np.concatenate((half_w[::-1], half_w))
 
 
-def _gauss_cell_nodes(m, nodes_per_cell):
-    """Nodes and weights of the ``nodes_per_cell``-point Gauss-Legendre rule on
-    each of the ``2**m`` dyadic cells, as two flat arrays in cell order.
+def _gauss_cell_nodes(m):
+    """Nodes and weights of the 8-point Gauss-Legendre rule on each of the
+    ``2**m`` dyadic cells, as two flat arrays in cell order.
 
-    The rules (8 points for the Galerkin matrix, 4 for callable
-    :func:`project`) are held as constants, written as the ``repr`` of
+    The Galerkin matrix and callable :func:`project` share the rule,
+    held as constants written as the ``repr`` of
     ``numpy.polynomial.legendre.leggauss``'s output. So no run loads
     ``numpy.polynomial``, whose nine modules held about 1 MB that no
     solve reads, and no output depends on the installed numpy's
     ``leggauss``. ``tests/test_haar.py::test_constant_rules_are_gauss_legendre``
     checks them against the rule's definition and ``leggauss``.
     """
-    gx, gw = _gauss_legendre(nodes_per_cell)
+    gx, gw = _gauss_legendre()
     n = 2 ** m
     w = 1.0 / n
     t = (np.arange(n)[:, None] * w + (gx[None, :] + 1.0) * w / 2.0).ravel()
@@ -400,21 +374,23 @@ def project(f, m):
         must refine the level-``m`` dyadic grid (``N`` divisible by
         ``2**m``), otherwise a ``ValueError`` is raised.
     m : int
-        Target level; the result is a :class:`HaarCoefficients` of
-        length ``2**m``.
+        Target level; the result is a new read-only float64 array of
+        the ``2**m`` coefficients.
 
-    Callable input is integrated per dyadic cell by 4-point
-    Gauss-Legendre (exact for polynomials of degree <= 7 and for step
+    Callable input is integrated per dyadic cell by 8-point
+    Gauss-Legendre (exact for polynomials of degree <= 15 and for step
     functions aligned to the grid). Sampled input uses the composite
     trapezoid rule on each finest cell.
     """
     _check_level("level", m, 0)
     n = 2 ** m
     if callable(f):
-        t, tw = _gauss_cell_nodes(m, 4)
+        t, tw = _gauss_cell_nodes(m)
         vals = np.asarray(f(t), dtype=float)
         cell_ints = (vals * tw).reshape(n, -1).sum(axis=1)
     else:
         blocks, h, w = _trapezoid_blocks(f, n)
         cell_ints = h * (blocks @ w)
-    return HaarCoefficients(level=m, values=_analysis(cell_ints, m))
+    coeffs = _analysis(cell_ints, m)
+    coeffs.setflags(write=False)
+    return coeffs

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import _EXPONENTIAL_KERNEL, solve_spd_shifted
-from .haar import HaarCoefficients, _check_grid, _check_level
+from .haar import _check_grid, _check_level
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,12 @@ class SolveOutcome:
     at ``n = 1``, outside the standing assumption of the analysis),
     ``max_iter``, or ``m_cap`` (iteration budget exhausted after some
     step was capped: its raw level ``m_raw`` exceeded its level ``m``,
-    which ``capped`` records; the fixed scheme never caps).
+    which ``capped`` records; the fixed scheme never caps). ``solution``
+    holds the ``2**m_final`` Haar coefficients of the final iterate, a
+    read-only array (see :func:`.haar.evaluate`).
     """
 
-    solution: HaarCoefficients
+    solution: np.ndarray
     n_delta: int
     m_final: int
     G_final: float
@@ -214,8 +216,9 @@ def _run_loop(delta, config, systems):
     capped = any(rec.m_raw > rec.m for rec in trace)
     if capped and reason == "max_iter":
         reason = "m_cap"
+    u.setflags(write=False)
     return SolveOutcome(
-        solution=HaarCoefficients(level=m, values=u),
+        solution=u,
         n_delta=len(trace),
         m_final=m,
         G_final=G,

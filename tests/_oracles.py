@@ -7,8 +7,6 @@
   with a noise bound the stopping rule cannot meet.
 * :func:`join_index` inverts :func:`fredreg.haar.split_index`, and
   :func:`supports` gives each ``Phi_j``'s support from that index split.
-* :func:`coefficients` builds Haar coefficients at the level their
-  length implies.
 * :func:`forward_residual` checks a problem's exact solution against
   its right-hand side on a dense midpoint grid.
 * :func:`chebyshev_interpolation` is the barycentric interpolation
@@ -34,7 +32,6 @@ import numpy as np
 
 from fredreg.assembly import solve_spd_shifted
 from fredreg.haar import (
-    HaarCoefficients,
     _gauss_cell_nodes,
     _tables,
     exp_haar_matrix,
@@ -98,7 +95,7 @@ def closed_form_iterate(ops, f_samples, n, m_schedule, config):
         v = ops.rhs(f_samples, m_j)
         term = solve_spd_shifted(ops.factor(m_j, a), v)
         acc[: 2 ** m_j] += weights[j] * term
-    return HaarCoefficients(level=m_final, values=acc)
+    return acc
 
 
 def run_steps(ops, f_samples, n, config):
@@ -129,15 +126,6 @@ def supports(m):
         w = 1.0 / 2 ** (l - 1)
         left[j - 1], right[j - 1] = (p - 1) * w, p * w
     return left, right
-
-
-def coefficients(values):
-    """:class:`HaarCoefficients` of ``values``, whose length must be a power of two.
-
-    ``HaarCoefficients`` rejects any other length: it does not match the level.
-    """
-    values = np.asarray(values, dtype=float)
-    return HaarCoefficients(level=len(values).bit_length() - 1, values=values)
 
 
 def forward_residual(problem, n_points=1024):
@@ -196,7 +184,7 @@ def synthesis_matrix(m):
 
 def galerkin_gather(m):
     """``galerkin_matrix(m)`` from the columns of :func:`synthesis_matrix` at the Gauss nodes."""
-    s, sw = _gauss_cell_nodes(m, 8)
+    s, sw = _gauss_cell_nodes(m)
     inner = exp_haar_matrix(s, m)
     n = 2 ** m
     idx = np.minimum((s * n).astype(int), n - 1)

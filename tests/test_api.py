@@ -3,7 +3,7 @@ import pytest
 
 import fredreg
 from fredreg.assembly import assemble_gram, galerkin_matrix
-from fredreg.haar import HaarCoefficients, exp_haar_matrix, exp_t_haar_matrix
+from fredreg.haar import exp_haar_matrix, exp_t_haar_matrix
 
 PUBLIC = {
     "NoiseSpec",
@@ -49,7 +49,6 @@ LEVEL_ENTRIES = {
     "exp_haar_matrix": lambda ops, m: exp_haar_matrix([0.5], m),
     "exp_t_haar_matrix": lambda ops, m: exp_t_haar_matrix([0.5], m),
     "project": lambda ops, m: fredreg.project(lambda t: t, m),
-    "HaarCoefficients": lambda ops, m: HaarCoefficients(level=m, values=np.zeros(4)),
     "rank_schedule": lambda ops, m: fredreg.rank_schedule(1e-6, 16.0 / 180.0, 10.0, m_cap=m),
     "SolverConfig.m_cap": lambda ops, m: fredreg.SolverConfig(m_cap=m),
     "SolverConfig.max_iter": lambda ops, m: fredreg.SolverConfig(max_iter=m),

@@ -75,7 +75,7 @@ class TestGramAssembly:
         # is the matrix the discrepancy solve uses in its place
         for m in (1, 2, 4):
             points, weights = simpson_rule(m)
-            x, xw = _gauss_cell_nodes(m, 8)
+            x, xw = _gauss_cell_nodes(m)
             cells = np.exp(-x[None, :] * points[:, None]) * xw
             p = cells.reshape(len(points), 2 ** m, 8).sum(axis=2) @ synthesis_matrix(m).T
             b = p.T @ (weights[:, None] * p)

@@ -80,7 +80,7 @@ def test_table_rejects_negative_seed(capsys, monkeypatch):
 def test_table_small_sweep(capsys, tmp_path):
     out = tmp_path / "rows.csv"
     code = main([
-        "table", "--noise", "0.05,0.01", "--seeds", "2", "--scheme", "both",
+        "table", "--noise", "0.05,0.01", "--seed", "0,1", "--scheme", "both",
         "--out", str(out),
     ])
     captured = capsys.readouterr().out
@@ -104,7 +104,7 @@ def test_table_writes_csv_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_table", spy)
     path = tmp_path / "rows.csv"
     code = main([
-        "table", "--noise", "0.05", "--seeds", "2", "--scheme", "adaptive", "--out", str(path),
+        "table", "--noise", "0.05", "--seed", "0,1", "--scheme", "adaptive", "--out", str(path),
     ])
     assert code == 0
     assert len(returned) == 2
@@ -115,7 +115,10 @@ def test_table_writes_csv_file(tmp_path, monkeypatch):
 def test_defaults_are_the_config_and_run_table_defaults(cmd):
     args = build_parser().parse_args([cmd])
     assert _config(args) == SolverConfig()
-    assert args.fixed_m == inspect.signature(run_table).parameters["fixed_m"].default
+    defaults = inspect.signature(run_table).parameters
+    assert args.fixed_m == defaults["fixed_m"].default
+    if cmd == "table":
+        assert args.seed == list(defaults["seeds"].default)
 
 
 @pytest.mark.parametrize("cmd", ["solve", "table"])
@@ -125,7 +128,7 @@ def test_unwritable_out_is_refused_before_any_run(capsys, tmp_path, monkeypatch,
     monkeypatch.setattr(experiment, "run_adaptive", lambda *a: runs.append(a))
     out = tmp_path / "missing" / "u.csv" if where == "missing_dir" else tmp_path
     argv = [cmd, "--scheme", "adaptive", "--out", str(out)]
-    assert main(argv + (["--seeds", "1"] if cmd == "table" else [])) == 2
+    assert main(argv + (["--seed", "0"] if cmd == "table" else [])) == 2
     assert capsys.readouterr().err.startswith("cannot write output:")
     assert runs == []
 
@@ -142,12 +145,11 @@ def test_table_explicit_seed_list(tmp_path):
 
 
 def test_config_error_exit_code(capsys):
-    # q outside (0,1), a noise level above 1, both seed flags and an
-    # infinite C are configuration errors -> 2, each with the one prefix
+    # q outside (0,1), a noise level above 1 and an infinite C are
+    # configuration errors -> 2, each with the one prefix
     for argv in (
-        ["table", "--noise", "0.05", "--seeds", "1", "--q", "1.5"],
-        ["table", "--noise", "1.5", "--seeds", "1"],
-        ["table", "--noise", "0.05", "--seed", "1", "--seeds", "2"],
+        ["table", "--noise", "0.05", "--seed", "0", "--q", "1.5"],
+        ["table", "--noise", "1.5", "--seed", "0"],
         ["solve", "--C", "inf"],
     ):
         assert main(argv) == 2
@@ -155,10 +157,10 @@ def test_config_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["table", "--noise", "0.05,1.5", "--seeds", "1"],
-    ["table", "--noise", "", "--seeds", "1"],
-    ["table", "--seeds", "0"],
-    ["table", "--seeds", "1", "--scheme", "both", "--fixed-m", "9"],
+    ["table", "--noise", "0.05,1.5", "--seed", "0"],
+    ["table", "--noise", "", "--seed", "0"],
+    ["table", "--seed", ""],
+    ["table", "--seed", "0", "--scheme", "both", "--fixed-m", "9"],
     ["solve", "--scheme", "both", "--fixed-m", "9"],
 ])
 def test_bad_inputs_are_refused_before_any_run(capsys, monkeypatch, argv):
@@ -191,7 +193,7 @@ def test_argparse_error_exit_code():
 def test_failed_stop_reason_exit_code(capsys):
     # one iteration cannot reach the threshold at tiny noise -> exit 3
     code = main([
-        "table", "--noise", "0.0005", "--seeds", "1", "--scheme", "adaptive",
+        "table", "--noise", "0.0005", "--seed", "0", "--scheme", "adaptive",
         "--max-iter", "1",
     ])
     assert code == 3

@@ -276,7 +276,7 @@ class TestClosedFormOracle:
         cfg = SolverConfig()
         rec = run_steps(ops, samples, 1, cfg)
         cf = closed_form_iterate(ops, samples, 1, [rec.trace[0].m], cfg)
-        np.testing.assert_allclose(rec.solution.values, cf.values, atol=1e-16)
+        np.testing.assert_allclose(rec.solution, cf, atol=1e-16)
 
     @pytest.mark.parametrize("q", [0.25, 0.5])
     def test_recursion_equals_closed_form(self, bench, q):
@@ -285,14 +285,14 @@ class TestClosedFormOracle:
         rec = run_steps(ops, samples, 10, cfg)
         schedule = [r.m for r in rec.trace]
         cf = closed_form_iterate(ops, samples, 10, schedule, cfg)
-        assert np.max(np.abs(rec.solution.values - cf.values)) <= 1e-10
+        assert np.max(np.abs(rec.solution - cf)) <= 1e-10
 
     def test_non_dyadic_ratio(self, bench):
         _, ops, samples = bench
         cfg = SolverConfig(q=0.3)
         rec = run_steps(ops, samples, 8, cfg)
         cf = closed_form_iterate(ops, samples, 8, [r.m for r in rec.trace], cfg)
-        assert np.max(np.abs(rec.solution.values - cf.values)) <= 1e-12
+        assert np.max(np.abs(rec.solution - cf)) <= 1e-12
 
     def test_zero_data(self, bench):
         _, ops, _ = bench
@@ -300,7 +300,7 @@ class TestClosedFormOracle:
         zero = np.zeros(180 * 2 ** 6 + 1)
         for n in (1, 4):
             out = closed_form_iterate(ops, zero, n, [1] * n, cfg)
-            assert np.max(np.abs(out.values)) == 0.0
+            assert np.max(np.abs(out)) == 0.0
 
     def test_rejects_bad_schedule(self, bench):
         _, ops, samples = bench
@@ -334,8 +334,8 @@ class TestRunAdaptive:
         assert [rec.n for rec in out.trace] == list(range(1, out.n_delta + 1))
         # the first step starts from zero at level 0 and lands on the schedule's level
         assert out.trace[0].m == rank_schedule(0.25, C1, 10.0) == 1
-        assert out.m_final == out.trace[-1].m == out.solution.level > 1
-        assert len(out.solution.values) == 2 ** out.m_final
+        assert out.m_final == out.trace[-1].m > 1
+        assert len(out.solution) == 2 ** out.m_final
 
     def test_levels_non_decreasing_and_G_non_negative(self, bench):
         _, ops, samples = bench
@@ -496,7 +496,7 @@ def test_scaled_data_returns_or_breaks_down_honestly():
         stops = ("discrepancy_met", "initial_below_threshold", "max_iter", "m_cap")
         assert out.stop_reason in stops
         assert math.isfinite(out.G_final)
-        assert np.all(np.isfinite(out.solution.values))
+        assert np.all(np.isfinite(out.solution))
         levels = [rec.m for rec in out.trace]
         assert levels == sorted(levels) and levels[-1] <= m_cap
         assert all(rec.G >= 0.0 for rec in out.trace)
@@ -652,8 +652,8 @@ class TestFactorCache:
         second = run_adaptive(ops, noisy, delta, config)
         second_fixed = run_fixed(ops, noisy, delta, config, 4)
         assert len(factors) == filled
-        assert np.array_equal(first.solution.values, second.solution.values)
-        assert np.array_equal(first_fixed.solution.values, second_fixed.solution.values)
+        assert np.array_equal(first.solution, second.solution)
+        assert np.array_equal(first_fixed.solution, second_fixed.solution)
 
     def test_symmetric_kernel_shares_range_factor(self, bench, monkeypatch):
         # the update and the discrepancy solve of a step use one factor
