@@ -13,7 +13,9 @@ builds
 * the right-hand side ``v_i = <Km* f, Phi_i>`` where the adjoint is
   replaced by its first-order Taylor expansion on each cell,
 * the data coefficients ``g_i = <f, Phi_i>``, closed-form a-priori
-  bounds on the three operator approximation errors per level, and
+  bounds on the three operator approximation errors per level,
+* the Galerkin matrix ``K_m`` of the fixed-level baseline: callable
+  :func:`~fredreg.haar.project` of the slice moments ``exp_haar_matrix``, and
 * the Cholesky factor of ``a I + A`` (scipy's LAPACK) and its solves;
   a breakdown raises ``numpy.linalg.LinAlgError`` naming the pivot.
 
@@ -32,15 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # exp_t_haar_matrix is unused here, but perfbench/tracing.py wraps this name
-from .haar import (
-    exp_haar_matrix,
-    exp_t_haar_matrix,
-    project,
-    _analysis,
-    _check_level,
-    _gauss_cell_nodes,
-    _trapezoid_blocks,
-)
+from .haar import exp_haar_matrix, exp_t_haar_matrix, project, _check_level, _trapezoid_blocks
 
 
 def _scipy_linalg_dir():
@@ -256,17 +250,18 @@ def error_budget(m):
 def galerkin_matrix(m):
     """Exact Haar-Galerkin matrix of the integral operator itself.
 
-    ``(K_m)_{ij} = int int Phi_i(s) k(s, t) Phi_j(t) dt ds``, computed
-    with per-cell Gauss quadrature in ``s`` (the pyramid transform takes
-    the cell sums to the basis) and the closed-form slice projections in
-    ``t``. This is the fixed-level baseline operator (no degenerate
-    kernel); the kernel is symmetric, so the matrix is symmetrized,
-    which makes ``K_m^T K_m`` equal ``K_m K_m^T``.
+    ``(K_m)_{ij} = int int Phi_i(s) k(s, t) Phi_j(t) dt ds``: column
+    ``j`` is the projection onto the level-``m`` span of the slice moment
+    ``s -> int exp(-s t) Phi_j(t) dt``, so the matrix is :func:`project`
+    of the vector-valued ``s -> exp_haar_matrix(s, m)`` (per-cell Gauss
+    quadrature in ``s``, closed forms in ``t``). Both names are read as
+    module globals, so a tracer sees one projection and one fill. This is
+    the fixed-level baseline operator (no degenerate kernel); the kernel
+    is symmetric, so the matrix is symmetrized, which makes
+    ``K_m^T K_m`` equal ``K_m K_m^T``.
     """
     _check_level("galerkin level", m, 1)
-    s, sw = _gauss_cell_nodes(m)
-    cells = (sw[:, None] * exp_haar_matrix(s, m)).reshape(2 ** m, 8, -1).sum(axis=1)
-    k = _analysis(cells, m)
+    k = project(lambda s: exp_haar_matrix(s, m), m)
     return 0.5 * (k + k.T)
 
 

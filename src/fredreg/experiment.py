@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .assembly import _EXPONENTIAL_KERNEL, Kernel, OperatorCache, sample_grid
-from .haar import _check_grid, _check_level, evaluate, exp_t_haar_matrix
+from .haar import _check_grid, _check_level, _column0_exp_t, _rates, evaluate
 from .iteration import SolverConfig, _norm, run_adaptive, run_fixed
 
 PAPER_NOISE_LEVELS = (0.05, 0.01, 0.005, 0.0005)
@@ -49,9 +49,9 @@ def _benchmark_rhs(s):
     """``f(s) = int_0^1 t exp(-s t) dt = (1 - (s+1) e^{-s}) / s**2``.
 
     That is the ``Phi_1`` column of :func:`~fredreg.haar.exp_t_haar_matrix`
-    (series branch near 0); scalar input gives a scalar.
+    (series branch near 0), computed alone; scalar input gives a scalar.
     """
-    out = exp_t_haar_matrix(np.ravel(s), 0)[:, 0].reshape(np.shape(s))
+    out = _column0_exp_t(*_rates(np.ravel(s))).reshape(np.shape(s))
     return float(out) if out.ndim == 0 else out
 
 

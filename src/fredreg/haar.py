@@ -17,10 +17,10 @@ products of the basis against exponentials ``exp(-c*t)`` (and their
 the finest cells, projection onto the span and evaluation of a
 coefficient vector. Coefficients are plain float64 arrays whose length
 ``2**m`` gives their level; the spans nest, so zero-padding embeds a
-coarser vector exactly. It also gives the per-cell Gauss-Legendre nodes
-of callable projection and of the Galerkin matrix; their 8-point rule is
-held as constants, so no code path loads ``numpy.polynomial``.
-Everything runs on the calling thread.
+coarser vector exactly. Callable projection, which may be
+vector-valued, integrates each cell by an 8-point Gauss-Legendre rule
+held as constants; the Galerkin matrix is that projection of the slice
+moments. Everything runs on the calling thread.
 """
 
 from functools import lru_cache
@@ -291,42 +291,15 @@ def _synthesis(coeffs, m):
 
 
 # The positive half (nodes, weights) of the 8-point Gauss-Legendre rule on
-# [-1, 1], as numpy.polynomial.legendre.leggauss(8) gives it
+# [-1, 1], written as the repr of numpy.polynomial.legendre.leggauss(8)'s
+# output: callable project mirrors it, so no run loads numpy.polynomial
+# (nine modules, about 1 MB) and no output depends on the installed numpy.
+# tests/test_haar.py::test_constant_rules_are_gauss_legendre checks it
+# against the rule's definition and leggauss.
 _GAUSS_LEGENDRE_HALF = (
     (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
     (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
 )
-
-
-def _gauss_legendre():
-    """The 8-point Gauss-Legendre rule on [-1, 1] as ``(nodes, weights)``.
-
-    Mirrors the positive half in ``_GAUSS_LEGENDRE_HALF``. ``leggauss``
-    antisymmetrizes its nodes and symmetrizes its weights, so the mirror
-    is bit-identical to its output.
-    """
-    half_x, half_w = (np.array(v) for v in _GAUSS_LEGENDRE_HALF)
-    return np.concatenate((-half_x[::-1], half_x)), np.concatenate((half_w[::-1], half_w))
-
-
-def _gauss_cell_nodes(m):
-    """Nodes and weights of the 8-point Gauss-Legendre rule on each of the
-    ``2**m`` dyadic cells, as two flat arrays in cell order.
-
-    The Galerkin matrix and callable :func:`project` share the rule,
-    held as constants written as the ``repr`` of
-    ``numpy.polynomial.legendre.leggauss``'s output. So no run loads
-    ``numpy.polynomial``, whose nine modules held about 1 MB that no
-    solve reads, and no output depends on the installed numpy's
-    ``leggauss``. ``tests/test_haar.py::test_constant_rules_are_gauss_legendre``
-    checks them against the rule's definition and ``leggauss``.
-    """
-    gx, gw = _gauss_legendre()
-    n = 2 ** m
-    w = 1.0 / n
-    t = (np.arange(n)[:, None] * w + (gx[None, :] + 1.0) * w / 2.0).ravel()
-    tw = np.tile(gw * w / 2.0, n)
-    return t, tw
 
 
 def _check_grid(samples, n_cells):
@@ -379,15 +352,25 @@ def project(f, m):
 
     Callable input is integrated per dyadic cell by 8-point
     Gauss-Legendre (exact for polynomials of degree <= 15 and for step
-    functions aligned to the grid). Sampled input uses the composite
-    trapezoid rule on each finest cell.
+    functions aligned to the grid). ``f(t)`` may be vector-valued,
+    returning shape ``(len(t), ...)``; the result then has shape
+    ``(2**m, ...)``, each trailing index projected on its own. Sampled
+    input uses the composite trapezoid rule on each finest cell.
     """
     _check_level("level", m, 0)
     n = 2 ** m
     if callable(f):
-        t, tw = _gauss_cell_nodes(m)
+        # leggauss antisymmetrizes its nodes and symmetrizes its weights,
+        # so the mirrored half is bit-identical to its output
+        half_x, half_w = (np.array(v) for v in _GAUSS_LEGENDRE_HALF)
+        gx = np.concatenate((-half_x[::-1], half_x))
+        gw = np.concatenate((half_w[::-1], half_w))
+        w = 1.0 / n
+        t = (np.arange(n)[:, None] * w + (gx[None, :] + 1.0) * w / 2.0).ravel()
+        tw = np.tile(gw * w / 2.0, n)
         vals = np.asarray(f(t), dtype=float)
-        cell_ints = (vals * tw).reshape(n, -1).sum(axis=1)
+        tw = tw.reshape((-1,) + (1,) * (vals.ndim - 1))  # broadcast along axis 0
+        cell_ints = (tw * vals).reshape((n, 8) + vals.shape[1:]).sum(axis=1)
     else:
         blocks, h, w = _trapezoid_blocks(f, n)
         cell_ints = h * (blocks @ w)

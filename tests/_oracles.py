@@ -12,6 +12,9 @@
 * :func:`chebyshev_interpolation` is the barycentric interpolation
   matrix at second-kind Chebyshev points on ``[0, 1]``, the low-rank
   form of the moment matrices' rows as functions of the rate.
+* :func:`gauss_cell_nodes` is the per-cell 8-point Gauss-Legendre rule
+  of callable projection, built from numpy's ``leggauss`` rather than
+  the constants fredreg holds.
 * :func:`synthesis_matrix`, :func:`galerkin_gather` and
   :func:`haar_eval_piecewise` are the dense and piecewise forms that the
   Haar pyramid transform replaced: the basis on the finest cells as a
@@ -29,14 +32,10 @@ import dataclasses
 import functools
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from fredreg.assembly import solve_spd_shifted
-from fredreg.haar import (
-    _gauss_cell_nodes,
-    _tables,
-    exp_haar_matrix,
-    split_index,
-)
+from fredreg.haar import _tables, exp_haar_matrix, split_index
 from fredreg.iteration import rank_schedule, run_adaptive
 
 LONG = np.longdouble
@@ -182,9 +181,21 @@ def synthesis_matrix(m):
     return s
 
 
+def gauss_cell_nodes(m, rule=None):
+    """Nodes and weights of ``rule`` on each of the ``2**m`` dyadic cells, flat, in cell order.
+
+    ``rule`` is a ``(nodes, weights)`` pair on [-1, 1], by default ``leggauss(8)``.
+    """
+    gx, gw = leggauss(8) if rule is None else rule
+    n = 2 ** m
+    w = 1.0 / n
+    t = (np.arange(n)[:, None] * w + (gx[None, :] + 1.0) * w / 2.0).ravel()
+    return t, np.tile(gw * w / 2.0, n)
+
+
 def galerkin_gather(m):
     """``galerkin_matrix(m)`` from the columns of :func:`synthesis_matrix` at the Gauss nodes."""
-    s, sw = _gauss_cell_nodes(m)
+    s, sw = gauss_cell_nodes(m)
     inner = exp_haar_matrix(s, m)
     n = 2 ** m
     idx = np.minimum((s * n).astype(int), n - 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fredreg import assembly
+from fredreg import assembly, haar
 from fredreg.assembly import (
     Kernel,
     OperatorCache,
@@ -19,16 +19,17 @@ from fredreg.assembly import (
     sample_grid,
     simpson_rule,
 )
-from fredreg.haar import (
-    _gauss_cell_nodes,
-    exp_haar_matrix,
-    exp_t_haar_matrix,
-    haar_eval,
-)
+from fredreg.haar import _analysis, exp_haar_matrix, exp_t_haar_matrix, haar_eval
 
 from fredreg.experiment import exact_problem, trapezoid_norm
 
-from _oracles import adjoint_pair, chebyshev_interpolation, galerkin_gather, synthesis_matrix
+from _oracles import (
+    adjoint_pair,
+    chebyshev_interpolation,
+    galerkin_gather,
+    gauss_cell_nodes,
+    synthesis_matrix,
+)
 
 C1 = 16.0 / 180.0
 
@@ -75,7 +76,7 @@ class TestGramAssembly:
         # is the matrix the discrepancy solve uses in its place
         for m in (1, 2, 4):
             points, weights = simpson_rule(m)
-            x, xw = _gauss_cell_nodes(m)
+            x, xw = gauss_cell_nodes(m)
             cells = np.exp(-x[None, :] * points[:, None]) * xw
             p = cells.reshape(len(points), 2 ** m, 8).sum(axis=2) @ synthesis_matrix(m).T
             b = p.T @ (weights[:, None] * p)
@@ -497,6 +498,16 @@ class TestGalerkinMatrix:
         want = galerkin_gather(m)
         assert np.max(np.abs(k - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_equals_the_hand_written_cell_sum(self, m):
+        # the projection of the slice moments keeps the sum order of the
+        # per-cell Gauss sum it replaced, so the matrix keeps its bits
+        half_x, half_w = (np.array(v) for v in haar._GAUSS_LEGENDRE_HALF)
+        rule = np.concatenate((-half_x[::-1], half_x)), np.concatenate((half_w[::-1], half_w))
+        s, sw = gauss_cell_nodes(m, rule)
+        k = _analysis((sw[:, None] * exp_haar_matrix(s, m)).reshape(2 ** m, 8, -1).sum(axis=1), m)
+        assert np.array_equal(galerkin_matrix(m), 0.5 * (k + k.T))
+
     def test_entry_against_quadrature_oracle(self):
         k2 = galerkin_matrix(2)
         # <Phi_2, K Phi_3> by adaptive quadrature over the support pieces
@@ -584,11 +595,13 @@ class TestOperatorCache:
         ops.gram(3)
         ops.gram(3)
         assert seen() == {"exp_haar_matrix": 3, "assemble_gram": 1}
-        ops.galerkin(4)
-        assert seen() == {"exp_haar_matrix": 4, "assemble_gram": 1, "galerkin_matrix": 1}
-        ops.data(samples, 5)
+        ops.galerkin(4)  # the projection of the slice moments: one project, one fill
         assert seen() == {
             "exp_haar_matrix": 4, "assemble_gram": 1, "galerkin_matrix": 1, "project": 1,
+        }
+        ops.data(samples, 5)
+        assert seen() == {
+            "exp_haar_matrix": 4, "assemble_gram": 1, "galerkin_matrix": 1, "project": 2,
         }
 
 

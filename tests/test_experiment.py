@@ -18,7 +18,7 @@ from fredreg.experiment import (
     sample_grid,
     trapezoid_norm,
 )
-from fredreg.haar import evaluate, project
+from fredreg.haar import evaluate, exp_t_haar_matrix, project
 from fredreg.iteration import SolverConfig
 
 from _oracles import forward_residual
@@ -45,6 +45,15 @@ class TestExactProblem:
         left = prob.exact_rhs(1e-3 - 1e-12)
         right = prob.exact_rhs(1e-3 + 1e-12)
         assert abs(left - right) < 1e-12
+
+    def test_rhs_is_column_0_of_the_t_weighted_moment(self):
+        # computed alone, bit for bit the column of the whole matrix
+        rhs = exact_problem().exact_rhs
+        s = sample_grid(8)
+        assert np.array_equal(rhs(s), exp_t_haar_matrix(s, 0)[:, 0])
+        for c in (0.0, 1e-101, 5e-4, 0.3, 1.0):
+            got = rhs(c)
+            assert type(got) is float and got == exp_t_haar_matrix([c], 0)[0, 0], c
 
     def test_rhs_vectorized(self):
         prob = exact_problem()

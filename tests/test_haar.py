@@ -24,7 +24,6 @@ from fredreg.haar import (
     _FILL_ENTRIES,
     _SMALL_C_MOMENT,
     _ZERO_RATE,
-    _gauss_cell_nodes,
     _synthesis,
     _tables,
     _trapezoid_blocks,
@@ -35,6 +34,7 @@ from _oracles import (
     EXTENDED,
     adjoint_pair,
     extended_moments,
+    gauss_cell_nodes,
     haar_eval_piecewise,
     join_index,
     supports,
@@ -447,7 +447,7 @@ def _fill_inputs(m):
     return {
         "partition": sample_grid(m)[:-1],
         "simpson": simpson_rule(m)[0],
-        "gauss": _gauss_cell_nodes(m)[0],
+        "gauss": gauss_cell_nodes(m)[0],
         "hand": _hand_rates(),
     }
 
@@ -621,7 +621,10 @@ print(status, [m for m in sys.modules if m.startswith("numpy.polynomial")])
 def test_constant_rules_are_gauss_legendre(n):
     from numpy.polynomial.legendre import leggauss
 
-    x, w = haar._gauss_legendre()
+    # the rule callable project mirrors from its constant positive half
+    half_x, half_w = (np.array(v) for v in haar._GAUSS_LEGENDRE_HALF)
+    x = np.concatenate((-half_x[::-1], half_x))
+    w = np.concatenate((half_w[::-1], half_w))
     assert x.shape == w.shape == (n,)
     np.testing.assert_array_equal(x, -x[::-1])
     assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
@@ -771,6 +774,19 @@ class TestProjection:
         got = project(np.asarray(f(grid)), 4)
         want = project(f, 4)
         np.testing.assert_allclose(got, want, atol=1e-7)
+
+    def test_vector_valued_callable_projects_each_column(self):
+        fs = (lambda t: t, lambda t: np.cos(3 * t), lambda t: t ** 2 * np.exp(-t))
+        for m in range(11):
+            got = project(lambda t: np.stack([f(t) for f in fs], axis=1), m)
+            assert got.shape == (2 ** m, 3) and not got.flags.writeable, m
+            for k, f in enumerate(fs):
+                # the cell sums reduce in another order than the scalar's
+                want = project(f, m)
+                assert np.max(np.abs(got[:, k] - want)) <= 1e-15 * np.max(np.abs(want)), (m, k)
+        square = project(lambda t: np.moveaxis(np.array([[t, 2 * t], [3 * t, t * t]]), -1, 0), 4)
+        assert square.shape == (16, 2, 2)
+        np.testing.assert_allclose(square[:, 1, 0], 3 * project(lambda t: t, 4), atol=1e-15)
 
     def test_rejects_coarse_grid(self):
         samples = np.linspace(0, 1, 5)  # 4 subintervals < 2**3
