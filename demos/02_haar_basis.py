@@ -9,23 +9,27 @@ function untouched.
 
 import numpy as np
 
-from fredreg import haar, haar_eval, project, split_index
+from fredreg import haar, project
 
 print("=== index convention: j = 2**(l-1) + p ===")
 for j in range(2, 9):
-    l, p = split_index(j)
+    l = (j - 1).bit_length()  # the level: 2**(l-1) < j <= 2**l
+    p = j - 2 ** (l - 1)
     print(f"  j = {j}: level {l}, offset {p}, amplitude {2 ** ((l - 1) / 2):.4f}")
 
 print("\n=== a few pointwise values ===")
-print("  Phi_1(0.3)  =", haar_eval(1, 0.3))
-print("  Phi_2(0.25) =", haar_eval(2, 0.25), "  Phi_2(0.75) =", haar_eval(2, 0.75))
-print("  Phi_3(0.6)  =", haar_eval(3, 0.6), " (outside its support [0, 1/2))")
+# Phi_j is the coefficient vector e_j, here in the span of level 6
+unit = np.eye(64)
+print("  Phi_1(0.3)  =", haar.evaluate(unit[0], 0.3))
+print("  Phi_2(0.25) =", haar.evaluate(unit[1], 0.25),
+      "  Phi_2(0.75) =", haar.evaluate(unit[1], 0.75))
+print("  Phi_3(0.6)  =", haar.evaluate(unit[2], 0.6), " (outside its support [0, 1/2))")
 
 print("\n=== orthonormality at level m = 6 ===")
 # each Phi_j, j <= 64, is constant on the 64 cells, so its values at the
 # cell centres give the exact inner products (cell width 1/64)
 centres = (np.arange(64) + 0.5) / 64
-s = np.array([haar_eval(j, centres) for j in range(1, 65)])
+s = np.array([haar.evaluate(unit[j - 1], centres) for j in range(1, 65)])
 gram = s @ s.T / 64
 print("  max |<Phi_i, Phi_j> - delta_ij| =", np.max(np.abs(gram - np.eye(64))))
 

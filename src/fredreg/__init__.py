@@ -23,13 +23,13 @@ from .experiment import (
     run_table,
     trapezoid_norm,
 )
-from .haar import exp_haar_matrix, haar_eval, project, split_index
+from .haar import exp_haar_matrix, project
 from .iteration import SolverConfig, rank_schedule, run_adaptive, run_fixed
 
 __version__ = "0.1.0"
 
 # The public API: the names the demos, the CLI, the README and the
-# benchmark import. Everything else is reached through its module.
+# benchmark import. The rest, haar.evaluate too, is reached by module.
 __all__ = [
     "NoiseSpec",
     "OperatorCache",
@@ -40,7 +40,6 @@ __all__ = [
     "error_budget",
     "exact_problem",
     "exp_haar_matrix",
-    "haar_eval",
     "project",
     "rank_schedule",
     "rows_from_csv",
@@ -49,6 +48,5 @@ __all__ = [
     "run_table",
     "sample_grid",
     "simpson_rule",
-    "split_index",
     "trapezoid_norm",
 ]

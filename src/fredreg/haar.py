@@ -11,16 +11,17 @@ offset ``1 <= p <= 2**(l-1)``,
 All supports are right-open; the point ``x = 1`` is evaluated by its
 left limit so that evaluation is defined on the closed interval.
 
-Besides pointwise evaluation the module provides closed-form inner
-products of the basis against exponentials ``exp(-c*t)`` (and their
-``t``-weighted variant), the pyramid transform between the basis and
-the finest cells, projection onto the span and evaluation of a
-coefficient vector. Coefficients are plain float64 arrays whose length
-``2**m`` gives their level; the spans nest, so zero-padding embeds a
-coarser vector exactly. Callable projection, which may be
-vector-valued, integrates each cell by an 8-point Gauss-Legendre rule
-held as constants; the Galerkin matrix is that projection of the slice
-moments. Everything runs on the calling thread.
+The module provides closed-form inner products of the basis against
+exponentials ``exp(-c*t)`` (and their ``t``-weighted variant), the
+pyramid transform between the basis and the finest cells, projection
+onto the span and one evaluator, :func:`evaluate`. Coefficients are
+plain float64 arrays whose length ``2**m`` gives their level; the spans
+nest, so zero-padding embeds a coarser vector exactly, and ``Phi_j`` is
+``evaluate(e_j, x)`` for the unit vector ``e_j`` of any length
+``2**m >= j``. Callable projection, which may be vector-valued,
+integrates each cell by an 8-point Gauss-Legendre rule held as
+constants; the Galerkin matrix is that projection of the slice moments.
+Everything runs on the calling thread.
 """
 
 from functools import lru_cache
@@ -44,22 +45,13 @@ _MAX_RATE = float(np.log(np.finfo(float).max))
 
 
 def _check_level(name, value, minimum):
-    """Reject a level, count or index that is not an integer ``>= minimum``.
+    """Reject a level, count or seed that is not an integer ``>= minimum``.
 
     A bool is not an integer here. Raises ``ValueError``, which the
     command line reports as a configuration error (exit 2).
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def split_index(j):
-    """Decompose ``j >= 2`` into its (level, offset) pair ``j = 2**(l-1) + p``."""
-    _check_level("wavelet index", j, 2)
-    j = int(j)  # np.int64 has no bit_length
-    l = (j - 1).bit_length()
-    p = j - 2 ** (l - 1)
-    return l, p
 
 
 @lru_cache(maxsize=None)
@@ -80,18 +72,6 @@ def _tables(m):
     for a in (amp, mid):
         a.setflags(write=False)
     return amp, mid
-
-
-def haar_eval(j, x):
-    """Evaluate ``Phi_j`` at points ``x`` in [0,1].
-
-    ``x = 1`` uses the left-limit convention; values outside [0,1] are
-    rejected. Returns a scalar for scalar input, else an ndarray.
-    """
-    _check_level("basis index", j, 1)
-    unit = np.zeros(2 ** (int(j) - 1).bit_length())  # the coarsest span holding Phi_j
-    unit[j - 1] = 1.0
-    return evaluate(unit, x)
 
 
 def evaluate(coeffs, x):
@@ -124,6 +104,8 @@ def _rates(c):
     """Checked rates as ``(zero, cs)``: the mask of the rates below ``_ZERO_RATE``,
     taken as 0, and the rates with 1 in their place, so no formula divides by 0."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.ndim != 1:
+        raise ValueError(f"decay rates must be a scalar or a 1-d array, got shape {c.shape}")
     if np.any(c < 0) or not np.all(np.isfinite(c)):
         raise ValueError("decay rates must be finite and >= 0")
     if np.any(c > _MAX_RATE):
@@ -154,7 +136,7 @@ def exp_haar_matrix(c, m, *, t_out=None):
 
     Parameters
     ----------
-    c : array_like
+    c : float or 1-d array_like
         Decay rates in ``[0, log(float max) ~ 709.78]``, one per row.
     m : int
         Span level; the result has shape ``(len(c), 2**m)``.
@@ -242,6 +224,7 @@ def exp_t_haar_matrix(c, m):
     through ``exp_haar_matrix`` in chunks of 32 768 entries, so the
     matrix it returns alongside, dropped here, costs one chunk of memory.
     """
+    _rates(c)  # every rate rule, checked before t_out is allocated
     _check_level("level", m, 0)
     c = np.ravel(c)
     t_out = np.empty((len(c), 2 ** m))

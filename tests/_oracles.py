@@ -5,8 +5,9 @@
   weighted sum of shifted solves.
 * :func:`run_steps` runs the recursion itself for exactly ``n`` steps,
   with a noise bound the stopping rule cannot meet.
-* :func:`join_index` inverts :func:`fredreg.haar.split_index`, and
-  :func:`supports` gives each ``Phi_j``'s support from that index split.
+* :func:`split_index` and :func:`join_index` are the index split
+  ``j = 2**(l-1) + p`` of :mod:`fredreg.haar`'s definition and its
+  inverse, and :func:`supports` gives each ``Phi_j``'s support from it.
 * :func:`forward_residual` checks a problem's exact solution against
   its right-hand side on a dense midpoint grid.
 * :func:`chebyshev_interpolation` is the barycentric interpolation
@@ -35,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from fredreg.assembly import solve_spd_shifted
-from fredreg.haar import _tables, exp_haar_matrix, split_index
+from fredreg.haar import _tables, exp_haar_matrix
 from fredreg.iteration import rank_schedule, run_adaptive
 
 LONG = np.longdouble
@@ -106,8 +107,18 @@ def run_steps(ops, f_samples, n, config):
     return outcome
 
 
+def split_index(j):
+    """The (level, offset) pair of ``j = 2**(l-1) + p``, ``1 <= p <= 2**(l-1)``, for ``j >= 2``."""
+    if j < 2:
+        raise ValueError(f"wavelet index must be >= 2, got {j}")
+    l = 1
+    while 2 ** l < j:  # the offsets of level l reach j = 2**l
+        l += 1
+    return l, j - 2 ** (l - 1)
+
+
 def join_index(l, p):
-    """Inverse of :func:`fredreg.haar.split_index`."""
+    """Inverse of :func:`split_index`."""
     if l < 1 or not 1 <= p <= 2 ** (l - 1):
         raise ValueError(f"invalid (level, offset) = ({l}, {p})")
     return 2 ** (l - 1) + p

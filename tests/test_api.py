@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +21,6 @@ PUBLIC = {
     "error_budget",
     "exact_problem",
     "exp_haar_matrix",
-    "haar_eval",
     "project",
     "rank_schedule",
     "rows_from_csv",
@@ -24,13 +29,12 @@ PUBLIC = {
     "run_table",
     "sample_grid",
     "simpson_rule",
-    "split_index",
     "trapezoid_norm",
 }
 
 
 def test_public_names():
-    assert len(fredreg.__all__) == len(PUBLIC) == 20
+    assert len(fredreg.__all__) == len(PUBLIC) == 18
     assert set(fredreg.__all__) == PUBLIC
     for name in fredreg.__all__:
         assert getattr(fredreg, name) is not None, name
@@ -86,3 +90,19 @@ def test_every_level_entry_rejects_a_non_integer_on_a_warm_cache(entry, level):
     LEVEL_ENTRIES[entry](ops, 1)
     with pytest.raises(ValueError, match="integer"):
         LEVEL_ENTRIES[entry](ops, level)
+
+
+def test_readme_python_examples_run(tmp_path):
+    # the README's library example is the public API as a reader meets it:
+    # a deleted or renamed name, or a new warning, fails here
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for block in blocks:
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", block],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr

@@ -19,7 +19,7 @@ from fredreg.assembly import (
     sample_grid,
     simpson_rule,
 )
-from fredreg.haar import _analysis, exp_haar_matrix, exp_t_haar_matrix, haar_eval
+from fredreg.haar import _analysis, exp_haar_matrix, exp_t_haar_matrix
 
 from fredreg.experiment import exact_problem, trapezoid_norm
 
@@ -28,6 +28,7 @@ from _oracles import (
     chebyshev_interpolation,
     galerkin_gather,
     gauss_cell_nodes,
+    haar_eval_piecewise,
     synthesis_matrix,
 )
 
@@ -383,7 +384,7 @@ class TestDataCoefficients:
     def test_wavelet_samples(self):
         n = 2880
         grid = np.arange(n + 1) / n
-        g = self.data(haar_eval(2, grid), 2)
+        g = self.data(haar_eval_piecewise(2, grid), 2)
         assert g[1] == pytest.approx(1.0, abs=1e-3)
 
     def test_noise_projection_is_contraction(self):
@@ -512,8 +513,8 @@ class TestGalerkinMatrix:
         k2 = galerkin_matrix(2)
         # <Phi_2, K Phi_3> by adaptive quadrature over the support pieces
         def integrand(s):
-            inner = quad(lambda t: math.exp(-s * t) * haar_eval(3, t), 0, 0.5)[0]
-            return inner * haar_eval(2, s)
+            inner = quad(lambda t: math.exp(-s * t) * haar_eval_piecewise(3, t), 0, 0.5)[0]
+            return inner * haar_eval_piecewise(2, s)
 
         want = quad(integrand, 0, 0.5)[0] + quad(integrand, 0.5, 1)[0]
         assert k2[1, 2] == pytest.approx(want, abs=1e-10)

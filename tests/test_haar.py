@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from decimal import Decimal, localcontext
 import subprocess
 import sys
@@ -17,9 +18,7 @@ from fredreg.haar import (
     evaluate,
     exp_haar_matrix,
     exp_t_haar_matrix,
-    haar_eval,
     project,
-    split_index,
     _analysis,
     _FILL_ENTRIES,
     _SMALL_C_MOMENT,
@@ -37,6 +36,7 @@ from _oracles import (
     gauss_cell_nodes,
     haar_eval_piecewise,
     join_index,
+    split_index,
     supports,
     synthesis_matrix,
 )
@@ -153,6 +153,8 @@ def _hand_rates():
 
 
 class TestIndexing:
+    """The oracle's index split, and the tables of ``fredreg.haar`` against it."""
+
     def test_known_pairs(self):
         assert split_index(2) == (1, 1)
         assert split_index(3) == (2, 1)
@@ -172,15 +174,6 @@ class TestIndexing:
         with pytest.raises(ValueError):
             join_index(1, 2)
 
-    @pytest.mark.parametrize("j", [5.5, 2.9, "3", True])
-    def test_rejects_an_index_that_is_not_an_integer(self, j):
-        # int(j) used to truncate: split_index(5.5) returned (3, 1)
-        with pytest.raises(ValueError, match="wavelet index"):
-            split_index(j)
-
-    def test_accepts_numpy_integers(self):
-        assert split_index(np.int64(5)) == (3, 1)
-
     @pytest.mark.parametrize("m", range(13))
     def test_tables_match_the_per_index_definition(self, m):
         # the module docstring's amplitude and support midpoint of every Phi_j,
@@ -195,52 +188,52 @@ class TestIndexing:
             np.testing.assert_array_equal(got, expected, strict=True)
 
 
+def unit(j, m):
+    """The unit vector ``e_j`` of the level-``m`` span, ``2**m >= j``."""
+    e = np.zeros(2 ** m)
+    e[j - 1] = 1.0
+    return e
+
+
+def phi(j, x):
+    """``Phi_j``, ``j <= 8``, at ``x``: :func:`evaluate` of ``e_j`` in the level-3 span."""
+    return evaluate(unit(j, 3), x)
+
+
 class TestEval:
+    """``Phi_j`` is :func:`evaluate` of the unit vector ``e_j``: values by hand."""
+
     def test_constant(self):
-        assert haar_eval(1, 0.3) == 1.0
+        assert phi(1, 0.3) == 1.0
 
     def test_first_wavelet(self):
-        assert haar_eval(2, 0.25) == 1.0
-        assert haar_eval(2, 0.75) == -1.0
+        assert phi(2, 0.25) == 1.0
+        assert phi(2, 0.75) == -1.0
 
     def test_outside_support(self):
-        assert haar_eval(3, 0.6) == 0.0
+        assert phi(3, 0.6) == 0.0
 
     def test_amplitude(self):
-        assert haar_eval(3, 0.1) == pytest.approx(math.sqrt(2))
-        assert haar_eval(5, 0.05) == pytest.approx(2.0)
+        assert phi(3, 0.1) == pytest.approx(math.sqrt(2))
+        assert phi(5, 0.05) == pytest.approx(2.0)
 
     def test_left_limit_at_one(self):
-        assert haar_eval(1, 1.0) == 1.0
-        assert haar_eval(2, 1.0) == -1.0   # last negative piece
-        assert haar_eval(3, 1.0) == 0.0    # support ends at 1/2
-        assert haar_eval(4, 1.0) == pytest.approx(-math.sqrt(2))
+        assert phi(1, 1.0) == 1.0
+        assert phi(2, 1.0) == -1.0   # last negative piece
+        assert phi(3, 1.0) == 0.0    # support ends at 1/2
+        assert phi(4, 1.0) == pytest.approx(-math.sqrt(2))
 
     def test_rejects(self):
-        with pytest.raises(ValueError):
-            haar_eval(0, 0.5)
-        with pytest.raises(ValueError):
-            haar_eval(2, -0.01)
-        with pytest.raises(ValueError):
-            haar_eval(2, 1.01)
         for j in (1, 2):
-            with pytest.raises(ValueError):
-                haar_eval(j, math.nan)
-
-    @pytest.mark.parametrize("j", [2.9, "3", True])
-    def test_rejects_an_index_that_is_not_an_integer(self, j):
-        # int(j) used to truncate: haar_eval(2.9, 0.1) returned Phi_2's value
-        with pytest.raises(ValueError, match="basis index"):
-            haar_eval(j, 0.1)
-
-    def test_accepts_numpy_integers(self):
-        assert haar_eval(np.int64(3), 0.1) == haar_eval(3, 0.1)
+            for x in (-0.01, 1.01, math.nan):
+                with pytest.raises(ValueError, match="evaluation points"):
+                    phi(j, x)
 
     def test_zero_dim_array_gives_float(self):
         for j, want in ((1, 1.0), (2, 1.0), (3, math.sqrt(2))):
-            got = haar_eval(j, np.array(0.125))
+            got = phi(j, np.array(0.125))
             assert type(got) is float and got == pytest.approx(want)
-        assert isinstance(haar_eval(2, np.array([0.25])), np.ndarray)
+        assert isinstance(phi(2, np.array([0.25])), np.ndarray)
 
 
 class TestEvaluate:
@@ -346,6 +339,22 @@ class TestExponentialInnerProducts:
         for matrix in (exp_haar_matrix, exp_t_haar_matrix):
             with pytest.raises(ValueError, match="709.78"):
                 matrix(np.array([0.5, c]), 2)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2)])
+    def test_rejects_rates_of_more_than_one_dimension(self, shape):
+        # refused before anything is allocated: at level 20 a row is 8 MB
+        c = np.full(shape, 0.1)
+        want = f"decay rates must be a scalar or a 1-d array, got shape {shape}"
+        for matrix in (exp_haar_matrix, exp_t_haar_matrix):
+            assert np.array_equal(matrix(0.1, 3), matrix([0.1], 3))
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=re.escape(want)):
+                    matrix(c, 20)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20, matrix.__name__
 
     def test_rates_below_the_floor_give_the_zero_rate_row(self):
         # below 1e-100 a rate is taken as 0 (the closed forms' factors
@@ -715,16 +724,19 @@ class TestPyramidTransform:
         for m in range(9):
             assert_within_ulps(fine[: 2 ** m], project(samples, m))
 
-    def test_haar_eval_equals_the_piecewise_formula(self):
+    def test_evaluate_of_a_unit_vector_equals_the_piecewise_formula(self):
+        # e_j gives Phi_j in the coarsest span holding it and in a finer one
         rng = np.random.default_rng(31)
         x = np.concatenate([rng.uniform(0, 1, 200), np.arange(1025) / 1024, [1.0]])
         scalars = (float(x[0]), 0.5, 1.0, np.float64(0.25), np.array(0.75))
         for j in [*range(1, 601), 2 ** 12, 2 ** 13]:
-            got, want = haar_eval(j, x), haar_eval_piecewise(j, x)
-            assert got.dtype == want.dtype and np.array_equal(got, want), j
-            for xi in scalars:
-                got, want = haar_eval(j, xi), haar_eval_piecewise(j, xi)
-                assert type(got) is type(want) is float and got == want, (j, xi)
+            coarsest = 0 if j == 1 else split_index(j)[0]
+            for e in (unit(j, coarsest), unit(j, coarsest + 1)):
+                got, want = evaluate(e, x), haar_eval_piecewise(j, x)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (j, len(e))
+                for xi in scalars:
+                    got, want = evaluate(e, xi), haar_eval_piecewise(j, xi)
+                    assert type(got) is type(want) is float and got == want, (j, len(e), xi)
 
     def test_cell_values_memory_is_linear(self):
         # the dense synthesis matrix took 32 MB at m = 11 and lru_cache kept it
@@ -748,7 +760,7 @@ class TestProjection:
         np.testing.assert_allclose(coeffs, expected, atol=1e-15)
 
     def test_basis_function_callable(self):
-        coeffs = project(lambda t: haar_eval(5, t), 3)
+        coeffs = project(lambda t: haar_eval_piecewise(5, t), 3)
         expected = np.zeros(8)
         expected[4] = 1.0
         np.testing.assert_allclose(coeffs, expected, atol=1e-12)
@@ -762,7 +774,7 @@ class TestProjection:
     def test_sampled_basis_function(self):
         n = 1440
         grid = np.arange(n + 1) / n
-        samples = haar_eval(2, grid)
+        samples = haar_eval_piecewise(2, grid)
         coeffs = project(samples, 2)
         assert coeffs[1] == pytest.approx(1.0, abs=2e-3)
         assert abs(coeffs[0]) < 2e-3
