@@ -37,23 +37,20 @@ import numpy as np
 from .haar import exp_haar_matrix, exp_t_haar_matrix, project, _check_level, _trapezoid_blocks
 
 
-def _scipy_linalg_dir():
-    """Directory of the installed ``scipy.linalg``, found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError("fredreg needs scipy for its LAPACK routines; scipy is not installed")
-    return os.path.join(spec.submodule_search_locations[0], "linalg")
-
-
 def _load_flapack():
     """scipy's compiled LAPACK wrappers, loaded without the ``scipy.linalg`` package.
 
     ``scipy.linalg.lapack`` re-exports this extension module, so the
     routines are the same machine code on the same BLAS; importing the
     package instead would run ``scipy/__init__`` and ``scipy.linalg``'s
-    pure-Python modules, about half the start-up of the CLI.
+    pure-Python modules, about half the start-up of the CLI. The
+    extension is looked up in the installed ``scipy.linalg`` directory,
+    found without importing scipy.
     """
-    directory = _scipy_linalg_dir()
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("fredreg needs scipy for its LAPACK routines; scipy is not installed")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
     spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [directory])
     if spec is None:
         raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
@@ -272,7 +269,9 @@ def _malloc_trim():
     each mmapped block it frees raises that threshold, up to 32 MB. So
     after one release a moment array of level 7 (23.6 MB) or below comes
     from the heap, whose freed pages stay resident until
-    ``malloc_trim(0)`` hands them back.
+    ``malloc_trim(0)`` hands them back. glibc also returns the top of the
+    heap by itself, but only while nothing is allocated above the freed
+    arrays; the trim makes the release independent of allocation order.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim

@@ -50,8 +50,9 @@ def _benchmark_rhs(s):
 
     That is the ``Phi_1`` column of :func:`~fredreg.haar.exp_t_haar_matrix`
     (series branch near 0), computed alone; scalar input gives a scalar.
+    The points obey that matrix's rate rule, and a refusal names them.
     """
-    out = _column0_exp_t(*_rates(np.ravel(s))).reshape(np.shape(s))
+    out = _column0_exp_t(*_rates(np.ravel(s), "exact_rhs points")).reshape(np.shape(s))
     return float(out) if out.ndim == 0 else out
 
 

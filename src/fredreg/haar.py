@@ -100,16 +100,17 @@ def evaluate(coeffs, x):
 # inner products against exponentials
 # ---------------------------------------------------------------------------
 
-def _rates(c):
+def _rates(c, name="decay rates"):
     """Checked rates as ``(zero, cs)``: the mask of the rates below ``_ZERO_RATE``,
-    taken as 0, and the rates with 1 in their place, so no formula divides by 0."""
+    taken as 0, and the rates with 1 in their place, so no formula divides by 0.
+    A refusal calls the rates ``name``, the caller's name for its argument."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.ndim != 1:
-        raise ValueError(f"decay rates must be a scalar or a 1-d array, got shape {c.shape}")
+        raise ValueError(f"{name} must be a scalar or a 1-d array, got shape {c.shape}")
     if np.any(c < 0) or not np.all(np.isfinite(c)):
-        raise ValueError("decay rates must be finite and >= 0")
+        raise ValueError(f"{name} must be finite and >= 0")
     if np.any(c > _MAX_RATE):
-        raise ValueError(f"decay rates must be <= log(float max) = {_MAX_RATE}")
+        raise ValueError(f"{name} must be <= log(float max) = {_MAX_RATE}")
     zero = c < _ZERO_RATE
     return zero, np.where(zero, 1.0, c)
 

@@ -26,7 +26,8 @@
   matrices, and :func:`extended_avg_error` scores its result: the answer
   check that does not read the float64 program's bits.
 * :func:`adjoint_pair` reads level ``m``'s moment pair out of the one
-  pair an :class:`~fredreg.assembly.OperatorCache` holds.
+  pair an :class:`~fredreg.assembly.OperatorCache` holds, and
+  :func:`record_calls` records the calls of a module attribute.
 """
 
 import dataclasses
@@ -56,6 +57,25 @@ def adjoint_pair(ops, m):
     top, e0, e1 = ops._store["adjoint"]
     step = 2 ** (top - m)
     return e0[::step, : 2 ** m], e1[::step, : 2 ** m]
+
+
+def record_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns its calls as ``[args, kwargs, result]``.
+
+    A call is recorded before it runs, so one that raises is listed too,
+    with result ``None``.
+    """
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        call = [args, kwargs, None]
+        calls.append(call)
+        call[2] = original(*args, **kwargs)
+        return call[2]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def geometric_weights(n, q):

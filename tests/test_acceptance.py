@@ -20,7 +20,7 @@ from fredreg.assembly import (
     simpson_rule,
 )
 from fredreg.experiment import _runs, exact_problem
-from fredreg.iteration import SolverConfig, rank_schedule, run_adaptive
+from fredreg.iteration import SolverConfig, rank_schedule
 
 from _oracles import closed_form_iterate, geometric_weights, run_steps, synthesis_matrix
 

@@ -62,17 +62,14 @@ class TestExactProblem:
         assert vals.shape == (4,)
         assert vals[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("s", [-0.1, math.nan])
+    def test_rhs_rejects_a_point_by_its_own_name(self, s):
+        # the caller passed points s, not decay rates
+        with pytest.raises(ValueError, match="^exact_rhs points must be finite and >= 0$"):
+            exact_problem().exact_rhs(s)
+
     def test_forward_residual_small(self):
         assert forward_residual(exact_problem()) <= 1e-6
-
-
-class TestSampleGrid:
-    def test_grid_resolves_all_partitions(self):
-        grid = sample_grid(6)
-        assert len(grid) == 180 * 64 + 1
-        assert grid[0] == 0.0 and grid[-1] == 1.0
-        for m in range(1, 7):
-            assert (len(grid) - 1) % (180 * 2 ** m) == 0
 
 
 class TestAddNoise:

@@ -223,18 +223,6 @@ class TestEval:
         assert phi(3, 1.0) == 0.0    # support ends at 1/2
         assert phi(4, 1.0) == pytest.approx(-math.sqrt(2))
 
-    def test_rejects(self):
-        for j in (1, 2):
-            for x in (-0.01, 1.01, math.nan):
-                with pytest.raises(ValueError, match="evaluation points"):
-                    phi(j, x)
-
-    def test_zero_dim_array_gives_float(self):
-        for j, want in ((1, 1.0), (2, 1.0), (3, math.sqrt(2))):
-            got = phi(j, np.array(0.125))
-            assert type(got) is float and got == pytest.approx(want)
-        assert isinstance(phi(2, np.array([0.25])), np.ndarray)
-
 
 class TestEvaluate:
     """Haar coefficients are plain 1-d arrays whose length ``2**m`` gives the level."""
@@ -502,12 +490,9 @@ class TestMomentMatrixFill:
             assert fill([], 3).shape == (0, 8)
         assert [a.shape for a in _pair([], 3)] == [(0, 8), (0, 8)]
 
-    def test_rejects_bad_level_or_t_out(self):
+    def test_rejects_bad_t_out(self):
+        # the level is checked with every other level entry, in test_api
         c = np.linspace(0.0, 2.0, 5)
-        for fill in (exp_haar_matrix, exp_t_haar_matrix):
-            for m in (-1, 2.5, True):
-                with pytest.raises(ValueError, match="level"):
-                    fill(c, m)
         with pytest.raises(ValueError, match="shape"):
             exp_haar_matrix(c, 3, t_out=np.empty((5, 4)))
         with pytest.raises(ValueError, match="float64"):
@@ -725,15 +710,18 @@ class TestPyramidTransform:
             assert_within_ulps(fine[: 2 ** m], project(samples, m))
 
     def test_evaluate_of_a_unit_vector_equals_the_piecewise_formula(self):
-        # e_j gives Phi_j in the coarsest span holding it and in a finer one
+        # e_j gives Phi_j in the coarsest span holding it and in a finer one;
+        # an array of points, also of one, gives an array, a scalar a float
         rng = np.random.default_rng(31)
         x = np.concatenate([rng.uniform(0, 1, 200), np.arange(1025) / 1024, [1.0]])
         scalars = (float(x[0]), 0.5, 1.0, np.float64(0.25), np.array(0.75))
         for j in [*range(1, 601), 2 ** 12, 2 ** 13]:
             coarsest = 0 if j == 1 else split_index(j)[0]
             for e in (unit(j, coarsest), unit(j, coarsest + 1)):
-                got, want = evaluate(e, x), haar_eval_piecewise(j, x)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (j, len(e))
+                for points in (x, x[-1:]):
+                    got, want = evaluate(e, points), haar_eval_piecewise(j, points)
+                    assert type(got) is type(want) is np.ndarray, (j, len(e))
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (j, len(e))
                 for xi in scalars:
                     got, want = evaluate(e, xi), haar_eval_piecewise(j, xi)
                     assert type(got) is type(want) is float and got == want, (j, len(e), xi)
@@ -809,12 +797,6 @@ class TestProjection:
 
 
 class TestSpanInvariants:
-    @pytest.mark.parametrize("m", range(1, 9))
-    def test_gram_identity(self, m):
-        s = synthesis_matrix(m)
-        gram = (s @ s.T) / 2 ** m
-        assert np.max(np.abs(gram - np.eye(2 ** m))) < 1e-12
-
     def test_parseval_on_aligned_step_functions(self):
         rng = np.random.default_rng(11)
         m = 5
@@ -843,20 +825,8 @@ class TestSpanInvariants:
         assert max(ratios) < 0.51
         assert errors[-1] < 2.0 ** -8
 
-    COEFFS = np.array([1.0, 0.5, 0.25, 0.0])
-
-    def test_evaluate_left_limit(self):
-        cells = _synthesis(self.COEFFS, 2)
-        assert evaluate(self.COEFFS, 1.0) == pytest.approx(cells[-1])
-
     def test_evaluate_rejects_points_outside_unit_interval(self):
+        # the points are checked before synthesis, so any coefficients do
         for x in (-0.01, 1.01, math.nan, np.array([0.5, math.nan])):
             with pytest.raises(ValueError, match="evaluation points"):
-                evaluate(self.COEFFS, x)
-
-    def test_evaluate_zero_dim_array_gives_float(self):
-        cells = _synthesis(self.COEFFS, 2)
-        for x in (np.array(0.1), np.float64(0.1), 0.1):
-            got = evaluate(self.COEFFS, x)
-            assert type(got) is float and got == cells[0]
-        assert isinstance(evaluate(self.COEFFS, np.array([0.1])), np.ndarray)
+                evaluate(np.array([1.0, 0.5, 0.25, 0.0]), x)

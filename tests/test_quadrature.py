@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fredreg.assembly import OperatorCache, sample_grid, simpson_rule
+from fredreg.assembly import simpson_rule
 
 
 def test_simpson_m1_points_and_weights():
@@ -70,43 +70,3 @@ def test_simpson_observed_order_at_least_3_8():
     errors = [err(m) for m in range(1, 6)]
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders) >= 3.8
-
-
-def test_simpson_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        simpson_rule(-1)
-    with pytest.raises(ValueError):
-        simpson_rule(0)  # the 2**m+1-point weight pattern degenerates at m=0
-    with pytest.raises(ValueError):
-        simpson_rule(1.5)
-
-
-# the adjoint partition at level m is the cells of sample_grid(m)
-
-def test_partition_m1():
-    nodes = sample_grid(1)
-    assert len(nodes) - 1 == 360
-    assert nodes[1] - nodes[0] == pytest.approx(1 / 360, abs=0)
-    assert nodes[0] == 0.0 and nodes[-1] == 1.0
-
-
-def test_partition_m2_first_node():
-    nodes = sample_grid(2)
-    assert len(nodes) - 1 == 720
-    assert nodes[1] == pytest.approx(1 / 720, abs=1e-18)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_partition_uniform_widths(m):
-    widths = np.diff(sample_grid(m))
-    assert len(widths) == 180 * 2 ** m
-    assert np.all(np.abs(widths - 1.0 / (180 * 2 ** m)) < 1e-15)
-
-
-def test_partition_rejects_bad_levels():
-    ops = OperatorCache()
-    samples = np.ones(len(sample_grid(1)))
-    with pytest.raises(ValueError):
-        ops.rhs(samples, 0)
-    with pytest.raises(ValueError):
-        ops.rhs(samples, "2")

@@ -1,3 +1,4 @@
+import importlib.machinery
 import importlib.util
 import os
 import re
@@ -135,8 +136,10 @@ def test_loaded_lapack_is_scipy_linalg_lapack():
 
 
 def test_lapack_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
-    monkeypatch.setattr(assembly, "_scipy_linalg_dir", lambda: str(tmp_path))
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+    with pytest.raises(ImportError, match=re.escape(os.path.join(str(tmp_path), "linalg"))):
         assembly._load_flapack()
 
 
@@ -152,4 +155,4 @@ def test_lapack_loader_says_why_the_extension_did_not_load(monkeypatch):
 def test_lapack_loader_without_scipy(monkeypatch):
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     with pytest.raises(ImportError, match="scipy is not installed"):
-        assembly._scipy_linalg_dir()
+        assembly._load_flapack()
