@@ -206,9 +206,9 @@ def assemble_gram(m):
     The slices ``k(s_l, .)`` at the compound Simpson points are
     projected in closed form, so the result is a sum of positively
     weighted rank-one terms: symmetric and positive semidefinite by
-    construction. Returns a read-only ``(2**m, 2**m)`` array. The level
-    is checked by :func:`simpson_rule`.
+    construction. Returns a read-only ``(2**m, 2**m)`` array.
     """
+    _check_level("gram level", m, 1)
     points, weights = simpson_rule(m)
     p = exp_haar_matrix(points, m)  # (2**m + 1, 2**m)
     a = p.T @ (weights[:, None] * p)

@@ -5,9 +5,14 @@
   weighted sum of shifted solves.
 * :func:`run_steps` runs the recursion itself for exactly ``n`` steps,
   with a noise bound the stopping rule cannot meet.
+* :func:`level_ceilings` gives the level rule's three raw ceilings by
+  direct quotients.
 * :func:`split_index` and :func:`join_index` are the index split
   ``j = 2**(l-1) + p`` of :mod:`fredreg.haar`'s definition and its
   inverse, and :func:`supports` gives each ``Phi_j``'s support from it.
+* :func:`trapezoid_gather` gathers uniform-grid samples onto equal cells
+  by index, in float64 or long double, and :func:`trapezoid_moments`
+  gives each cell's two trapezoid moments from it.
 * :func:`forward_residual` checks a problem's exact solution against
   its right-hand side on a dense midpoint grid.
 * :func:`chebyshev_interpolation` is the barycentric interpolation
@@ -25,6 +30,9 @@
   double on the same data, with :func:`extended_moments` for the moment
   matrices, and :func:`extended_avg_error` scores its result: the answer
   check that does not read the float64 program's bits.
+* :func:`decimal_moments` gives the moments of ``t**weight exp(-c t)``
+  against ``Phi_j`` from their exact antiderivatives in decimal: the one
+  accuracy reference of the closed forms in both precisions.
 * :func:`adjoint_pair` reads level ``m``'s moment pair out of the one
   pair an :class:`~fredreg.assembly.OperatorCache` holds, and
   :func:`record_calls` records the calls of a module attribute.
@@ -32,6 +40,8 @@
 
 import dataclasses
 import functools
+import math
+from decimal import Decimal
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -127,6 +137,21 @@ def run_steps(ops, f_samples, n, config):
     return outcome
 
 
+def level_ceilings(a, c1, eta):
+    """The three raw ceilings of :func:`fredreg.rank_schedule`'s level rule at shift ``a``.
+
+    ``(ceil(log2(2 c1 / a) / 4), ceil(log2(17 / (180 eta a**2)) / 2),
+    ceil(log2(2 c1 / sqrt(a)) / 2))`` by direct quotients; the level is
+    ``max`` of them and 1. A reference wherever the quotients neither
+    over- nor underflow, roughly for ``a`` in ``[1e-154, 1e154]``.
+    """
+    return (
+        math.ceil(math.log2(2.0 * c1 / a) / 4.0),
+        math.ceil(math.log2(17.0 / (180.0 * eta * a * a)) / 2.0),
+        math.ceil(math.log2(2.0 * c1 / math.sqrt(a)) / 2.0),
+    )
+
+
 def split_index(j):
     """The (level, offset) pair of ``j = 2**(l-1) + p``, ``1 <= p <= 2**(l-1)``, for ``j >= 2``."""
     if j < 2:
@@ -156,6 +181,37 @@ def supports(m):
         w = 1.0 / 2 ** (l - 1)
         left[j - 1], right[j - 1] = (p - 1) * w, p * w
     return left, right
+
+
+def trapezoid_gather(samples, n_cells, dtype=np.float64):
+    """``(blocks, h, w0, w1)``: uniform-grid samples gathered by index onto ``n_cells`` equal cells.
+
+    Row ``i`` of ``blocks`` is ``samples[i*k : i*k + k + 1]`` in ``dtype``,
+    ``h`` is the grid step and ``w0``, ``w1`` are the trapezoid weights of
+    ``int f`` and of ``int (s - d) f(s) ds`` on each cell ``[d, d + k h)``.
+    In float64 the first three are :func:`fredreg.haar._trapezoid_blocks`'
+    ``(blocks, h, w)``.
+    """
+    samples = np.asarray(samples, dtype=dtype)
+    k = (len(samples) - 1) // n_cells
+    blocks = samples[np.arange(n_cells)[:, None] * k + np.arange(k + 1)]
+    h = dtype(1) / (len(samples) - 1)
+    w0 = np.ones(k + 1, dtype=dtype)
+    w0[[0, -1]] = dtype(1) / 2
+    w1 = np.arange(k + 1, dtype=dtype)
+    w1[-1] = dtype(k) / 2
+    return blocks, h, w0, w1
+
+
+def trapezoid_moments(samples, n_cells, dtype=np.float64):
+    """Trapezoid ``int f`` and ``int (s - d) f(s) ds`` on each of ``n_cells`` equal cells ``[d, .)``.
+
+    In float64 the pair is :func:`fredreg.assembly._moments` at
+    ``n_cells = 180 * 2**m``, and its first entry the cell integrals that
+    :func:`fredreg.haar.project` transforms at ``n_cells = 2**m``.
+    """
+    blocks, h, w0, w1 = trapezoid_gather(samples, n_cells, dtype)
+    return h * (blocks @ w0), h * h * (blocks @ w1)
 
 
 def forward_residual(problem, n_points=1024):
@@ -291,6 +347,37 @@ def extended_moments(c, m, weight):
     return out
 
 
+def decimal_moments(c, m, weight, columns=None):
+    """``int_0^1 t**weight exp(-c t) Phi_j(t) dt`` as decimals, for ``j`` in ``columns``.
+
+    By default ``columns`` is ``1..2**m``, the level-``m`` row. From the
+    exact antiderivatives ``P(x) = int_0^x t**weight exp(-c t) dt`` at the
+    dyadic points ``k / 2**m`` an entry needs, each evaluated once, with
+    ``c`` the float's exact value; call it inside a decimal context of
+    the precision wanted.
+    """
+    c, n, root2 = Decimal(c), 2 ** m, Decimal(2).sqrt()
+
+    @functools.cache
+    def P(k):
+        x = Decimal(k) / n
+        if c == 0:
+            return x ** (weight + 1) / (weight + 1)
+        if weight == 0:
+            return (1 - (-c * x).exp()) / c
+        return (1 - (1 + c * x) * (-c * x).exp()) / c ** 2
+
+    def entry(j):
+        if j == 1:
+            return P(n) - P(0)
+        l, p = split_index(j)
+        w = n >> (l - 1)  # support width in cells
+        k = (p - 1) * w
+        return root2 ** (l - 1) * (2 * P(k + w // 2) - P(k) - P(k + w))
+
+    return [entry(j) for j in columns or range(1, n + 1)]
+
+
 def _extended_pyramid(cells, m):
     """The Haar pyramid of :func:`fredreg.haar._analysis` in long double."""
     out = np.empty(len(cells), dtype=LONG)
@@ -299,19 +386,6 @@ def _extended_pyramid(cells, m):
         cells = cells[0::2] + cells[1::2]
     out[0] = cells[0]
     return out * _extended_amplitudes(m)
-
-
-def _extended_trapezoid(samples, n_cells):
-    """Trapezoid ``int f`` and ``int (s - d) f(s) ds`` on ``n_cells`` equal cells ``[d, .)``."""
-    samples = np.asarray(samples, dtype=LONG)
-    k = (len(samples) - 1) // n_cells
-    blocks = samples[np.arange(n_cells)[:, None] * k + np.arange(k + 1)]
-    h = LONG(1) / (len(samples) - 1)
-    w0 = np.ones(k + 1, dtype=LONG)
-    w0[[0, -1]] = LONG(1) / 2
-    w1 = np.arange(k + 1, dtype=LONG)
-    w1[-1] = LONG(k) / 2
-    return h * (blocks @ w0), h * h * (blocks @ w1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,7 +431,7 @@ def run_extended(f_samples, delta, config):
     pyramid, and every solve by :func:`_cholesky_solve`. ``u`` holds the
     final level's coefficients in long double.
     """
-    g = _extended_pyramid(_extended_trapezoid(f_samples, 2 ** config.m_cap)[0], config.m_cap)
+    g = _extended_pyramid(trapezoid_moments(f_samples, 2 ** config.m_cap, LONG)[0], config.m_cap)
     threshold = LONG(config.C) * LONG(delta) ** LONG(config.eps)
     q = LONG(config.q)
     a, m, u, G, capped = config.alpha0, 0, np.zeros(1, dtype=LONG), LONG(0), False
@@ -369,7 +443,7 @@ def run_extended(f_samples, delta, config):
         capped = capped or m_raw > m
         gram, e0, e1 = _extended_operators(m)
         if m not in rhs:
-            m0, m1 = _extended_trapezoid(f_samples, 180 * 2 ** m)
+            m0, m1 = trapezoid_moments(f_samples, 180 * 2 ** m, LONG)
             rhs[m] = m0 @ e0 - m1 @ e1
         zeta = _cholesky_solve(gram, LONG(a), rhs[m])
         gamma = _cholesky_solve(gram, LONG(a), g[: 2 ** m])

@@ -22,7 +22,13 @@ from fredreg.assembly import (
 from fredreg.experiment import _runs, exact_problem
 from fredreg.iteration import SolverConfig, rank_schedule
 
-from _oracles import closed_form_iterate, geometric_weights, run_steps, synthesis_matrix
+from _oracles import (
+    closed_form_iterate,
+    geometric_weights,
+    level_ceilings,
+    run_steps,
+    synthesis_matrix,
+)
 
 LEVELS = (0.05, 0.01, 0.005, 0.0005)
 SEEDS = range(20)
@@ -236,21 +242,13 @@ def test_sweep_termination_invariant(sweep):
 
 def test_criterion_9_rank_schedule_oracle():
     start = time.perf_counter()
-
-    def oracle(a, c1, eta):
-        # independently coded direct evaluation of the three ceilings
-        t1 = math.ceil(math.log2(2.0 * c1 / a) / 4.0)
-        t2 = math.ceil(math.log2(17.0 / (180.0 * eta * a * a)) / 2.0)
-        t3 = math.ceil(math.log2(2.0 * c1 / math.sqrt(a)) / 2.0)
-        return max(t1, t2, t3, 1)
-
     rng = np.random.default_rng(2024)
     mismatches = 0
     for _ in range(1000):
         a = 10.0 ** rng.uniform(-6, 0)
         eta = 10.0 ** rng.uniform(1, 3)
         c1 = 10.0 ** rng.uniform(-3, 0)
-        if rank_schedule(a, c1, eta) != oracle(a, c1, eta):
+        if rank_schedule(a, c1, eta) != max(*level_ceilings(a, c1, eta), 1):
             mismatches += 1
     # monotone non-increasing in a
     a_grid = np.sort(10.0 ** rng.uniform(-8, 0, size=200))

@@ -50,7 +50,7 @@ LEVEL_ENTRIES = {
     "simpson_rule": (1, "simpson_rule level", lambda ops, m: fredreg.simpson_rule(m)),
     "sample_grid": (0, "sample grid level", lambda ops, m: fredreg.sample_grid(m)),
     "error_budget": (1, "error budget level", lambda ops, m: fredreg.error_budget(m)),
-    "assemble_gram": (1, "simpson_rule level", lambda ops, m: assemble_gram(m)),
+    "assemble_gram": (1, "gram level", lambda ops, m: assemble_gram(m)),
     "galerkin_matrix": (1, "galerkin level", lambda ops, m: galerkin_matrix(m)),
     "exp_haar_matrix": (0, "level", lambda ops, m: exp_haar_matrix([0.5], m)),
     "exp_t_haar_matrix": (0, "level", lambda ops, m: exp_t_haar_matrix([0.5], m)),

@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,17 @@ def test_out_of_memory_exit_code(capsys):
     # 10-20 would instead really try to allocate, so they are not run here
     assert main(["solve", "--m-cap", "40"]) == 2
     assert capsys.readouterr().err.startswith("out of memory:")
+
+
+def test_console_script_entry_exits_with_main_status():
+    # pyproject's fredreg = "fredreg.cli:run", in a process of its own
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "from fredreg.cli import run; run()", "solve", "--seed", "-1"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("configuration error"), done.stderr
 
 
 def test_argparse_error_exit_code():

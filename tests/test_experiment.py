@@ -21,7 +21,7 @@ from fredreg.experiment import (
 from fredreg.haar import evaluate, exp_t_haar_matrix, project
 from fredreg.iteration import SolverConfig
 
-from _oracles import forward_residual
+from _oracles import forward_residual, record_calls
 
 
 class TestExactProblem:
@@ -201,6 +201,10 @@ class TestRunTable:
         lines[1] += ",extra"
         with pytest.raises(ValueError, match="line 2 has 10 fields, expected 9"):
             rows_from_csv("\n".join(lines) + "\n")
+        # a header with a tenth column is foreign, whatever the records hold
+        lines[0] += ",extra"
+        with pytest.raises(ValueError, match="unexpected CSV header: .*'extra'"):
+            rows_from_csv("\n".join(lines) + "\n")
 
     def test_seed_determinism(self, small_rows):
         again = run_table(
@@ -263,26 +267,19 @@ class TestRunTable:
         assert row.scheme == "adaptive"
 
     def test_both_schemes_share_one_noise_draw(self, monkeypatch):
-        specs, data = [], []
-
-        def spy(name, record):
-            real = getattr(experiment, name)
-
-            def wrapped(*args):
-                record.append(args[1])  # add_noise's spec, or a run's noisy samples
-                return real(*args)
-
-            monkeypatch.setattr(experiment, name, wrapped)
-
-        spy("add_noise", specs)
-        spy("run_adaptive", data)
-        spy("run_fixed", data)
+        # both runs of a seed receive the very array its one draw returned
+        draws = record_calls(monkeypatch, experiment, "add_noise")
+        adaptive = record_calls(monkeypatch, experiment, "run_adaptive")
+        fixed = record_calls(monkeypatch, experiment, "run_fixed")
         rows = run_table(levels=(0.05,), seeds=(0, 1), schemes="both")
         assert [(r.seed, r.scheme) for r in rows] == [
             (0, "adaptive"), (0, "fixed"), (1, "adaptive"), (1, "fixed")
         ]
-        assert specs == [NoiseSpec(0.05, 0), NoiseSpec(0.05, 1)]
-        assert data[0] is data[1] and data[2] is data[3] and data[0] is not data[2]
+        assert [args[1] for args, _, _ in draws] == [NoiseSpec(0.05, 0), NoiseSpec(0.05, 1)]
+        noisy = [result[0] for _, _, result in draws]
+        for runs in (adaptive, fixed):
+            assert len(runs) == 2 and all(args[1] is data for (args, _, _), data in zip(runs, noisy))
+        assert not np.array_equal(*noisy)
 
     def test_flagged_rows_do_not_raise(self):
         rows = run_table(

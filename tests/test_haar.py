@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from fredreg import haar
 from fredreg import OperatorCache, SolverConfig, exact_problem, run_adaptive, run_fixed
@@ -32,6 +31,7 @@ from fredreg.assembly import _moments, sample_grid, simpson_rule
 from _oracles import (
     EXTENDED,
     adjoint_pair,
+    decimal_moments,
     extended_moments,
     gauss_cell_nodes,
     haar_eval_piecewise,
@@ -39,18 +39,9 @@ from _oracles import (
     split_index,
     supports,
     synthesis_matrix,
+    trapezoid_gather,
+    trapezoid_moments,
 )
-
-
-def quad_inner(f, j):
-    """Adaptive-quadrature oracle for <f, Phi_j>, split at the support breakpoints."""
-    if j == 1:
-        return quad(f, 0, 1, limit=200)[0]
-    l, p = split_index(j)
-    a = 2.0 ** ((l - 1) / 2)
-    w = 1.0 / 2 ** (l - 1)
-    t0, t1, t2 = (p - 1) * w, (p - 1) * w + w / 2, p * w
-    return a * (quad(f, t0, t1, limit=200)[0] - quad(f, t1, t2, limit=200)[0])
 
 
 def _ref_rates(c, m):
@@ -88,32 +79,6 @@ def _exp_t_haar_matrix_ref(c, m):
     return out
 
 
-def _trapezoid_blocks_ref(samples, n_cells):
-    """Index-gather form of ``_trapezoid_blocks``: the bit-identity oracle."""
-    samples = np.asarray(samples, dtype=float)
-    nsub = len(samples) - 1
-    k = nsub // n_cells
-    idx = np.arange(n_cells)[:, None] * k + np.arange(k + 1)[None, :]
-    w = np.ones(k + 1)
-    w[0] = w[-1] = 0.5
-    return samples[idx], 1.0 / nsub, w
-
-
-def _moments_ref(samples, n_cells):
-    """``assembly._moments`` on the gathered blocks."""
-    blocks, h, w0 = _trapezoid_blocks_ref(samples, n_cells)
-    k = len(w0) - 1
-    w1 = np.arange(k + 1, dtype=float)
-    w1[-1] = k / 2.0
-    return h * (blocks @ w0), h * h * (blocks @ w1)
-
-
-def _cell_integrals_ref(samples, m):
-    """The trapezoid cell integrals of ``project``'s sampled branch, on the gathered blocks."""
-    blocks, h, w = _trapezoid_blocks_ref(samples, 2 ** m)
-    return h * (blocks @ w)
-
-
 def _dense_product(matrix, x):
     """``matrix @ x`` in extended precision (x86-64's 80-bit long double), rounded once.
 
@@ -125,7 +90,7 @@ def _dense_product(matrix, x):
 
 def _project_ref(samples, m):
     """The sampled branch of ``project`` on the gathered blocks and the dense matrix."""
-    return _dense_product(synthesis_matrix(m), _cell_integrals_ref(samples, m))
+    return _dense_product(synthesis_matrix(m), trapezoid_moments(samples, 2 ** m)[0])
 
 
 def assert_within_ulps(got, want, ulps=4):
@@ -273,39 +238,9 @@ class TestExponentialInnerProducts:
     def test_unit_rate_constant(self):
         assert moment(exp_haar_matrix, 1.0, 1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
 
-    def test_against_quadrature_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            c = float(rng.uniform(0, 4))
-            j = int(rng.integers(1, 256))
-            got = moment(exp_haar_matrix, c, j)
-            want = quad_inner(lambda t: math.exp(-c * t), j)
-            assert got == pytest.approx(want, abs=1e-13)
-
     def test_t_weighted_zero_rate(self):
         assert moment(exp_t_haar_matrix, 0.0, 1) == 0.5
         assert moment(exp_t_haar_matrix, 0.0, 2) == -0.25
-
-    def test_t_weighted_against_quadrature_oracle(self):
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            c = float(rng.uniform(0, 4))
-            j = int(rng.integers(1, 256))
-            got = moment(exp_t_haar_matrix, c, j)
-            want = quad_inner(lambda t: t * math.exp(-c * t), j)
-            assert got == pytest.approx(want, abs=1e-13)
-
-    def test_small_rates_against_quadrature_oracle(self):
-        # the closed forms where c * width is near 1e-6, and both sides of
-        # column 0's series branch of the t-weighted moment
-        for j in (1, 2, 9, 33):
-            width = 1.0 if j == 1 else 1.0 / 2 ** (split_index(j)[0] - 1)
-            for c in (0.9e-6 / width, 1.1e-6 / width):
-                want = quad_inner(lambda t: math.exp(-c * t), j)
-                assert moment(exp_haar_matrix, c, j) == pytest.approx(want, abs=1e-16)
-        for c in (0.999e-3, 1.001e-3):
-            want = quad_inner(lambda t: t * math.exp(-c * t), 1)
-            assert moment(exp_t_haar_matrix, c, 1) == pytest.approx(want, abs=1e-12)
 
     def test_matrix_matches_scalar(self):
         # column j of the level-m matrix equals column j at level (j-1).bit_length()
@@ -366,40 +301,34 @@ class TestExponentialInnerProducts:
                 assert np.all(np.isfinite(matrix(c, m)))
 
 
-def _decimal_moments(c, m, weight):
-    """Row ``int_0^1 t**weight exp(-c t) Phi_j(t) dt``, ``j = 1..2**m``, as 60-digit decimals.
-
-    From the exact antiderivatives ``P(x) = int_0^x t**weight exp(-c t) dt``
-    at the dyadic points ``k / 2**m``, with ``c`` the float's exact value;
-    call it inside a 60-digit decimal context.
-    """
-    c, n = Decimal(c), 2 ** m
-    x = [Decimal(k) / n for k in range(n + 1)]
-    if c == 0:
-        P = [xk ** (weight + 1) / (weight + 1) for xk in x]
-    elif weight == 0:
-        P = [(1 - (-c * xk).exp()) / c for xk in x]
-    else:
-        P = [(1 - (1 + c * xk) * (-c * xk).exp()) / c ** 2 for xk in x]
-    row = [P[n] - P[0]]
-    for l in range(1, m + 1):
-        amp, w = Decimal(2).sqrt() ** (l - 1), n >> (l - 1)  # support width in cells
-        row += [amp * (2 * P[k + w // 2] - P[k] - P[k + w]) for k in range(0, n, w)]
-    return row
+def _draws(seed):
+    """40 pairs ``(c, j)``, ``c`` uniform in [0, 4) and ``j`` in 1..255."""
+    rng = np.random.default_rng(seed)
+    return [(float(rng.uniform(0, 4)), int(rng.integers(1, 256))) for _ in range(40)]
 
 
 class TestMomentDecimalOracle:
-    """Both moment matrices at m = 8 against exact antiderivatives in 60 digits."""
+    """Both moment matrices against exact antiderivatives in 60 digits.
 
+    Whole rows at m = 8, and single entries at the coarsest level holding them.
+    """
+
+    # both sides of c * width = 1e-6 at j = 1, 2, 9 and 33 (widths 1, 1, 1/8, 1/32)
+    SMALL = tuple(
+        (c / w, j) for j, w in ((1, 1.0), (2, 1.0), (9, 0.125), (33, 0.03125))
+        for c in (0.9e-6, 1.1e-6)
+    )
     # c = 0; tiny rates, and both sides of c * width = 1e-6 at widths 1/4,
     # 1/8 and 1/128; the smallest non-zero rates of sample_grid(8) (the
     # level-8 rows with c * width < 1e-6); both sides of the j = 1
-    # t-moment's series (c < 1e-3), with the worst rates of sample_grid(8)
-    # and sample_grid(6) above it; moderate and large rates
+    # t-moment's series (c < 1e-3), 1e-6 from its end and with the worst
+    # rates of sample_grid(8) and sample_grid(6) above it; moderate and
+    # large rates; the rates of SMALL
     RATES = (
         0.0, 1e-20, 1e-9, 3.9e-6, 7.8e-6, 1 / 46080, 2 / 46080, 5 / 46080, 1.27e-4, 1.29e-4,
-        1e-3, 50 / 46080, 14 / 11520, 1.5e-3, 0.5, 1.0, 50.0,
-    )
+        0.999e-3, 1e-3, 1.001e-3, 50 / 46080, 14 / 11520, 1.5e-3, 0.5, 1.0, 50.0,
+    ) + tuple(sorted({c for c, _ in SMALL}))
+    DRAWS = _draws(7) + _draws(8)
 
     @pytest.mark.parametrize("weight, matrix", [(0, exp_haar_matrix), (1, exp_t_haar_matrix)])
     def test_each_row_within_2e_13_of_its_largest_entry(self, weight, matrix):
@@ -411,11 +340,18 @@ class TestMomentDecimalOracle:
         with localcontext() as ctx:
             ctx.prec = 60
             for c, row in zip(self.RATES, got):
-                want = _decimal_moments(c, 8, weight)
+                want = decimal_moments(c, 8, weight)
                 errs = [abs(Decimal(float(g)) - w) for g, w in zip(row, want)]
                 scale = max(abs(w) for w in want)
                 assert max(errs) <= Decimal("2e-13") * scale, (c, float(max(errs) / scale))
                 assert max(errs[1:]) <= Decimal("5e-15") * scale, (c, float(max(errs[1:]) / scale))
+            # every draw's own entry within 1e-13, and the exp moment's SMALL
+            # entries within 1e-16: measured worst 1.7e-17 and 3.8e-17
+            entries = [(c, j, "1e-13") for c, j in self.DRAWS]
+            entries += [(c, j, "1e-16") for c, j in self.SMALL if weight == 0]
+            for c, j, bound in entries:
+                err = abs(Decimal(moment(matrix, c, j)) - decimal_moments(c, 8, weight, [j])[0])
+                assert err <= Decimal(bound), (c, j, float(err))
 
     @pytest.mark.skipif(
         not EXTENDED,
@@ -431,7 +367,7 @@ class TestMomentDecimalOracle:
         with localcontext() as ctx:
             ctx.prec = 80
             for c, row in zip(self.RATES, got):
-                want = _decimal_moments(c, 8, weight)
+                want = decimal_moments(c, 8, weight)
                 # a 64-bit mantissa is the exact sum of two doubles
                 exact = [Decimal(float(g)) + Decimal(float(g - float(g))) for g in row]
                 err = max(abs(g - w) for g, w in zip(exact, want))
@@ -522,38 +458,29 @@ class TestMomentMatrixFill:
         for got in results:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    def test_fills_start_no_thread(self, monkeypatch):
+    def test_cache_fills_a_level_from_its_own_rates(self, monkeypatch):
         # the multi-block level-6 pair, then the cache's fills of level 5 and
-        # of level 6 after it
+        # of level 6 after it, with no thread started. Level 6 reads nothing
+        # of the level 5 already held: NaN written over level 5's pair does
+        # not reach level 6. Each fill equals the formulas
         def no_thread(*args, **kwargs):
             raise AssertionError("a fill started a thread")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
         fills = [(6, _pair(sample_grid(6)[:-1], 6))]
         ops = OperatorCache()
-        for m in (5, 6):
-            ops.rhs(np.zeros(len(sample_grid(m))), m)
-            fills.append((m, adjoint_pair(ops, m)))
+        samples = np.zeros(len(sample_grid(6)))
+        ops.rhs(samples, 5)
+        fills.append((5, tuple(e.copy() for e in adjoint_pair(ops, 5))))
+        for e in adjoint_pair(ops, 5):
+            e[...] = np.nan
+        ops.rhs(samples, 6)
+        fills.append((6, adjoint_pair(ops, 6)))
         for m, got in fills:
             c = sample_grid(m)[:-1]
             for rows in np.array_split(np.arange(len(c)), len(c) // 3000):
                 assert np.array_equal(got[0][rows], _exp_haar_matrix_ref(c[rows], m)), m
                 assert np.array_equal(got[1][rows], _exp_t_haar_matrix_ref(c[rows], m)), m
-
-    def test_cache_fills_a_level_from_its_own_rates(self):
-        # level 6 reads nothing of the level 5 already held: NaN written over
-        # level 5's pair does not reach level 6, which equals the formulas
-        ops = OperatorCache()
-        samples = np.zeros(len(sample_grid(6)))
-        ops.rhs(samples, 5)
-        for e in adjoint_pair(ops, 5):
-            e[...] = np.nan
-        ops.rhs(samples, 6)
-        got = adjoint_pair(ops, 6)
-        c = sample_grid(6)[:-1]
-        for rows in np.array_split(np.arange(len(c)), len(c) // 3000):
-            assert np.array_equal(got[0][rows], _exp_haar_matrix_ref(c[rows], 6))
-            assert np.array_equal(got[1][rows], _exp_t_haar_matrix_ref(c[rows], 6))
 
     def test_peak_memory_is_the_output(self):
         # the results plus at most 2 MiB of block and rate-vector temporaries;
@@ -655,7 +582,7 @@ class TestTrapezoidBlocks:
         for name, samples in self._inputs(m).items():
             for n_cells in cell_counts:
                 blocks, h, w = _trapezoid_blocks(samples, n_cells)
-                ref, h_ref, w_ref = _trapezoid_blocks_ref(samples, n_cells)
+                ref, h_ref, w_ref, _ = trapezoid_gather(samples, n_cells)
                 assert blocks.dtype == ref.dtype == np.float64, name
                 assert blocks.flags.c_contiguous, (name, n_cells)
                 assert np.array_equal(blocks, ref), (name, n_cells)
@@ -668,10 +595,11 @@ class TestTrapezoidBlocks:
         for name, samples in self._inputs(m).items():
             for l in range(m + 1):
                 got = _moments(samples, l)  # over the 180 * 2**l cells of sample_grid(l)
-                want = _moments_ref(samples, 180 * 2 ** l)
+                want = trapezoid_moments(samples, 180 * 2 ** l)
                 assert all(map(np.array_equal, got, want)), (name, l)
                 blocks, h, w = _trapezoid_blocks(samples, 2 ** l)
-                assert np.array_equal(h * (blocks @ w), _cell_integrals_ref(samples, l)), (name, l)
+                want = trapezoid_moments(samples, 2 ** l)[0]
+                assert np.array_equal(h * (blocks @ w), want), (name, l)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_projection_matches_gather_formula(self, m):
@@ -754,10 +682,8 @@ class TestProjection:
         np.testing.assert_allclose(coeffs, expected, atol=1e-12)
 
     def test_identity_function_m1(self):
-        # hand oracle: <t, 1> = 1/2 and <t, Phi_2> = int_0^.5 t - int_.5^1 t = -1/4
-        want = np.array([quad_inner(lambda t: t, 1), quad_inner(lambda t: t, 2)])
-        np.testing.assert_allclose(want, [0.5, -0.25], atol=1e-14)
-        np.testing.assert_allclose(project(lambda t: t, 1), want, atol=1e-15)
+        # by hand: <t, 1> = 1/2 and <t, Phi_2> = int_0^.5 t - int_.5^1 t = -1/4
+        np.testing.assert_allclose(project(lambda t: t, 1), [0.5, -0.25], atol=1e-15)
 
     def test_sampled_basis_function(self):
         n = 1440

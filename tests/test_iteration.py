@@ -27,6 +27,7 @@ from _oracles import (
     closed_form_iterate,
     extended_avg_error,
     geometric_weights,
+    level_ceilings,
     record_calls,
     run_extended,
     run_steps,
@@ -66,18 +67,9 @@ class TestGeometricWeights:
             geometric_weights(3, 1.0)
 
 
-def seed_rank(a, c1, eta):
-    """The level rule by direct quotients: the reference wherever they neither
-    over- nor underflow, roughly for ``a`` in ``[1e-154, 1e154]``."""
-    log2 = math.log(2.0)
-    t_normal = math.ceil(math.log(2.0 * c1 / a) / (4.0 * log2))
-    t_mixed = math.ceil(math.log(17.0 / (180.0 * eta * a * a)) / (2.0 * log2))
-    t_adjoint = math.ceil(math.log(2.0 * c1 / math.sqrt(a)) / (2.0 * log2))
-    return max(t_normal, t_mixed, t_adjoint, 1)
-
-
 def decimal_rank(a, c1, eta):
-    """The three ceilings in 50-digit decimal arithmetic, exact for every float ``a``."""
+    """The three ceilings in 50-digit decimal arithmetic, exact for every float ``a``,
+    also where the direct quotients of ``level_ceilings`` over- or underflow."""
     with localcontext() as ctx:
         ctx.prec = 50
         a, c1, eta = Decimal(a), Decimal(c1), Decimal(eta)
@@ -95,24 +87,12 @@ def decimal_rank(a, c1, eta):
 class TestRankSchedule:
     def test_derived_example_a025(self):
         # raw ceiling terms at a = 0.25: (0, -1, 0) -> max 0 -> clamped to 1
-        a, eta = 0.25, 10.0
-        t1 = math.ceil(math.log(2 * C1 / a) / (4 * math.log(2)))
-        t2 = math.ceil(math.log(17 / (180 * eta * a * a)) / (2 * math.log(2)))
-        t3 = math.ceil(math.log(2 * C1 / math.sqrt(a)) / (2 * math.log(2)))
-        assert (t1, t2, t3) == (0, -1, 0)
-        assert rank_schedule(a, C1, eta) == 1
+        assert level_ceilings(0.25, C1, 10.0) == (0, -1, 0)
+        assert rank_schedule(0.25, C1, 10.0) == 1
 
     def test_derived_example_a025_pow4(self):
-        a, eta = 0.25 ** 4, 10.0
-        t1 = math.ceil(math.log(2 * C1 / a) / (4 * math.log(2)))
-        t2 = math.ceil(math.log(17 / (180 * eta * a * a)) / (2 * math.log(2)))
-        t3 = math.ceil(math.log(2 * C1 / math.sqrt(a)) / (2 * math.log(2)))
-        assert (t1, t2, t3) == (2, 5, 1)
-        assert rank_schedule(a, C1, eta) == 5
-
-    def test_monotone_in_a(self):
-        values = [rank_schedule(0.5 ** k, C1, 10.0) for k in range(1, 30)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert level_ceilings(0.25 ** 4, C1, 10.0) == (2, 5, 1)
+        assert rank_schedule(0.25 ** 4, C1, 10.0) == 5
 
     # run_adaptive puts no floor under the levels: they are non-decreasing
     # because the shift never grows from step to step and the rule never
@@ -120,9 +100,11 @@ class TestRankSchedule:
 
     @pytest.mark.parametrize("eta", [10.0, 1000.0])
     def test_never_rises_as_a_falls_on_a_log_uniform_sample(self, eta):
+        # with the halvings 0.5**k, k = 1..29
         rng = np.random.default_rng(25)
         log_min, log_max = math.log(5e-324), math.log(sys.float_info.max)
-        a = np.sort(np.exp(rng.uniform(log_min, log_max, 100_000)))[::-1]
+        a = np.exp(rng.uniform(log_min, log_max, 100_000))
+        a = np.sort(np.concatenate([a, 0.5 ** np.arange(1, 30)]))[::-1]
         a = np.clip(a, 5e-324, sys.float_info.max)
         levels = [rank_schedule(float(x), C1, eta) for x in a]
         assert all(lo <= hi for lo, hi in zip(levels, levels[1:]))
@@ -162,18 +144,18 @@ class TestRankSchedule:
             chain_levels(as_float(hi) / 0.999999 ** 100, 0.999999, 200)
             chain_levels(as_float(hi + 100), 1.0 - 2.0 ** -52, 200)
 
-    def test_matches_seed_rule_on_preset_shifts(self):
+    def test_matches_the_ceilings_on_preset_shifts_and_wide_scales(self):
+        # the first 200 shifts of the preset, and 300 scales in 1e-150..1e150,
+        # where the direct quotients neither over- nor underflow
         config = SolverConfig()
-        a = config.alpha0
+        a, shifts = config.alpha0, []
         for _ in range(200):
             a = a * config.q  # a_n as the solver loop forms it
-            assert rank_schedule(a, C1, config.eta) == seed_rank(a, C1, config.eta)
-
-    def test_matches_seed_rule_wherever_it_returns(self):
+            shifts.append((a, config.eta))
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            a = 10.0 ** rng.uniform(-150, 150)
-            assert rank_schedule(a, C1, 10.0) == seed_rank(a, C1, 10.0)
+        shifts += [(10.0 ** rng.uniform(-150, 150), 10.0) for _ in range(300)]
+        for a, eta in shifts:
+            assert rank_schedule(a, C1, eta) == max(*level_ceilings(a, C1, eta), 1), a
 
     @pytest.mark.parametrize("a", [1e200, 1e-160, 1e-170, 5e-324, sys.float_info.max])
     def test_extreme_scales(self, a):
