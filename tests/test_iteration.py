@@ -144,18 +144,23 @@ class TestRankSchedule:
             chain_levels(as_float(hi) / 0.999999 ** 100, 0.999999, 200)
             chain_levels(as_float(hi + 100), 1.0 - 2.0 ** -52, 200)
 
-    def test_matches_the_ceilings_on_preset_shifts_and_wide_scales(self):
-        # the first 200 shifts of the preset, and 300 scales in 1e-150..1e150,
-        # where the direct quotients neither over- nor underflow
+    # level_ceilings is the rule by direct quotients, the reference wherever
+    # they neither over- nor underflow
+
+    def test_matches_seed_rule_on_preset_shifts(self):
         config = SolverConfig()
-        a, shifts = config.alpha0, []
+        a = config.alpha0
         for _ in range(200):
             a = a * config.q  # a_n as the solver loop forms it
-            shifts.append((a, config.eta))
+            expected = max(*level_ceilings(a, C1, config.eta), 1)
+            assert rank_schedule(a, C1, config.eta) == expected, a
+
+    def test_matches_seed_rule_wherever_it_returns(self):
+        # 300 scales in 1e-150..1e150
         rng = np.random.default_rng(5)
-        shifts += [(10.0 ** rng.uniform(-150, 150), 10.0) for _ in range(300)]
-        for a, eta in shifts:
-            assert rank_schedule(a, C1, eta) == max(*level_ceilings(a, C1, eta), 1), a
+        for _ in range(300):
+            a = 10.0 ** rng.uniform(-150, 150)
+            assert rank_schedule(a, C1, 10.0) == max(*level_ceilings(a, C1, 10.0), 1), a
 
     @pytest.mark.parametrize("a", [1e200, 1e-160, 1e-170, 5e-324, sys.float_info.max])
     def test_extreme_scales(self, a):
