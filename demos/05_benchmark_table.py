@@ -14,7 +14,6 @@ import tempfile
 from fredreg import PAPER_NOISE_LEVELS, SolverConfig, rows_from_csv, run_table
 from fredreg.experiment import format_summary, rows_to_csv
 
-out_path = os.path.join(tempfile.gettempdir(), "fredreg_rows.csv")
 rows = run_table(
     config=SolverConfig(),
     levels=PAPER_NOISE_LEVELS,
@@ -23,12 +22,14 @@ rows = run_table(
     fixed_m=4,
 )
 print(format_summary(rows))
-with open(out_path, "w", newline="") as handle:
-    handle.write(rows_to_csv(rows))
+with tempfile.TemporaryDirectory() as tmp:
+    out_path = os.path.join(tmp, "fredreg_rows.csv")
+    with open(out_path, "w", newline="") as handle:
+        handle.write(rows_to_csv(rows))
 
-print(f"\nwrote {len(rows)} rows to {out_path}")
-with open(out_path) as handle:
-    parsed = rows_from_csv(handle.read())
+    print(f"\nwrote {len(rows)} rows to {out_path}")
+    with open(out_path) as handle:
+        parsed = rows_from_csv(handle.read())
 print("CSV round-trip exact:", parsed == rows)
 
 print("\nReading the table: as the noise level drops, the adaptive scheme")

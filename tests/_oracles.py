@@ -34,14 +34,20 @@
   against ``Phi_j`` from their exact antiderivatives in decimal: the one
   accuracy reference of the closed forms in both precisions.
 * :func:`adjoint_pair` reads level ``m``'s moment pair out of the one
-  pair an :class:`~fredreg.assembly.OperatorCache` holds, and
-  :func:`record_calls` records the calls of a module attribute.
+  pair an :class:`~fredreg.assembly.OperatorCache` holds,
+  :func:`record_calls` records the calls of a module attribute, and
+  :func:`run_python` runs Python in a process of its own on the
+  repository's ``src``.
 """
 
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -86,6 +92,19 @@ def record_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def run_python(args, cwd=None, env=None):
+    """Run ``python *args`` in a process of its own, with ``PYTHONPATH`` set to ``src``.
+
+    ``env`` adds to the inherited environment. Returns the
+    ``CompletedProcess``, with stdout and stderr as text.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **(env or {}))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
 
 
 def geometric_weights(n, q):

@@ -1,7 +1,4 @@
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +7,8 @@ import pytest
 import fredreg
 from fredreg.assembly import assemble_gram, galerkin_matrix
 from fredreg.haar import exp_haar_matrix, exp_t_haar_matrix
+
+from _oracles import run_python
 
 PUBLIC = {
     "NoiseSpec",
@@ -115,17 +114,21 @@ def test_every_level_entry_rejects_a_non_integer_on_a_warm_cache(entry, level):
         _call(entry, ops, level)
 
 
-def test_readme_python_examples_run(tmp_path):
-    # the README's library example is the public API as a reader meets it:
-    # a deleted or renamed name, or a new warning, fails here
-    root = Path(__file__).resolve().parents[1]
-    text = (root / "README.md").read_text()
-    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
-    assert blocks
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    for block in blocks:
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-c", block],
-            env=env, cwd=tmp_path, capture_output=True, text=True,
-        )
-        assert done.returncode == 0, done.stderr
+ROOT = Path(__file__).resolve().parents[1]
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), flags=re.MULTILINE | re.DOTALL
+)
+EXAMPLES = {f"readme-{i}": ["-c", block] for i, block in enumerate(README_BLOCKS)}
+EXAMPLES.update({f"demos/{p.name}": [str(p)] for p in sorted((ROOT / "demos").glob("*.py"))})
+
+
+@pytest.mark.parametrize("args", list(EXAMPLES.values()), ids=list(EXAMPLES))
+def test_readme_python_examples_run(tmp_path, args):
+    # the README's library examples and the demos are the public API as a
+    # reader meets it: a deleted or renamed name, a new warning or a file
+    # left in the temp directory fails here
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    done = run_python(["-W", "error", *args], cwd=tmp_path, env={"TMPDIR": str(temp)})
+    assert done.returncode == 0, done.stderr
+    assert list(temp.iterdir()) == []

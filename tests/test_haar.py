@@ -1,12 +1,9 @@
 import math
-import os
 import re
 from decimal import Decimal, localcontext
-import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +33,7 @@ from _oracles import (
     gauss_cell_nodes,
     haar_eval_piecewise,
     join_index,
+    run_python,
     split_index,
     supports,
     synthesis_matrix,
@@ -530,11 +528,8 @@ galerkin_matrix(4)
 project(lambda t: t, 3)
 print(status, [m for m in sys.modules if m.startswith("numpy.polynomial")])
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    done = run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0 []"
 
 

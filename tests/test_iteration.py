@@ -503,14 +503,6 @@ class TestRunFixed:
         assert out.capped is False
         assert all(rec.m == rec.m_raw == 8 for rec in out.trace)
 
-    def test_adaptive_uses_smaller_space_at_high_noise(self, bench):
-        _, ops, samples = bench
-        noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.05, seed=0))
-        ada = run_adaptive(ops, noisy, dabs, SolverConfig())
-        fix = run_fixed(ops, noisy, dabs, SolverConfig(), 4)
-        assert ada.stop_reason == fix.stop_reason == "discrepancy_met"
-        assert 2 ** ada.m_final <= 2 ** 4 / 2
-
 
 @pytest.mark.parametrize(
     "run",

@@ -2,9 +2,6 @@ import importlib.machinery
 import importlib.util
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +13,8 @@ from fredreg.assembly import (
     factor_spd_shifted,
     solve_spd_shifted,
 )
+
+from _oracles import run_python
 
 
 def random_psd(rng, n):
@@ -119,11 +118,8 @@ def test_cli_import_loads_no_scipy_package():
     # the LAPACK extension is loaded by file; scipy/__init__ and the
     # scipy.linalg package (and what they import) must not run
     code = "import sys, fredreg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    done = run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "['scipy.linalg._flapack']"
 
 
