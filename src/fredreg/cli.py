@@ -10,14 +10,18 @@ negative one):
 * ``table``: the full sweep over noise levels, seeds and schemes,
   printing median-aggregated results and optionally writing the row CSV.
 
+``--out`` is opened after every input check and before the first solve:
+a refused command leaves the file as it was, and a run that fails leaves
+it empty.
+
 Exit codes: 0 on success, 2 on configuration errors (among them every
 level, count or index that is not an integer or is out of range and an
 empty list of noise levels or seeds), when memory runs out and when
-``--out`` cannot be written (it is opened before the first solve), 3
-when any run stopped for a reason other than the discrepancy rule, 4 on
-a numerical breakdown, any ``numpy.linalg.LinAlgError`` (a shifted
-system Cholesky cannot factor, the pivot given in the message, or a run
-whose discrepancy or iterate overflows).
+``--out`` cannot be written, 3 when any run stopped for a reason other
+than the discrepancy rule, 4 on a numerical breakdown, any
+``numpy.linalg.LinAlgError`` (a shifted system Cholesky cannot factor,
+the pivot given in the message, or a run whose discrepancy or iterate
+overflows).
 """
 
 import argparse
@@ -28,7 +32,7 @@ from dataclasses import fields
 from numpy.linalg import LinAlgError
 
 from .experiment import (
-    _EVAL_GRID, _SCHEMES, PAPER_NOISE_LEVELS, _runs, format_summary, rows_to_csv, run_table,
+    _EVAL_GRID, _SCHEMES, PAPER_NOISE_LEVELS, _runs, format_summary, rows_to_csv,
 )
 from .haar import evaluate
 from .iteration import SolverConfig
@@ -90,9 +94,9 @@ def _config(args):
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
-def _cmd_solve(args, config, out):
+def _cmd_solve(runs, out):
     outcomes = {}
-    for row, outcome in _runs(config, [args.noise], [args.seed], args.scheme, args.fixed_m):
+    for row, outcome in runs:
         outcomes[row.scheme] = outcome
         print(f"[{row.scheme}] noise={row.delta_rel:g} seed={row.seed} "
               f"delta_abs={outcome.delta_abs:.6e} threshold={outcome.threshold:.6e}")
@@ -114,9 +118,8 @@ def _cmd_solve(args, config, out):
     return 3 if failed else 0
 
 
-def _cmd_table(args, config, out):
-    rows = run_table(config=config, levels=args.noise, seeds=args.seed,
-                     schemes=args.scheme, fixed_m=args.fixed_m)
+def _cmd_table(runs, out):
+    rows = [row for row, _ in runs]
     if out:
         out.write(rows_to_csv(rows))
     print(format_summary(rows))
@@ -128,11 +131,13 @@ def _cmd_table(args, config, out):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = _cmd_solve if args.command == "solve" else _cmd_table
+    solve = args.command == "solve"
+    levels, seeds = ([args.noise], [args.seed]) if solve else (args.noise, args.seed)
     try:
-        config = _config(args)
+        # _runs checks every input; --out is opened after that and before the first run
+        runs = _runs(_config(args), levels, seeds, args.scheme, args.fixed_m)
         with open(args.out, "w", newline="") if args.out else nullcontext() as out:
-            return command(args, config, out)
+            return (_cmd_solve if solve else _cmd_table)(runs, out)
     except LinAlgError as exc:  # a ValueError: catch it first
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 4

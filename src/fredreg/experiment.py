@@ -136,12 +136,13 @@ CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
 
 
 def _runs(config, levels, seeds, schemes, fixed_m):
-    """Yield ``(row, outcome)`` per (level, seed, scheme) of the benchmark, in that order.
+    """An iterator of ``(row, outcome)`` per (level, seed, scheme), in that order.
 
-    The sweep behind :func:`run_table` and ``fredreg solve``; it checks
-    every input as :func:`run_table` states, before the first run. The
-    problem, the cache and the data grid are built once, and each (level,
-    seed)'s noise is drawn once for every scheme.
+    The sweep behind :func:`run_table` and ``fredreg solve``. The call
+    itself checks every input as :func:`run_table` states and builds the
+    problem, the cache and the data grid, once; the runs start at the
+    first ``next()``. Each (level, seed)'s noise is drawn once for every
+    scheme.
     """
     if schemes not in _SCHEMES:
         raise ValueError(f"schemes must be one of {_SCHEMES}, got {schemes!r}")
@@ -156,27 +157,31 @@ def _runs(config, levels, seeds, schemes, fixed_m):
     if "fixed" in scheme_list:
         _check_level("fixed level", fixed_m, 1)
         _check_grid(f_exact_samples, 2 ** fixed_m)
-    for spec in specs:
-        noisy, delta_abs = add_noise(f_exact_samples, spec)
-        for scheme in scheme_list:
-            start = time.perf_counter()
-            if scheme == "adaptive":
-                outcome = run_adaptive(ops, noisy, delta_abs, config)
-            else:
-                outcome = run_fixed(ops, noisy, delta_abs, config, fixed_m)
-            wall = time.perf_counter() - start
-            row = ExperimentRow(
-                delta_rel=spec.rel_level,
-                scheme=scheme,
-                seed=spec.seed,
-                avg=avg_error(outcome.solution, problem.exact_solution),
-                m_final=outcome.m_final,
-                n_iters=outcome.n_delta,
-                G_final=outcome.G_final,
-                wall_seconds=wall,
-                stop_reason=outcome.stop_reason,
-            )
-            yield row, outcome
+
+    def sweep():
+        for spec in specs:
+            noisy, delta_abs = add_noise(f_exact_samples, spec)
+            for scheme in scheme_list:
+                start = time.perf_counter()
+                if scheme == "adaptive":
+                    outcome = run_adaptive(ops, noisy, delta_abs, config)
+                else:
+                    outcome = run_fixed(ops, noisy, delta_abs, config, fixed_m)
+                wall = time.perf_counter() - start
+                row = ExperimentRow(
+                    delta_rel=spec.rel_level,
+                    scheme=scheme,
+                    seed=spec.seed,
+                    avg=avg_error(outcome.solution, problem.exact_solution),
+                    m_final=outcome.m_final,
+                    n_iters=outcome.n_delta,
+                    G_final=outcome.G_final,
+                    wall_seconds=wall,
+                    stop_reason=outcome.stop_reason,
+                )
+                yield row, outcome
+
+    return sweep()
 
 
 def run_table(

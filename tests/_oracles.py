@@ -453,12 +453,12 @@ def run_extended(f_samples, delta, config):
     g = _extended_pyramid(trapezoid_moments(f_samples, 2 ** config.m_cap, LONG)[0], config.m_cap)
     threshold = LONG(config.C) * LONG(delta) ** LONG(config.eps)
     q = LONG(config.q)
-    a, m, u, G, capped = config.alpha0, 0, np.zeros(1, dtype=LONG), LONG(0), False
+    a, u, G, capped = config.alpha0, np.zeros(1, dtype=LONG), LONG(0), False
     reason, rhs = "max_iter", {}
     for n in range(1, config.max_iter + 1):
         a = a * config.q
         m_raw = rank_schedule(a, 16.0 / 180.0, config.eta)
-        m = max(min(m_raw, config.m_cap), m)
+        m = min(m_raw, config.m_cap)
         capped = capped or m_raw > m
         gram, e0, e1 = _extended_operators(m)
         if m not in rhs:

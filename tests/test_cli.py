@@ -103,14 +103,16 @@ def test_table_small_sweep(capsys, tmp_path):
 
 
 def test_table_writes_csv_file(tmp_path, monkeypatch):
-    # the --out file holds exactly the rows run_table returned, wall times included
+    # the --out file holds exactly the rows the sweep yielded, wall times included
     returned = []
+    runs = cli._runs
 
-    def spy(**kwargs):
-        returned.extend(run_table(**kwargs))
-        return returned
+    def spy(*args):
+        for row, outcome in runs(*args):
+            returned.append(row)
+            yield row, outcome
 
-    monkeypatch.setattr(cli, "run_table", spy)
+    monkeypatch.setattr(cli, "_runs", spy)
     path = tmp_path / "rows.csv"
     code = main([
         "table", "--noise", "0.05", "--seed", "0,1", "--scheme", "adaptive", "--out", str(path),
@@ -165,17 +167,30 @@ def test_config_error_exit_code(capsys):
         assert capsys.readouterr().err.startswith("configuration error:"), argv
 
 
-@pytest.mark.parametrize("argv", [
+BAD_INPUTS = [
     ["table", "--noise", "0.05,1.5", "--seed", "0"],
     ["table", "--noise", "", "--seed", "0"],
     ["table", "--seed", ""],
     ["table", "--seed", "0", "--scheme", "both", "--fixed-m", "9"],
     ["solve", "--scheme", "both", "--fixed-m", "9"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
 def test_bad_inputs_are_refused_before_any_run(capsys, monkeypatch, argv):
     # the sweep checks them all; in the last two an adaptive run
     # comes before the fixed one whose level the data grid does not refine
     assert _refused_before_any_run(capsys, monkeypatch, argv).startswith("configuration error:")
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS + [["solve", "--seed", "-1"]])
+def test_a_refused_command_leaves_out_as_it_was(capsys, tmp_path, argv):
+    # --out is opened only after every input check, so an earlier table survives
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"an earlier table\r\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert out.read_bytes() == b"an earlier table\r\n"
 
 
 def test_alpha0_whose_first_shift_rounds_to_zero(capsys):

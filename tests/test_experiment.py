@@ -222,18 +222,6 @@ class TestRunTable:
             assert a.G_final == b.G_final
             assert a.stop_reason == b.stop_reason
 
-    def test_median_avg_decreases_with_noise(self, small_rows):
-        med = {}
-        for level in (0.05, 0.005):
-            med[level] = np.median(
-                [r.avg for r in small_rows if r.scheme == "adaptive" and r.delta_rel == level]
-            )
-        assert med[0.005] < med[0.05]
-
-    def test_adaptive_smaller_space_than_fixed_at_high_noise(self, small_rows):
-        ada = [r.m_final for r in small_rows if r.scheme == "adaptive" and r.delta_rel == 0.05]
-        assert max(ada) <= 3  # dimension 2**3 <= 2**4 / 2
-
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             run_table(schemes="noisy")

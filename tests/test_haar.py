@@ -27,7 +27,6 @@ from fredreg.assembly import _moments, sample_grid, simpson_rule
 
 from _oracles import (
     EXTENDED,
-    adjoint_pair,
     decimal_moments,
     extended_moments,
     gauss_cell_nodes,
@@ -455,30 +454,6 @@ class TestMomentMatrixFill:
         assert not any(caller.is_alive() for caller in callers)
         for got in results:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-    def test_cache_fills_a_level_from_its_own_rates(self, monkeypatch):
-        # the multi-block level-6 pair, then the cache's fills of level 5 and
-        # of level 6 after it, with no thread started. Level 6 reads nothing
-        # of the level 5 already held: NaN written over level 5's pair does
-        # not reach level 6. Each fill equals the formulas
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a fill started a thread")
-
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        fills = [(6, _pair(sample_grid(6)[:-1], 6))]
-        ops = OperatorCache()
-        samples = np.zeros(len(sample_grid(6)))
-        ops.rhs(samples, 5)
-        fills.append((5, tuple(e.copy() for e in adjoint_pair(ops, 5))))
-        for e in adjoint_pair(ops, 5):
-            e[...] = np.nan
-        ops.rhs(samples, 6)
-        fills.append((6, adjoint_pair(ops, 6)))
-        for m, got in fills:
-            c = sample_grid(m)[:-1]
-            for rows in np.array_split(np.arange(len(c)), len(c) // 3000):
-                assert np.array_equal(got[0][rows], _exp_haar_matrix_ref(c[rows], m)), m
-                assert np.array_equal(got[1][rows], _exp_t_haar_matrix_ref(c[rows], m)), m
 
     def test_peak_memory_is_the_output(self):
         # the results plus at most 2 MiB of block and rate-vector temporaries;
