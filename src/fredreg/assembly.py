@@ -34,7 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # exp_t_haar_matrix is unused here, but perfbench/tracing.py wraps this name
-from .haar import exp_haar_matrix, exp_t_haar_matrix, project, _check_level, _trapezoid_blocks
+from .haar import (
+    exp_haar_matrix, exp_t_haar_matrix, project, _check_grid, _check_level, _trapezoid_blocks,
+)
 
 
 def _load_flapack():
@@ -338,18 +340,20 @@ class OperatorCache:
         The cache holds one moment pair, ``2 * 180 * 4**top`` doubles, at
         the finest level ``top`` asked so far. The partitions nest, so
         level ``m <= top`` reads the block ``[::2**(top-m), :2**m]`` of
-        it, bit for bit its own fill. The samples are checked first, so a
-        grid that does not refine the cells raises with the held pair
-        untouched. A level above ``top`` then releases the held pair
-        before it fills its own, so no two pairs are alive at once, and
-        where the C library is glibc its pages go back to the system
-        before the fill; a fill that raises leaves no pair held. The fill
-        is one ``exp_haar_matrix(..., t_out=)`` call that writes both
-        matrices; the name is looked up as a module global, so a tracer
-        that replaces it sees every fill.
+        it, bit for bit its own fill; :func:`.run_adaptive` asks its levels
+        finest first, so a solve on a cold cache fills once. The sample
+        grid is checked first, so a grid that does not refine the cells
+        raises with the held pair untouched. A level above ``top`` then
+        releases the held pair before it fills its own, so no two pairs
+        are alive at once, and where the C library is glibc its pages go
+        back to the system before the fill; a fill that raises leaves no
+        pair held. The fill is one ``exp_haar_matrix(..., t_out=)`` call
+        that writes both matrices; the name is looked up as a module
+        global, so a tracer that replaces it sees every fill. The sample
+        moments are formed after any fill, so they are not alive during it.
         """
         _check_level("adjoint partition level", m, 1)
-        m0, m1 = _moments(f_samples, m)
+        _check_grid(f_samples, 180 * 2 ** m)
         if m > self._store.get("adjoint", (0,))[0]:
             self._store.pop("adjoint", None)
             if _MALLOC_TRIM is not None:
@@ -357,6 +361,7 @@ class OperatorCache:
             c = sample_grid(m)[:-1]
             e1 = np.empty((len(c), 2 ** m))
             self._store["adjoint"] = (m, exp_haar_matrix(c, m, t_out=e1), e1)
+        m0, m1 = _moments(f_samples, m)
         top, e0, e1 = self._store["adjoint"]
         step = 2 ** (top - m)
         e0, e1 = e0[::step, : 2 ** m], e1[::step, : 2 ** m]

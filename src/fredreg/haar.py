@@ -195,6 +195,7 @@ def exp_haar_matrix(c, m, *, t_out=None):
         block *= 4.0
         block *= sinh2
         out[rows, 1:] = block
+        del block  # one block buffer fewer alive in the t-weighted half
         if t_out is not None:
             np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
             x *= 4.0

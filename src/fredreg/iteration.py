@@ -179,38 +179,48 @@ def _norm(x, norm=lambda v: math.sqrt(v.dot(v))):
     return value
 
 
-def _run_loop(delta, config, systems):
-    """The loop both schemes share: systems(a) -> (m_raw, m, L, v, g) for the shift ``a = a_n``.
+def _run_loop(delta, config, systems, rhs):
+    """The loop both schemes share: systems(a) -> (m_raw, m, L, g) for the shift ``a = a_n``.
 
-    ``L`` is the factor of ``a I + A``; the update solves it against
-    ``v`` and the discrepancy solve against ``g``. The blend zero-pads
-    ``u_{n-1}`` into the (nested) finer span, and the increment of
-    ``G_n`` carries the factor ``1 - q``. A step is capped when its raw
-    level exceeds its level. The shift never grows from step to step and
-    the level rule never rises as it falls, so the levels never fall.
-    A non-finite ``G_n`` or final iterate raises ``np.linalg.LinAlgError``.
+    ``L`` is the factor of ``a I + A`` and ``g`` the data coefficients at
+    level ``m``; ``rhs(m)`` gives the adjoint right-hand side ``v`` there.
+    ``G_n`` reads only ``g``, the shift and the level, never the iterate,
+    so the discrepancy recursion runs first: per step the level, the
+    factor, ``gamma``, ``G_n`` (its increment carries the factor
+    ``1 - q``) and the stop. Then ``rhs`` is asked once per visited level,
+    finest first, so a cold :class:`.OperatorCache` fills one adjoint pair
+    per run and every coarser level reads its block. Last, every
+    ``zeta_n`` and ``u_n`` is formed in step order with the same factors;
+    the blend zero-pads ``u_{n-1}`` into the (nested) finer span. A step
+    is capped when its raw level exceeds its level. The shift never grows
+    from step to step and the level rule never rises as it falls, so the
+    levels never fall. A non-finite ``G_n`` or final iterate raises
+    ``np.linalg.LinAlgError``; the first is raised before any ``rhs`` call.
     """
     threshold = config.C * delta ** config.eps
     q = config.q
-    a, u, G = config.alpha0, np.zeros(1), 0.0
-    trace = []
+    a, G = config.alpha0, 0.0
+    trace, factors = [], []
     reason = "max_iter"
     for n in range(1, config.max_iter + 1):
         a = a * q
-        m_raw, m, factor, v, g = systems(a)
-        zeta = solve_spd_shifted(factor, v)
-        gamma = solve_spd_shifted(factor, g)
-        padded = np.zeros(len(zeta))  # np.pad costs 15x more per call
-        padded[: len(u)] = u
-        u = q * padded + (1.0 - q) * zeta
-        gamma_norm = _norm(gamma)
+        m_raw, m, factor, g = systems(a)
+        gamma_norm = _norm(solve_spd_shifted(factor, g))
         G = q * G + (1.0 - q) * a * gamma_norm
         trace.append(StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=G))
+        factors.append(factor)
         if not math.isfinite(G):
             raise np.linalg.LinAlgError(f"G is not finite after step {n} (level {m}, shift {a!r})")
         if G <= threshold:
             reason = "discrepancy_met" if n > 1 else "initial_below_threshold"
             break
+    v = {level: rhs(level) for level in sorted({rec.m for rec in trace}, reverse=True)}
+    u = np.zeros(1)
+    for rec, factor in zip(trace, factors):
+        zeta = solve_spd_shifted(factor, v[rec.m])
+        padded = np.zeros(len(zeta))  # np.pad costs 15x more per call
+        padded[: len(u)] = u
+        u = q * padded + (1.0 - q) * zeta
     if not np.isfinite(u).all():
         raise np.linalg.LinAlgError(f"u is not finite after step {n} (level {m}, shift {a!r})")
     capped = any(rec.m_raw > rec.m for rec in trace)
@@ -252,21 +262,21 @@ def run_adaptive(ops, f_samples, delta, config):
     a grid that does not refine as above and on a ``delta`` that is not
     finite and positive, and ``np.linalg.LinAlgError`` on a breakdown
     (see :func:`_run_loop`). The data are projected once, at ``m_cap``.
+    The stop reads only them, so every level is known before ``ops.rhs``
+    is asked, once per visited level and finest first: a cold cache makes
+    one adjoint fill per run.
     """
     _check_data(f_samples, delta)
     _check_grid(f_samples, 180 * 2 ** config.m_cap)
     c1 = _EXPONENTIAL_KERNEL.c1
     g = ops.data(f_samples, config.m_cap)  # the spans nest: level m reads g[: 2**m]
-    rhs_cache = {}
 
     def systems(a):
         m_raw = rank_schedule(a, c1, config.eta)
         m = min(m_raw, config.m_cap)
-        if m not in rhs_cache:
-            rhs_cache[m] = ops.rhs(f_samples, m)
-        return m_raw, m, ops.factor(m, a), rhs_cache[m], g[: 2 ** m]
+        return m_raw, m, ops.factor(m, a), g[: 2 ** m]
 
-    return _run_loop(delta, config, systems)
+    return _run_loop(delta, config, systems, lambda m: ops.rhs(f_samples, m))
 
 
 def run_fixed(ops, f_samples, delta, config, m):
@@ -285,7 +295,7 @@ def run_fixed(ops, f_samples, delta, config, m):
     v = ops.galerkin(m).T @ g
 
     def systems(a):
-        return m, m, ops.factor(m, a, galerkin=True), v, g
+        return m, m, ops.factor(m, a, galerkin=True), g
 
-    return _run_loop(delta, config, systems)
+    return _run_loop(delta, config, systems, lambda _: v)
 

@@ -208,11 +208,20 @@ def test_out_of_memory_exit_code(capsys):
     assert capsys.readouterr().err.startswith("out of memory:")
 
 
-def test_console_script_entry_exits_with_main_status():
+def test_console_script_entry_exits_with_main_status(tmp_path):
     # pyproject's fredreg = "fredreg.cli:run", in a process of its own
     done = run_python(["-c", "from fredreg.cli import run; run()", "solve", "--seed", "-1"])
     assert done.returncode == 2
     assert done.stderr.startswith("configuration error"), done.stderr
+    # run() freezes the collector before it exits: a solve still leaves its
+    # whole stdout and CSV, and an atexit handler still runs after them
+    out = tmp_path / "u.csv"
+    code = "import atexit; atexit.register(print, 'atexit ran'); from fredreg.cli import run; run()"
+    done = run_python(["-c", code, "solve", "--noise", "0.01", "--out", str(out)])
+    assert done.returncode == 0, done.stderr
+    assert " stop=discrepancy_met " in done.stdout
+    assert done.stdout.endswith("\natexit ran\n")
+    assert len(out.read_text().splitlines()) == 101
 
 
 def test_argparse_error_exit_code():

@@ -411,10 +411,10 @@ def test_overflowing_iterate_is_a_breakdown():
     # g = 0 keeps G at 0, so the rule holds at step 1, while v / a overflows u
     def systems(a):
         factor = assembly.factor_spd_shifted(np.zeros((2, 2)), a)
-        return 1, 1, factor, np.full(2, 1e308), np.zeros(2)
+        return 1, 1, factor, np.zeros(2)
 
     with pytest.raises(np.linalg.LinAlgError, match=r"u is not finite after step 1 \(level 1"):
-        iteration._run_loop(1.0, SolverConfig(), systems)
+        iteration._run_loop(1.0, SolverConfig(), systems, lambda m: np.full(2, 1e308))
 
 
 def test_scaled_data_returns_or_breaks_down_honestly():
@@ -564,8 +564,10 @@ class TestFactorCache:
 
             def systems(m):
                 return k.T @ k, k @ k.T
-        assert len(solves) == 2 * out.n_delta
-        for rec, ((_, v), _, zeta), ((_, g), _, gamma) in zip(out.trace, solves[::2], solves[1::2]):
+        # the discrepancy solves of every step come first, then the updates
+        n = out.n_delta
+        assert len(solves) == 2 * n
+        for rec, ((_, g), _, gamma), ((_, v), _, zeta) in zip(out.trace, solves[:n], solves[n:]):
             a_mat, b_mat = systems(rec.m)
             assert np.array_equal(zeta, plain_solve(a_mat, rec.a, v))
             assert np.array_equal(gamma, plain_solve(b_mat, rec.a, g))
@@ -590,13 +592,18 @@ class TestFactorCache:
         noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.005, seed=1))
         solves = record_calls(monkeypatch, iteration, "solve_spd_shifted")
         adaptive = run_adaptive(ops, noisy, dabs, SolverConfig())
+        n_adaptive = len(solves)
         fixed = run_fixed(ops, noisy, dabs, SolverConfig(), 3)
-        steps = [(rec, False) for rec in adaptive.trace] + [(rec, True) for rec in fixed.trace]
-        assert len(solves) == 2 * len(steps)
-        for (rec, galerkin), ((update, _), _, _), ((discrepancy, _), _, _) in zip(
-            steps, solves[::2], solves[1::2]
+        for out, galerkin, calls in (
+            (adaptive, False, solves[:n_adaptive]), (fixed, True, solves[n_adaptive:])
         ):
-            assert update is discrepancy is ops.factor(rec.m, rec.a, galerkin)
+            # the discrepancy solves of every step come first, then the updates
+            n = out.n_delta
+            assert len(calls) == 2 * n
+            for rec, ((discrepancy, _), _, _), ((update, _), _, _) in zip(
+                out.trace, calls[:n], calls[n:]
+            ):
+                assert update is discrepancy is ops.factor(rec.m, rec.a, galerkin)
 
     def test_cold_fixed_run_factors_once_per_step(self, deep, monkeypatch):
         _, noisy, delta = deep
@@ -606,6 +613,27 @@ class TestFactorCache:
         out = run_fixed(ops, noisy, delta, SolverConfig(m_cap=8), 4)
         assert len(factors) == out.n_delta > 1
         assert [args for args, _, _ in builds] == [(4,)]
+
+    def test_cold_adaptive_run_fills_the_adjoint_once(self, bench, monkeypatch):
+        # the stop reads only g, so the levels are known before any v: the
+        # finest visited level fills the pair and the coarser ones read its blocks
+        _, _, samples = bench
+        noisy, dabs = add_noise(samples, NoiseSpec(rel_level=0.01, seed=0))
+        config = SolverConfig(m_cap=6)
+        filled = OperatorCache()
+        for m in range(1, 7):
+            filled.rhs(noisy, m)
+        # and a cache whose every level reads a fill of its own
+        own_fill = OperatorCache()
+        monkeypatch.setattr(own_fill, "rhs", lambda f, m: OperatorCache().rhs(f, m))
+        references = [run_adaptive(ops, noisy, dabs, config) for ops in (filled, own_fill)]
+        fills = record_calls(monkeypatch, assembly, "exp_haar_matrix")
+        cold = run_adaptive(OperatorCache(), noisy, dabs, config)
+        assert {rec.m for rec in cold.trace} == {1, 3, 5, 6}
+        assert [args[1] for args, kwargs, _ in fills if "t_out" in kwargs] == [6]
+        for reference in references:
+            assert np.array_equal(cold.solution, reference.solution)
+            assert cold.trace == reference.trace
 
     def test_factors_are_read_only(self, bench):
         _, ops, _ = bench
