@@ -17,7 +17,7 @@ Iteration stops with a discrepancy-type rule: the functional
 
 is driven below ``C * delta**eps``. ``B_{m_n}`` represents ``K K*``; the
 kernel ``exp(-s t)`` is symmetric, so ``B_{m_n} = A_{m_n}`` and both
-solves of a step share one factor. A fixed-level variant of the loop
+systems of a step share one solve. A fixed-level variant of the loop
 (:func:`run_fixed`) uses the exact Galerkin matrix of the operator at a
 constant level as the baseline for comparison. The matrices, their
 factors and the shifted solves come from :mod:`.assembly`.
@@ -25,6 +25,7 @@ factors and the shifted solves come from :mod:`.assembly`.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -124,11 +125,10 @@ class SolveOutcome:
 def rank_schedule(a, c1, eta, m_cap=None):
     """Smallest level ``m >= 1`` meeting three accuracy conditions at scale ``a``.
 
-    The conditions are ``c1 / 16**m <= a/2`` (the normal-operator bound
-    of :func:`.error_budget`), ``(17/180) / 4**m <= eta * a**2`` (its mixed
-    bound, with the exponential kernel's ``c1 + sup/180 = 17/180``; the
-    ``c1`` argument does not enter it) and ``c1 / 4**m <= sqrt(a)/2`` (for
-    this kernel ``16 * bound_adjoint``). The level is the largest of their
+    The conditions are ``c1 / 16**m <= a/2`` (the normal-operator bound of
+    :func:`.error_budget`), ``(c1 + sup/180) / 4**m <= eta * a**2`` (its
+    mixed bound, ``sup = 1``) and ``c1 / 4**m <= sqrt(a)/2`` (for this
+    kernel ``16 * bound_adjoint``). The level is the largest of their
     three ceilings, floored at 1 (the raw ceilings go non-positive for
     large ``a``) and optionally clamped to ``m_cap``, an integer ``>= 1``.
     The ceilings are taken from sums of logarithms, so every finite
@@ -145,7 +145,7 @@ def rank_schedule(a, c1, eta, m_cap=None):
     log2 = math.log(2.0)
     log_a, log_2c1 = math.log(a), math.log(2.0) + math.log(c1)
     t_normal = math.ceil((log_2c1 - log_a) / (4.0 * log2))
-    mixed = _EXPONENTIAL_KERNEL.c1 + _EXPONENTIAL_KERNEL.sup_bound / 180.0
+    mixed = c1 + _EXPONENTIAL_KERNEL.sup_bound / 180.0
     t_mixed = math.ceil((math.log(mixed) - math.log(eta) - 2.0 * log_a) / (2.0 * log2))
     t_adjoint = math.ceil((log_2c1 - 0.5 * log_a) / (2.0 * log2))
     m = max(t_normal, t_mixed, t_adjoint, 1)
@@ -179,36 +179,36 @@ def _norm(x, norm=lambda v: math.sqrt(v.dot(v))):
     return value
 
 
-def _run_loop(delta, config, systems, rhs):
-    """The loop both schemes share: systems(a) -> (m_raw, m, L, g) for the shift ``a = a_n``.
+def _run_loop(delta, config, g, systems, rhs):
+    """The loop both schemes share: systems(a) -> (m_raw, m, solve) for the shift ``a = a_n``.
 
-    ``L`` is the factor of ``a I + A`` and ``g`` the data coefficients at
-    level ``m``; ``rhs(m)`` gives the adjoint right-hand side ``v`` there.
-    ``G_n`` reads only ``g``, the shift and the level, never the iterate,
-    so the discrepancy recursion runs first: per step the level, the
-    factor, ``gamma``, ``G_n`` (its increment carries the factor
-    ``1 - q``) and the stop. Then ``rhs`` is asked once per visited level,
-    finest first, so a cold :class:`.OperatorCache` fills one adjoint pair
-    per run and every coarser level reads its block. Last, every
-    ``zeta_n`` and ``u_n`` is formed in step order with the same factors;
-    the blend zero-pads ``u_{n-1}`` into the (nested) finer span. A step
-    is capped when its raw level exceeds its level. The shift never grows
-    from step to step and the level rule never rises as it falls, so the
-    levels never fall. A non-finite ``G_n`` or final iterate raises
+    ``solve(b)`` solves ``(a I + A_m) x = b``, the data at level ``m`` are
+    ``g[: 2**m]`` and ``rhs(m)`` gives the adjoint right-hand side ``v``.
+    ``G_n`` reads only the data, the shift and the level, never the
+    iterate, so the discrepancy recursion runs first: per step the level,
+    ``gamma = solve(g[: 2**m])``, ``G_n`` (its increment carries the
+    factor ``1 - q``) and the stop. Then ``rhs`` is asked once per visited
+    level, finest first, so a cold :class:`.OperatorCache` fills one
+    adjoint pair per run and every coarser level reads its block. Last,
+    every ``zeta_n = solve(v)`` and ``u_n`` is formed in step order with
+    the same solves; the blend zero-pads ``u_{n-1}`` into the (nested)
+    finer span. A step is capped when its raw level exceeds its level.
+    The levels never fall: the shift never grows and the level rule never
+    rises as it falls. A non-finite ``G_n`` or final iterate raises
     ``np.linalg.LinAlgError``; the first is raised before any ``rhs`` call.
     """
     threshold = config.C * delta ** config.eps
     q = config.q
     a, G = config.alpha0, 0.0
-    trace, factors = [], []
+    trace, solves = [], []
     reason = "max_iter"
     for n in range(1, config.max_iter + 1):
         a = a * q
-        m_raw, m, factor, g = systems(a)
-        gamma_norm = _norm(solve_spd_shifted(factor, g))
+        m_raw, m, solve = systems(a)
+        gamma_norm = _norm(solve(g[: 2 ** m]))
         G = q * G + (1.0 - q) * a * gamma_norm
         trace.append(StepRecord(n=n, a=a, m=m, m_raw=m_raw, gamma_norm=gamma_norm, G=G))
-        factors.append(factor)
+        solves.append(solve)
         if not math.isfinite(G):
             raise np.linalg.LinAlgError(f"G is not finite after step {n} (level {m}, shift {a!r})")
         if G <= threshold:
@@ -216,8 +216,8 @@ def _run_loop(delta, config, systems, rhs):
             break
     v = {level: rhs(level) for level in sorted({rec.m for rec in trace}, reverse=True)}
     u = np.zeros(1)
-    for rec, factor in zip(trace, factors):
-        zeta = solve_spd_shifted(factor, v[rec.m])
+    for rec, solve in zip(trace, solves):
+        zeta = solve(v[rec.m])
         padded = np.zeros(len(zeta))  # np.pad costs 15x more per call
         padded[: len(u)] = u
         u = q * padded + (1.0 - q) * zeta
@@ -274,9 +274,9 @@ def run_adaptive(ops, f_samples, delta, config):
     def systems(a):
         m_raw = rank_schedule(a, c1, config.eta)
         m = min(m_raw, config.m_cap)
-        return m_raw, m, ops.factor(m, a), g[: 2 ** m]
+        return m_raw, m, partial(solve_spd_shifted, ops.factor(m, a))
 
-    return _run_loop(delta, config, systems, lambda m: ops.rhs(f_samples, m))
+    return _run_loop(delta, config, g, systems, lambda m: ops.rhs(f_samples, m))
 
 
 def run_fixed(ops, f_samples, delta, config, m):
@@ -295,7 +295,7 @@ def run_fixed(ops, f_samples, delta, config, m):
     v = ops.galerkin(m).T @ g
 
     def systems(a):
-        return m, m, ops.factor(m, a, galerkin=True), g
+        return m, m, partial(solve_spd_shifted, ops.factor(m, a, galerkin=True))
 
-    return _run_loop(delta, config, systems, lambda _: v)
+    return _run_loop(delta, config, g, systems, lambda _: v)
 

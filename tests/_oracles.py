@@ -159,14 +159,14 @@ def run_steps(ops, f_samples, n, config):
 def level_ceilings(a, c1, eta):
     """The three raw ceilings of :func:`fredreg.rank_schedule`'s level rule at shift ``a``.
 
-    ``(ceil(log2(2 c1 / a) / 4), ceil(log2(17 / (180 eta a**2)) / 2),
+    ``(ceil(log2(2 c1 / a) / 4), ceil(log2((c1 + 1/180) / (eta a**2)) / 2),
     ceil(log2(2 c1 / sqrt(a)) / 2))`` by direct quotients; the level is
     ``max`` of them and 1. A reference wherever the quotients neither
     over- nor underflow, roughly for ``a`` in ``[1e-154, 1e154]``.
     """
     return (
         math.ceil(math.log2(2.0 * c1 / a) / 4.0),
-        math.ceil(math.log2(17.0 / (180.0 * eta * a * a)) / 2.0),
+        math.ceil(math.log2((c1 + 1.0 / 180.0) / (eta * a * a)) / 2.0),
         math.ceil(math.log2(2.0 * c1 / math.sqrt(a)) / 2.0),
     )
 

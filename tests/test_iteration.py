@@ -79,7 +79,7 @@ def decimal_rank(a, c1, eta):
             return int((x.ln() / (k * ln2)).to_integral_value(rounding=ROUND_CEILING))
 
         t1 = ceil_log2(2 * c1 / a, 4)
-        t2 = ceil_log2(17 / (180 * eta * a * a), 2)
+        t2 = ceil_log2((c1 + Decimal(1) / 180) / (eta * a * a), 2)
         t3 = ceil_log2(2 * c1 / a.sqrt(), 2)
         return max(t1, t2, t3, 1)
 
@@ -164,7 +164,7 @@ class TestRankSchedule:
 
     @pytest.mark.parametrize("a", [1e200, 1e-160, 1e-170, 5e-324, sys.float_info.max])
     def test_extreme_scales(self, a):
-        # direct quotients give ceil(inf) at 1e-160, 17 / 0 at 1e-170 and log(0) at 1e200
+        # direct quotients give ceil(inf) at 1e-160, x / 0 at 1e-170 and log(0) at 1e200
         m = rank_schedule(a, C1, 10.0)
         assert m == decimal_rank(a, C1, 10.0)
         assert rank_schedule(a, C1, 10.0, m_cap=6) == min(m, 6)
@@ -185,6 +185,19 @@ class TestRankSchedule:
             a = q ** n
             smallest = next(m for m in itertools.count(1) if within(a, m))
             assert rank_schedule(a, C1, eta) == smallest, n
+
+    @pytest.mark.parametrize("c1", [1e-3, 0.05, C1, 1.0, 5.0])
+    def test_every_ceiling_reads_c1(self, c1):
+        # with the mixed constant fixed at 17/180, rank_schedule(1e-4, 1.0, 10.0)
+        # returned 10, where (1 + 1/180) / 4**10 = 9.6e-7 > eta a**2 = 1e-7;
+        # the smallest level is 12
+        def within(a, eta, m):
+            return (c1 / 16 ** m <= a / 2 and (c1 + 1 / 180) / 4 ** m <= eta * a * a
+                    and c1 / 4 ** m <= math.sqrt(a) / 2)
+
+        for a, eta in itertools.product([0.3, 1e-2, 1e-4, 3e-7], [10.0, 300.0]):
+            smallest = next(m for m in itertools.count(1) if within(a, eta, m))
+            assert rank_schedule(a, c1, eta) == smallest, (a, eta)
 
     def test_cap(self):
         assert rank_schedule(1e-8, C1, 10.0, m_cap=6) == 6
@@ -408,13 +421,46 @@ def test_overflowing_discrepancy_is_a_breakdown(scheme):
 
 
 def test_overflowing_iterate_is_a_breakdown():
-    # g = 0 keeps G at 0, so the rule holds at step 1, while v / a overflows u
+    # g = 0 keeps G at 0, so the rule holds at step 1, while v / a overflows
+    # u. The solve of A = 0 is b / a, with no LAPACK; its overflow warning is
+    # silenced, as LAPACK's dpotrs overflows without one
     def systems(a):
-        factor = assembly.factor_spd_shifted(np.zeros((2, 2)), a)
-        return 1, 1, factor, np.zeros(2)
+        return 1, 1, lambda b: b / a
 
-    with pytest.raises(np.linalg.LinAlgError, match=r"u is not finite after step 1 \(level 1"):
-        iteration._run_loop(1.0, SolverConfig(), systems, lambda m: np.full(2, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(
+        np.linalg.LinAlgError, match=r"u is not finite after step 1 \(level 1"
+    ):
+        iteration._run_loop(1.0, SolverConfig(), np.zeros(2), systems, lambda m: np.full(2, 1e308))
+
+
+def test_loop_runs_a_spectral_solve():
+    # the loop sees only solve(b): the dense spectral form V((V^T b) / (a + lam))
+    # of A_m = V diag(lam) V^T, on run_adaptive's g and rhs, makes the same
+    # stop, as G_{n-1} is 1.87x the threshold. Measured against the Cholesky
+    # run: every G within 2.3e-15 relative and the solution within 1.9e-15
+    # (5.1e-15 with OpenBLAS's Haswell kernels, 3.4e-15 with its Sandybridge
+    # ones). Both bounds are 1e-13, 20x and more the worst and below
+    # eps / a_n = 2.3e-13 at the last shift
+    ops = OperatorCache()
+    noisy, dabs = _noisy_benchmark(6, seed=0)
+    config = SolverConfig(m_cap=6)
+    reference = run_adaptive(ops, noisy, dabs, config)
+
+    def systems(a):
+        m_raw = rank_schedule(a, C1, config.eta)
+        m = min(m_raw, config.m_cap)
+        lam, V = np.linalg.eigh(ops.gram(m))
+        return m_raw, m, lambda b: V @ ((V.T @ b) / (a + lam))
+
+    g = ops.data(noisy, config.m_cap)
+    out = iteration._run_loop(dabs, config, g, systems, lambda m: ops.rhs(noisy, m))
+    assert (out.n_delta, out.m_final, out.stop_reason) == (
+        reference.n_delta, reference.m_final, reference.stop_reason
+    ) == (5, 6, "discrepancy_met")
+    assert [(r.m, r.m_raw) for r in out.trace] == [(r.m, r.m_raw) for r in reference.trace]
+    for rec, ref in zip(out.trace, reference.trace):
+        assert rec.G == pytest.approx(ref.G, rel=1e-13)
+    assert np.max(np.abs(out.solution - reference.solution)) <= 1e-13
 
 
 def test_scaled_data_returns_or_breaks_down_honestly():
