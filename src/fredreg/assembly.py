@@ -25,7 +25,6 @@ factors, so that repeated solves (iterations, seeds) only pay for
 matrix-vector work and triangular solves.
 """
 
-import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -264,28 +263,6 @@ def galerkin_matrix(m):
     return 0.5 * (k + k.T)
 
 
-def _malloc_trim():
-    """glibc's ``malloc_trim``, or ``None`` where the C library has none.
-
-    glibc serves an allocation below its mmap threshold from the heap, and
-    each mmapped block it frees raises that threshold, up to 32 MB. So
-    after one release a moment array of level 7 (23.6 MB) or below comes
-    from the heap, whose freed pages stay resident until
-    ``malloc_trim(0)`` hands them back. glibc also returns the top of the
-    heap by itself, but only while nothing is allocated above the freed
-    arrays; the trim makes the release independent of allocation order.
-    """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-    trim.argtypes = [ctypes.c_size_t]
-    return trim
-
-
-_MALLOC_TRIM = _malloc_trim()
-
-
 class OperatorCache:
     """Level-keyed cache of the noise-independent assembly products.
 
@@ -308,13 +285,14 @@ class OperatorCache:
             )
         self._store = {}
 
-    def _lookup(self, key, name, build):
+    def _lookup(self, key, build):
         """The entry under ``key = (product, level, ...)``, made by ``build()`` on a miss.
 
-        The level is checked before the store is read, so ``True`` never
-        finds level 1's entry. A build that raises stores nothing.
+        The level, named ``"<product> level"`` in a refusal, is checked
+        before the store is read, so ``True`` never finds level 1's entry.
+        A build that raises stores nothing.
         """
-        _check_level(name, key[1], 1)
+        _check_level(f"{key[0]} level", key[1], 1)
         value = self._store.get(key)
         if value is None:
             value = self._store[key] = build()
@@ -324,7 +302,7 @@ class OperatorCache:
         """``A_m``, read-only; the kernel is symmetric, so both sides are this object."""
         if side not in ("domain", "range"):
             raise ValueError(f"side must be 'domain' or 'range', got {side!r}")
-        return self._lookup(("gram", m), "gram level", lambda: assemble_gram(m))
+        return self._lookup(("gram", m), lambda: assemble_gram(m))
 
     def rhs(self, f_samples, m):
         """Coefficients ``v_i = <Km* f, Phi_i>`` of the approximate adjoint, ``m >= 1``.
@@ -337,34 +315,32 @@ class OperatorCache:
         against the basis are the closed-form moment matrices of
         :mod:`.haar`.
 
-        The cache holds one moment pair, ``2 * 180 * 4**top`` doubles, at
-        the finest level ``top`` asked so far. The partitions nest, so
+        The cache holds one moment pair at the finest level ``top`` asked
+        so far: one ``(2, 180 * 2**top, 2**top)`` array, ``E`` in ``[0]``
+        and the t-weighted ``E_t`` in ``[1]``. The partitions nest, so
         level ``m <= top`` reads the block ``[::2**(top-m), :2**m]`` of
-        it, bit for bit its own fill; :func:`.run_adaptive` asks its levels
-        finest first, so a solve on a cold cache fills once. The sample
-        grid is checked first, so a grid that does not refine the cells
-        raises with the held pair untouched. A level above ``top`` then
-        releases the held pair before it fills its own, so no two pairs
-        are alive at once, and where the C library is glibc its pages go
-        back to the system before the fill; a fill that raises leaves no
-        pair held. The fill is one ``exp_haar_matrix(..., t_out=)`` call
-        that writes both matrices; the name is looked up as a module
-        global, so a tracer that replaces it sees every fill. The sample
-        moments are formed after any fill, so they are not alive during it.
+        each, bit for bit its own fill; :func:`.run_adaptive` asks its
+        levels finest first, so a solve on a cold cache fills once. The
+        sample grid is checked first, so a grid that does not refine the
+        cells raises with the held pair untouched. A level above ``top``
+        then releases the held pair before it fills its own, so no two
+        pairs are alive at once; a fill that raises leaves no pair held.
+        From level 7 on the pair is over 32 MiB, glibc's largest mmap
+        threshold, so it is always mapped on its own and its pages go
+        back to the system when it is released. The fill is one
+        ``exp_haar_matrix(..., pair=True)`` call; the name is looked up as
+        a module global, so a tracer that replaces it sees every fill. The
+        sample moments are formed after any fill, so they are not alive
+        during it.
         """
         _check_level("adjoint partition level", m, 1)
         _check_grid(f_samples, 180 * 2 ** m)
         if m > self._store.get("adjoint", (0,))[0]:
             self._store.pop("adjoint", None)
-            if _MALLOC_TRIM is not None:
-                _MALLOC_TRIM(0)
-            c = sample_grid(m)[:-1]
-            e1 = np.empty((len(c), 2 ** m))
-            self._store["adjoint"] = (m, exp_haar_matrix(c, m, t_out=e1), e1)
+            self._store["adjoint"] = (m, exp_haar_matrix(sample_grid(m)[:-1], m, pair=True))
         m0, m1 = _moments(f_samples, m)
-        top, e0, e1 = self._store["adjoint"]
-        step = 2 ** (top - m)
-        e0, e1 = e0[::step, : 2 ** m], e1[::step, : 2 ** m]
+        top, pair = self._store["adjoint"]
+        e0, e1 = pair[:, :: 2 ** (top - m), : 2 ** m]
         if m == 1:
             # OpenBLAS's AVX2 and AVX-512 dgemv sum a leading dimension of
             # 2 by their own rule; a contiguous copy keeps that rule, and
@@ -377,7 +353,7 @@ class OperatorCache:
         return project(f_samples, m)
 
     def galerkin(self, m):
-        return self._lookup(("galerkin", m), "galerkin level", lambda: galerkin_matrix(m))
+        return self._lookup(("galerkin", m), lambda: galerkin_matrix(m))
 
     def factor(self, m, a, galerkin=False):
         """Factor of ``a I + M`` from :func:`factor_spd_shifted`.
@@ -399,4 +375,4 @@ class OperatorCache:
                 return factor_spd_shifted(k.T @ k, a)
             return factor_spd_shifted(self.gram(m), a)
 
-        return self._lookup(("factor", m, galerkin, a), "factor level", build)
+        return self._lookup(("factor", m, galerkin, a), build)

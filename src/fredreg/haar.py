@@ -132,7 +132,7 @@ def _column0_exp_t(zero, cs):
     return col
 
 
-def exp_haar_matrix(c, m, *, t_out=None):
+def exp_haar_matrix(c, m, *, pair=False):
     """Matrix of ``int_0^1 exp(-c_k t) Phi_j(t) dt`` for ``j = 1..2**m``.
 
     Parameters
@@ -141,10 +141,10 @@ def exp_haar_matrix(c, m, *, t_out=None):
         Decay rates in ``[0, log(float max) ~ 709.78]``, one per row.
     m : int
         Span level; the result has shape ``(len(c), 2**m)``.
-    t_out : ndarray, optional
-        Float64 array of that shape (a view is fine); the same pass writes
-        :func:`exp_t_haar_matrix` of ``c`` and ``m`` into it. The result
-        itself is always a new array.
+    pair : bool, optional
+        If true, return one new ``(2, len(c), 2**m)`` array: this matrix
+        in ``[0]`` and :func:`exp_t_haar_matrix` of ``c`` and ``m`` in
+        ``[1]``, both written in the same pass.
 
     Every entry is one closed form. The wavelet columns use the
     cancellation-free ``((A/c) * exp(-c*mid) * 4) * sinh(c*h/2)**2``
@@ -163,16 +163,15 @@ def exp_haar_matrix(c, m, *, t_out=None):
     zero, cs = _rates(c)
     _check_level("level", m, 0)
     shape = (len(cs), 2 ** m)
-    if t_out is not None and (t_out.shape != shape or t_out.dtype != np.float64):
-        raise ValueError(
-            f"t_out must be a float64 array of shape {shape}, got {t_out.dtype} {t_out.shape}"
-        )
-    out = np.empty(shape)
+    if pair:
+        both = np.empty((2,) + shape)
+        out, out_t = both
+        out_t[:, 0] = _column0_exp_t(zero, cs)
+    else:
+        out = np.empty(shape)
     out[:, 0] = _column0_exp(zero, cs)
-    if t_out is not None:
-        t_out[:, 0] = _column0_exp_t(zero, cs)
     if m == 0:
-        return out
+        return both if pair else out
     amp, mid = _tables(m)
     counts = 2 ** np.arange(m)  # wavelet level l has 2**(l-1) columns, from column 2**(l-1)
     A = amp[counts][None, :]
@@ -196,44 +195,44 @@ def exp_haar_matrix(c, m, *, t_out=None):
         block *= sinh2
         out[rows, 1:] = block
         del block  # one block buffer fewer alive in the t-weighted half
-        if t_out is not None:
+        if pair:
             np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
             x *= 4.0
             x *= sinh2
             x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
             e *= expand(A / Cr ** 2)
             x *= e
-            t_out[rows, 1:] = x
+            out_t[rows, 1:] = x
     # the blocks took the zero rates as 1: their rows get the c = 0 limits
     out[zero, 1:] = 0.0
-    if t_out is not None:
-        t_out[zero, 1:] = expand(-A * H * H)
-    return out
+    if pair:
+        out_t[zero, 1:] = expand(-A * H * H)
+    return both if pair else out
 
 
 def exp_t_haar_matrix(c, m):
     """Matrix of ``int_0^1 t exp(-c_k t) Phi_j(t) dt``, shape ``(len(c), 2**m)``.
 
     Companion of :func:`exp_haar_matrix` for the t-weighted moment that
-    appears in the first-order Taylor replacement of the adjoint; to get
-    both from one pass, pass an array as ``exp_haar_matrix``'s ``t_out``,
-    as this function does. The wavelet columns are
+    appears in the first-order Taylor replacement of the adjoint; for
+    both from one pass, call ``exp_haar_matrix`` with ``pair=True``, as
+    this function does. The wavelet columns are
     ``((A/c**2) * exp(-c*mid)) * bracket`` with
     ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
     filled like :func:`exp_haar_matrix` and bit-identical to the formula.
     Column ``j = 1`` is ``exp(-c) * (expm1(c) - c) / c**2``, and below
     ``c = 1e-3``, where that cancels, its series to ``c**5``. The rows go
-    through ``exp_haar_matrix`` in chunks of 32 768 entries, so the
-    matrix it returns alongside, dropped here, costs one chunk of memory.
+    through ``exp_haar_matrix`` in chunks of 32 768 entries, each pair
+    copied out of and dropped, so the pairs cost two chunks of memory.
     """
-    _rates(c)  # every rate rule, checked before t_out is allocated
+    _rates(c)  # every rate rule, checked before the result is allocated
     _check_level("level", m, 0)
     c = np.ravel(c)
-    t_out = np.empty((len(c), 2 ** m))
+    out = np.empty((len(c), 2 ** m))
     step = max(1, _FILL_ENTRIES // 2 ** m)
     for r0 in range(0, len(c), step):
-        exp_haar_matrix(c[r0: r0 + step], m, t_out=t_out[r0: r0 + step])
-    return t_out
+        out[r0: r0 + step] = exp_haar_matrix(c[r0: r0 + step], m, pair=True)[1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,13 @@ UNREACHABLE_DELTA = 1e-300
 def adjoint_pair(ops, m):
     """Level ``m``'s moment pair: the block of the pair ``ops.rhs`` holds, as it reads it.
 
-    The held pair is at the finest level ``top`` asked so far; level
-    ``m <= top`` is its block ``[::2**(top-m), :2**m]``, a view.
+    The held pair is one ``(2, n, 2**top)`` array at the finest level
+    ``top`` asked so far; level ``m <= top`` is the block
+    ``[::2**(top-m), :2**m]`` of each of its two matrices, a view.
     """
-    top, e0, e1 = ops._store["adjoint"]
+    top, pair = ops._store["adjoint"]
     step = 2 ** (top - m)
-    return e0[::step, : 2 ** m], e1[::step, : 2 ** m]
+    return pair[0][::step, : 2 ** m], pair[1][::step, : 2 ** m]
 
 
 def record_calls(monkeypatch, module, name):

@@ -178,13 +178,13 @@ class TestAdjointFill:
         for i, m in enumerate(order):
             ops.rhs(np.zeros(len(sample_grid(m))), m)
             e0, e1 = adjoint_pair(ops, m)
-            # one pair is held, as its own arrays, at the finest level asked
-            # so far; no level is filled before it is asked for
+            # one pair is held, as one array of its own, at the finest level
+            # asked so far; no level is filled before it is asked for
             top = max(order[: i + 1])
             assert list(ops._store) == ["adjoint"] and ops._store["adjoint"][0] == top
-            for held in ops._store["adjoint"][1:]:
-                assert held.base is None and held.flags.c_contiguous
-                assert held.shape == (180 * 2 ** top, 2 ** top)
+            held = ops._store["adjoint"][1]
+            assert held.base is None and held.flags.c_contiguous
+            assert held.shape == (2, 180 * 2 ** top, 2 ** top)
             for e in (e0, e1):
                 assert e.shape == (180 * 2 ** m, 2 ** m)
             for rows, f0, f1 in _full_fill_rows(m):
@@ -245,18 +245,6 @@ class TestAdjointFill:
             tracemalloc.stop()
         pair_bytes = 2 * 180 * 4 ** 8 * 8
         assert peak <= pair_bytes + 4 * 2 ** 20, peak
-
-    def test_a_finer_fill_trims_the_heap_between_the_release_and_the_fill(self, monkeypatch):
-        # glibc keeps a freed pair under its mmap threshold resident until
-        # malloc_trim; the trim runs once per fill, with no pair held
-        ops = OperatorCache()
-        samples = np.zeros(len(sample_grid(3)))
-        ops.rhs(samples, 2)
-        stores = []
-        monkeypatch.setattr(assembly, "_MALLOC_TRIM", lambda pad: stores.append(dict(ops._store)))
-        ops.rhs(samples, 3)
-        ops.rhs(samples, 2)
-        assert stores == [{}] and ops._store["adjoint"][0] == 3
 
     def test_a_finer_fill_that_raises_leaves_no_pair_and_a_coarser_level_refills(
         self, monkeypatch
@@ -532,8 +520,8 @@ class TestOperatorCache:
     def test_builds_call_the_module_globals(self, monkeypatch):
         # a tracer wraps these names of fredreg.assembly and finds every
         # fill, Gram, Galerkin and projection call only through them; each
-        # adjoint fill writes both moment matrices in one exp_haar_matrix
-        # call (t_out), and exp_t_haar_matrix stays a name a tracer can wrap
+        # adjoint fill is one exp_haar_matrix call (pair=True) whose result
+        # is the held pair, and exp_t_haar_matrix stays a name a tracer can wrap
         calls = {}
         for name in ("exp_haar_matrix", "exp_t_haar_matrix", "assemble_gram",
                      "galerkin_matrix", "project"):
@@ -547,7 +535,7 @@ class TestOperatorCache:
         for m, filled in ((3, 1), (5, 2)):  # one fill each; level 5's releases level 3's
             ops.rhs(samples, m)
             assert seen() == {"exp_haar_matrix": filled}
-            assert calls["exp_haar_matrix"][-1][1]["t_out"] is adjoint_pair(ops, m)[1].base
+            assert calls["exp_haar_matrix"][-1][2] is ops._store["adjoint"][1]
         ops.gram(3)
         ops.gram(3)
         assert seen() == {"exp_haar_matrix": 3, "assemble_gram": 1}

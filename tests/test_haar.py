@@ -382,11 +382,9 @@ def _fill_inputs(m):
     }
 
 
-def _pair(c, m, t_out=None):
-    """Both moment matrices from one pass: ``exp_haar_matrix`` with ``t_out``."""
-    if t_out is None:
-        t_out = np.empty((len(c), 2 ** m))
-    return exp_haar_matrix(c, m, t_out=t_out), t_out
+def _pair(c, m):
+    """Both moment matrices from one pass: ``exp_haar_matrix`` with ``pair=True``."""
+    return exp_haar_matrix(c, m, pair=True)
 
 
 class TestMomentMatrixFill:
@@ -408,28 +406,10 @@ class TestMomentMatrixFill:
                 assert np.array_equal(got0, want0), ("pair", name)
                 assert np.array_equal(got1, want1), ("pair", name)
 
-    def test_fill_into_strided_rows_equals_full_fill(self):
-        # the pair, over ten blocks of rows, with t_out every other row of an array
-        c = np.tile(_hand_rates(), 8)
-        full = _pair(c, 6)
-        t_out = np.full((2 * len(c), 2 ** 6), np.nan)
-        got = _pair(c, 6, t_out=t_out[1::2])
-        assert np.array_equal(got[0], full[0])
-        assert np.array_equal(t_out[1::2], full[1])
-        assert np.isnan(t_out[::2]).all()
-
     def test_no_rates_give_no_rows(self):
         for fill in (exp_haar_matrix, exp_t_haar_matrix):
             assert fill([], 3).shape == (0, 8)
-        assert [a.shape for a in _pair([], 3)] == [(0, 8), (0, 8)]
-
-    def test_rejects_bad_t_out(self):
-        # the level is checked with every other level entry, in test_api
-        c = np.linspace(0.0, 2.0, 5)
-        with pytest.raises(ValueError, match="shape"):
-            exp_haar_matrix(c, 3, t_out=np.empty((5, 4)))
-        with pytest.raises(ValueError, match="float64"):
-            exp_haar_matrix(c, 3, t_out=np.empty((5, 8), dtype=np.float32))
+        assert _pair([], 3).shape == (2, 0, 8)
 
     def test_concurrent_fills_under_frequent_switching(self):
         # four callers at once, switching every 1 us:
@@ -464,15 +444,12 @@ class TestMomentMatrixFill:
             for fill in (exp_haar_matrix, exp_t_haar_matrix, _pair):
                 tracemalloc.start()
                 try:
-                    outs = fill(c, m)
+                    held = fill(c, m).nbytes
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                outs = outs if isinstance(outs, tuple) else (outs,)
-                held = sum(out.nbytes for out in outs)
                 assert peak <= held + 2 * 2 ** 20, (m, fill.__name__)
                 assert m < 8 or peak <= 1.25 * held, fill.__name__
-                del outs
 
     def test_column0_peak_memory_is_two_rate_vectors(self):
         # the closed form over every rate and the series over the small
