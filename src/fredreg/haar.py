@@ -21,10 +21,12 @@ nest, so zero-padding embeds a coarser vector exactly, and ``Phi_j`` is
 ``2**m >= j``. Callable projection, which may be vector-valued,
 integrates each cell by an 8-point Gauss-Legendre rule held as
 constants; the Galerkin matrix is that projection of the slice moments.
-Everything runs on the calling thread.
+A moment fill of more than one block runs half its rows on one helper
+thread, joined before it returns; all else runs on the calling thread.
 """
 
-from functools import lru_cache
+import threading
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -36,9 +38,10 @@ _ZERO_RATE = 1e-100
 # series, where the closed form cancels.
 _SMALL_C_MOMENT = 1e-3
 # Entries per block of the whole-row wavelet fill, and per row chunk of
-# exp_t_haar_matrix; bounds each temporary array of one block or chunk at
-# this many doubles (256 KB).
-_FILL_ENTRIES = 32768
+# exp_t_haar_matrix (one block, so no thread). Each half of a fill holds one
+# block's -c*mid and exp(-c*mid), 2 x 192 KiB; 32768 entries filled no faster
+# and raised a level-8 fill's temporaries from 1.4 to 1.7 MiB.
+_FILL_ENTRIES = 24576
 # Above this rate expm1(c) overflows (and sinh(c*h/2)**2 from about twice
 # it), so the moment formulas would give NaN.
 _MAX_RATE = float(np.log(np.finfo(float).max))
@@ -153,61 +156,88 @@ def exp_haar_matrix(c, m, *, pair=False):
     ``c = 0`` row is written from the limits: 1 in column 0 and 0 in the
     wavelet columns (``exp_t_haar_matrix``: 1/2 and ``-A*h*h``).
 
-    The wavelet columns are filled on the calling thread in blocks of
-    whole rows (32 768 entries): ``exp`` once per entry for both outputs,
-    every factor of the row and level alone once per row and level. Every
-    entry keeps the operation sequence of the elementwise formula, so the
-    result is bit-identical to it; peak memory is the results plus under
-    2 MiB of temporaries (one block's and a few of length ``len(c)``).
+    The wavelet columns are filled in blocks of whole rows (24 576
+    entries), the first half of the blocks here and the rest on one helper
+    thread, always joined, whose exception is raised here; one block
+    starts no thread. Each block writes its products straight into the
+    result, with ``exp`` once per entry and each factor of the row and
+    level, ``4*sinh(c*h/2)**2`` among them, once. Scaling by 4 is exact
+    and no factor exceeds about 1e154, so the result is bit-identical to
+    the elementwise formula. Peak memory is the results plus under 2 MiB
+    of temporaries (per half one block's ``-c*mid`` and ``exp(-c*mid)``).
     """
     zero, cs = _rates(c)
     _check_level("level", m, 0)
-    shape = (len(cs), 2 ** m)
+    n = len(cs)
     if pair:
-        both = np.empty((2,) + shape)
+        both = np.empty((2, n, 2 ** m))
         out, out_t = both
-        out_t[:, 0] = _column0_exp_t(zero, cs)
     else:
-        out = np.empty(shape)
-    out[:, 0] = _column0_exp(zero, cs)
-    if m == 0:
-        return both if pair else out
-    amp, mid = _tables(m)
-    counts = 2 ** np.arange(m)  # wavelet level l has 2**(l-1) columns, from column 2**(l-1)
-    A = amp[counts][None, :]
-    H = 0.5 / counts[None, :]  # the piece width of level l, an exact dyadic number
-    mid = mid[None, 1:]
-    Cs = cs[:, None]
-    step = max(1, _FILL_ENTRIES // (2 ** m - 1))  # rows per block
+        out, out_t = np.empty((n, 2 ** m)), None
+    if m:
+        amp, mid = _tables(m)
+        counts = 2 ** np.arange(m)  # wavelet level l has 2**(l-1) columns, from column 2**(l-1)
+        A, H = amp[counts], 0.5 / counts  # H: the piece width of level l, an exact dyadic number
+        level = np.repeat(np.arange(m), np.maximum(counts, 2))  # level 1 also spans column 0
+        step = max(1, _FILL_ENTRIES // 2 ** m)  # rows per block
+        fill = partial(_fill_rows, out, out_t, cs, mid, A, H, level, step)
+        half = (-(-n // step) + 1) // 2 * step
+        if half >= n:
+            fill(slice(0, n))
+        else:
+            errors = []
 
-    def expand(factor):
-        return np.repeat(factor, counts, axis=1)
+            def helper():
+                try:
+                    fill(slice(half, n))
+                except BaseException as exc:
+                    errors.append(exc)
 
-    for r0 in range(0, len(cs), step):
-        rows = slice(r0, r0 + step)
-        Cr = Cs[rows]
-        x = -Cr * mid  # -(c * mid), exactly
-        e = np.exp(x)
-        sinh2 = expand(np.sinh(Cr * H / 2.0) ** 2)
-        block = expand(A / Cr)
-        block *= e
-        block *= 4.0
-        block *= sinh2
-        out[rows, 1:] = block
-        del block  # one block buffer fewer alive in the t-weighted half
+            thread = threading.Thread(target=helper)
+            thread.start()
+            try:
+                fill(slice(0, half))
+            finally:
+                thread.join()
+            if errors:
+                raise errors[0]
+        # the blocks took the zero rates as 1: their rows get the c = 0 limits
+        out[zero, 1:] = 0.0
         if pair:
-            np.subtract(1.0, x, out=x)  # c * mid + 1.0, exactly
-            x *= 4.0
-            x *= sinh2
-            x -= expand(2.0 * Cr * H * np.sinh(Cr * H))
-            e *= expand(A / Cr ** 2)
-            x *= e
-            out_t[rows, 1:] = x
-    # the blocks took the zero rates as 1: their rows get the c = 0 limits
-    out[zero, 1:] = 0.0
+            out_t[zero, 1:] = (-A * H * H)[level[1:]]
+    out[:, 0] = _column0_exp(zero, cs)
     if pair:
-        out_t[zero, 1:] = expand(-A * H * H)
-    return both if pair else out
+        out_t[:, 0] = _column0_exp_t(zero, cs)
+        return both
+    return out
+
+
+def _fill_rows(out, out_t, cs, mid, A, H, level, step, rows):
+    """Write the wavelet columns of ``out[rows]`` (and ``out_t[rows]``) in blocks
+    of ``step`` whole rows; ``A`` and ``H`` hold each level's amplitude and piece
+    width, ``level`` each column's level. Column 0 gets level 1's values."""
+    scratch = np.empty((2, min(step, rows.stop - rows.start), len(mid)))
+    for r0 in range(rows.start, rows.stop, step):
+        r = slice(r0, min(r0 + step, rows.stop))
+        x, e = scratch[:, : r.stop - r0]
+        o, Cr = out[r], cs[r, None]
+        CH = Cr * H
+        np.multiply(-Cr, mid, out=x)  # -(c * mid), exactly
+        np.exp(x, out=e)
+        if out_t is not None:
+            o_t = np.subtract(1.0, x, out=out_t[r])  # c * mid + 1.0, exactly
+        # each factor of the row and level goes to every column of its level
+        np.take(A / Cr, level, axis=1, out=o, mode="clip")
+        o *= e
+        np.take(4.0 * np.sinh(CH / 2.0) ** 2, level, axis=1, out=x, mode="clip")
+        o *= x
+        if out_t is not None:
+            o_t *= x
+            np.take(2.0 * CH * np.sinh(CH), level, axis=1, out=x, mode="clip")
+            o_t -= x
+            np.take(A / Cr ** 2, level, axis=1, out=x, mode="clip")
+            e *= x
+            o_t *= e
 
 
 def exp_t_haar_matrix(c, m):
@@ -222,8 +252,8 @@ def exp_t_haar_matrix(c, m):
     filled like :func:`exp_haar_matrix` and bit-identical to the formula.
     Column ``j = 1`` is ``exp(-c) * (expm1(c) - c) / c**2``, and below
     ``c = 1e-3``, where that cancels, its series to ``c**5``. The rows go
-    through ``exp_haar_matrix`` in chunks of 32 768 entries, each pair
-    copied out of and dropped, so the pairs cost two chunks of memory.
+    through ``exp_haar_matrix`` on the calling thread in chunks of one
+    fill block, each pair copied out of and dropped: two chunks of memory.
     """
     _rates(c)  # every rate rule, checked before the result is allocated
     _check_level("level", m, 0)

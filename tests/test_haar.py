@@ -99,18 +99,19 @@ def assert_within_ulps(got, want, ulps=4):
 def _hand_rates():
     """Unsorted rates: 0, a value with ``c * width`` under 1e-6 at every level
     (and one just over it), ordinary values and c = 50; the count is not a
-    multiple of the fill block."""
+    multiple of the fill block. Without the ordinary 0.25 it would be 624,
+    which is 13 blocks of 48 rows at m = 9."""
     rng = np.random.default_rng(21)
     widths = 1.0 / 2.0 ** np.arange(10)  # support widths of levels 1..10
     c = np.concatenate([
-        [0.0, 50.0, 1.0, 0.5],
+        [0.0, 50.0, 1.0, 0.5, 0.25],
         0.5 * 1e-6 / widths,
         1.5 * 1e-6 / widths,
         rng.uniform(0.0, 2.0, 300),
         10.0 ** rng.uniform(-12.0, 1.0, 300),
     ])
     rng.shuffle(c)
-    assert all(len(c) % max(1, _FILL_ENTRIES // (2 ** m - 1)) != 0 for m in range(1, 10))
+    assert all(len(c) % max(1, _FILL_ENTRIES // 2 ** m) != 0 for m in range(1, 10))
     return c
 
 
@@ -388,7 +389,7 @@ def _pair(c, m):
 
 
 class TestMomentMatrixFill:
-    """The whole-row blocked fill against the elementwise formulas."""
+    """The whole-row blocked fill, split over two threads, against the elementwise formulas."""
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_bit_identical_to_elementwise_formula(self, m):
@@ -434,6 +435,32 @@ class TestMomentMatrixFill:
         assert not any(caller.is_alive() for caller in callers)
         for got in results:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("half", ["caller", "helper"])
+    def test_an_exception_of_either_half_reaches_the_caller(self, monkeypatch, half):
+        # the helper thread is joined whichever half raises
+        fill_rows, caller = haar._fill_rows, threading.get_ident()
+
+        def failing(*args):
+            if (threading.get_ident() == caller) == (half == "caller"):
+                raise ArithmeticError(half)
+            fill_rows(*args)
+
+        monkeypatch.setattr(haar, "_fill_rows", failing)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match=half):
+            _pair(_hand_rates(), 6)  # 625 rows: two blocks of at most 384
+        assert threading.active_count() == threads
+
+    def test_a_fill_of_one_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-block fill started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        c = _hand_rates()[: _FILL_ENTRIES // 2 ** 6]
+        got0, got1 = _pair(c, 6)
+        assert np.array_equal(got0, _exp_haar_matrix_ref(c, 6))
+        assert np.array_equal(got1, _exp_t_haar_matrix_ref(c, 6))
 
     def test_peak_memory_is_the_output(self):
         # the results plus at most 2 MiB of block and rate-vector temporaries;
