@@ -50,7 +50,8 @@ for m in (1, 2, 3, 4):
     w = 1.0 / ncell
     s = (np.arange(ncell)[:, None] * w + (gx[None, :] + 1) * w / 2).ravel()
     sw = np.tile(gw * w / 2, ncell)
-    exact = exp_haar_matrix(s, m).T @ (sw * problem.exact_rhs(s))
+    # [0] of the moment pair is E, the moments of exp(-s t) against the basis
+    exact = exp_haar_matrix(s, m)[0].T @ (sw * problem.exact_rhs(s))
     err = np.linalg.norm(v - exact)
     bound = trapezoid_norm(samples) * error_budget(m).bound_adjoint
     print(f"  m = {m}: ||v - exact|| = {err:.3e}  (bound {bound:.3e})")

@@ -15,7 +15,8 @@ builds
 * the data coefficients ``g_i = <f, Phi_i>``, closed-form a-priori
   bounds on the three operator approximation errors per level,
 * the Galerkin matrix ``K_m`` of the fixed-level baseline: callable
-  :func:`~fredreg.haar.project` of the slice moments ``exp_haar_matrix``, and
+  :func:`~fredreg.haar.project` of the slice moments ``E`` of
+  ``exp_haar_matrix``, and
 * the Cholesky factor of ``a I + A`` (scipy's LAPACK) and its solves;
   a breakdown raises ``numpy.linalg.LinAlgError`` naming the pivot.
 
@@ -211,7 +212,7 @@ def assemble_gram(m):
     """
     _check_level("gram level", m, 1)
     points, weights = simpson_rule(m)
-    p = exp_haar_matrix(points, m)  # (2**m + 1, 2**m)
+    p = exp_haar_matrix(points, m)[0]  # E: (2**m + 1, 2**m)
     a = p.T @ (weights[:, None] * p)
     a = 0.5 * (a + a.T)
     a.setflags(write=False)
@@ -251,7 +252,7 @@ def galerkin_matrix(m):
     ``(K_m)_{ij} = int int Phi_i(s) k(s, t) Phi_j(t) dt ds``: column
     ``j`` is the projection onto the level-``m`` span of the slice moment
     ``s -> int exp(-s t) Phi_j(t) dt``, so the matrix is :func:`project`
-    of the vector-valued ``s -> exp_haar_matrix(s, m)`` (per-cell Gauss
+    of the vector-valued ``s -> exp_haar_matrix(s, m)[0]`` (per-cell Gauss
     quadrature in ``s``, closed forms in ``t``). Both names are read as
     module globals, so a tracer sees one projection and one fill. This is
     the fixed-level baseline operator (no degenerate kernel); the kernel
@@ -259,7 +260,7 @@ def galerkin_matrix(m):
     ``K_m^T K_m`` equal ``K_m K_m^T``.
     """
     _check_level("galerkin level", m, 1)
-    k = project(lambda s: exp_haar_matrix(s, m), m)
+    k = project(lambda s: exp_haar_matrix(s, m)[0], m)
     return 0.5 * (k + k.T)
 
 
@@ -328,16 +329,16 @@ class OperatorCache:
         From level 7 on the pair is over 32 MiB, glibc's largest mmap
         threshold, so it is always mapped on its own and its pages go
         back to the system when it is released. The fill is one
-        ``exp_haar_matrix(..., pair=True)`` call; the name is looked up as
-        a module global, so a tracer that replaces it sees every fill. The
-        sample moments are formed after any fill, so they are not alive
-        during it.
+        :func:`.exp_haar_matrix` call, whose result is the held pair; the
+        name is looked up as a module global, so a tracer that replaces it
+        sees every fill. The sample moments are formed after any fill, so
+        they are not alive during it.
         """
         _check_level("adjoint partition level", m, 1)
         _check_grid(f_samples, 180 * 2 ** m)
         if m > self._store.get("adjoint", (0,))[0]:
             self._store.pop("adjoint", None)
-            self._store["adjoint"] = (m, exp_haar_matrix(sample_grid(m)[:-1], m, pair=True))
+            self._store["adjoint"] = (m, exp_haar_matrix(sample_grid(m)[:-1], m))
         m0, m1 = _moments(f_samples, m)
         top, pair = self._store["adjoint"]
         e0, e1 = pair[:, :: 2 ** (top - m), : 2 ** m]

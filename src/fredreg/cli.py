@@ -83,7 +83,8 @@ def build_parser():
         help="comma-separated relative noise levels",
     )
     table.add_argument(
-        "--seed", type=_int_list, default=list(range(20)), help="comma-separated seeds (0..19)"
+        "--seed", type=_int_list, default=list(range(20)),
+        help="comma-separated seeds, each an integer >= 0 (default 0..19)",
     )
     table.add_argument("--scheme", choices=_SCHEMES, default="both")
 

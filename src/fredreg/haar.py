@@ -11,8 +11,9 @@ offset ``1 <= p <= 2**(l-1)``,
 All supports are right-open; the point ``x = 1`` is evaluated by its
 left limit so that evaluation is defined on the closed interval.
 
-The module provides closed-form inner products of the basis against
-exponentials ``exp(-c*t)`` (and their ``t``-weighted variant), the
+The module provides the closed-form inner products of the basis against
+exponentials ``exp(-c*t)`` and their ``t``-weighted variant, always
+filled together as one pair by :func:`exp_haar_matrix`, the
 pyramid transform between the basis and the finest cells, projection
 onto the span and one evaluator, :func:`evaluate`. Coefficients are
 plain float64 arrays whose length ``2**m`` gives their level; the spans
@@ -135,26 +136,29 @@ def _column0_exp_t(zero, cs):
     return col
 
 
-def exp_haar_matrix(c, m, *, pair=False):
-    """Matrix of ``int_0^1 exp(-c_k t) Phi_j(t) dt`` for ``j = 1..2**m``.
+def exp_haar_matrix(c, m):
+    """Moments of ``exp(-c_k t)`` and ``t exp(-c_k t)`` against ``Phi_j``, ``j = 1..2**m``.
 
     Parameters
     ----------
     c : float or 1-d array_like
         Decay rates in ``[0, log(float max) ~ 709.78]``, one per row.
     m : int
-        Span level; the result has shape ``(len(c), 2**m)``.
-    pair : bool, optional
-        If true, return one new ``(2, len(c), 2**m)`` array: this matrix
-        in ``[0]`` and :func:`exp_t_haar_matrix` of ``c`` and ``m`` in
-        ``[1]``, both written in the same pass.
+        Span level.
 
-    Every entry is one closed form. The wavelet columns use the
+    Returns
+    -------
+    ndarray
+        One new ``(2, len(c), 2**m)`` array: ``E``, the matrix of
+        ``int_0^1 exp(-c_k t) Phi_j(t) dt``, in ``[0]``, and the t-weighted
+        ``E_t`` of :func:`exp_t_haar_matrix` in ``[1]``.
+
+    Every entry is one closed form. The wavelet columns of ``E`` use the
     cancellation-free ``((A/c) * exp(-c*mid) * 4) * sinh(c*h/2)**2``
-    (``A`` the amplitude, ``h`` the piece width); column ``j = 1`` is
+    (``A`` the amplitude, ``h`` the piece width); its column ``j = 1`` is
     ``-expm1(-c)/c``. A rate below ``1e-100`` is taken as 0, and the
-    ``c = 0`` row is written from the limits: 1 in column 0 and 0 in the
-    wavelet columns (``exp_t_haar_matrix``: 1/2 and ``-A*h*h``).
+    ``c = 0`` row is written from the limits: 1 in column 0 of ``E`` and 0
+    in its wavelet columns (``E_t``: 1/2 and ``-A*h*h``).
 
     The wavelet columns are filled in blocks of whole rows (24 576
     entries), the first half of the blocks here and the rest on one helper
@@ -162,25 +166,22 @@ def exp_haar_matrix(c, m, *, pair=False):
     starts no thread. Each block writes its products straight into the
     result, with ``exp`` once per entry and each factor of the row and
     level, ``4*sinh(c*h/2)**2`` among them, once. Scaling by 4 is exact
-    and no factor exceeds about 1e154, so the result is bit-identical to
-    the elementwise formula. Peak memory is the results plus under 2 MiB
-    of temporaries (per half one block's ``-c*mid`` and ``exp(-c*mid)``).
+    and no factor exceeds about 1e154, so both matrices are bit-identical
+    to their elementwise formulas. Peak memory is the result plus under
+    2 MiB of temporaries (per half one block's ``-c*mid`` and ``exp(-c*mid)``).
     """
     zero, cs = _rates(c)
     _check_level("level", m, 0)
     n = len(cs)
-    if pair:
-        both = np.empty((2, n, 2 ** m))
-        out, out_t = both
-    else:
-        out, out_t = np.empty((n, 2 ** m)), None
+    pair = np.empty((2, n, 2 ** m))
+    out, out_t = pair
     if m:
         amp, mid = _tables(m)
         counts = 2 ** np.arange(m)  # wavelet level l has 2**(l-1) columns, from column 2**(l-1)
         A, H = amp[counts], 0.5 / counts  # H: the piece width of level l, an exact dyadic number
         level = np.repeat(np.arange(m), np.maximum(counts, 2))  # level 1 also spans column 0
         step = max(1, _FILL_ENTRIES // 2 ** m)  # rows per block
-        fill = partial(_fill_rows, out, out_t, cs, mid, A, H, level, step)
+        fill = partial(_fill_rows, pair, cs, mid, A, H, level, step)
         half = (-(-n // step) + 1) // 2 * step
         if half >= n:
             fill(slice(0, n))
@@ -203,57 +204,51 @@ def exp_haar_matrix(c, m, *, pair=False):
                 raise errors[0]
         # the blocks took the zero rates as 1: their rows get the c = 0 limits
         out[zero, 1:] = 0.0
-        if pair:
-            out_t[zero, 1:] = (-A * H * H)[level[1:]]
+        out_t[zero, 1:] = (-A * H * H)[level[1:]]
     out[:, 0] = _column0_exp(zero, cs)
-    if pair:
-        out_t[:, 0] = _column0_exp_t(zero, cs)
-        return both
-    return out
+    out_t[:, 0] = _column0_exp_t(zero, cs)
+    return pair
 
 
-def _fill_rows(out, out_t, cs, mid, A, H, level, step, rows):
-    """Write the wavelet columns of ``out[rows]`` (and ``out_t[rows]``) in blocks
+def _fill_rows(pair, cs, mid, A, H, level, step, rows):
+    """Write the wavelet columns of both matrices of ``pair[:, rows]`` in blocks
     of ``step`` whole rows; ``A`` and ``H`` hold each level's amplitude and piece
     width, ``level`` each column's level. Column 0 gets level 1's values."""
     scratch = np.empty((2, min(step, rows.stop - rows.start), len(mid)))
     for r0 in range(rows.start, rows.stop, step):
         r = slice(r0, min(r0 + step, rows.stop))
         x, e = scratch[:, : r.stop - r0]
-        o, Cr = out[r], cs[r, None]
+        o, Cr = pair[0, r], cs[r, None]
         CH = Cr * H
         np.multiply(-Cr, mid, out=x)  # -(c * mid), exactly
         np.exp(x, out=e)
-        if out_t is not None:
-            o_t = np.subtract(1.0, x, out=out_t[r])  # c * mid + 1.0, exactly
+        o_t = np.subtract(1.0, x, out=pair[1, r])  # c * mid + 1.0, exactly
         # each factor of the row and level goes to every column of its level
         np.take(A / Cr, level, axis=1, out=o, mode="clip")
         o *= e
         np.take(4.0 * np.sinh(CH / 2.0) ** 2, level, axis=1, out=x, mode="clip")
         o *= x
-        if out_t is not None:
-            o_t *= x
-            np.take(2.0 * CH * np.sinh(CH), level, axis=1, out=x, mode="clip")
-            o_t -= x
-            np.take(A / Cr ** 2, level, axis=1, out=x, mode="clip")
-            e *= x
-            o_t *= e
+        o_t *= x
+        np.take(2.0 * CH * np.sinh(CH), level, axis=1, out=x, mode="clip")
+        o_t -= x
+        np.take(A / Cr ** 2, level, axis=1, out=x, mode="clip")
+        e *= x
+        o_t *= e
 
 
 def exp_t_haar_matrix(c, m):
     """Matrix of ``int_0^1 t exp(-c_k t) Phi_j(t) dt``, shape ``(len(c), 2**m)``.
 
-    Companion of :func:`exp_haar_matrix` for the t-weighted moment that
-    appears in the first-order Taylor replacement of the adjoint; for
-    both from one pass, call ``exp_haar_matrix`` with ``pair=True``, as
-    this function does. The wavelet columns are
+    The t-weighted moment that appears in the first-order Taylor
+    replacement of the adjoint: ``[1]`` of :func:`exp_haar_matrix`, which
+    fills it beside ``E``. The wavelet columns are
     ``((A/c**2) * exp(-c*mid)) * bracket`` with
     ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
-    filled like :func:`exp_haar_matrix` and bit-identical to the formula.
-    Column ``j = 1`` is ``exp(-c) * (expm1(c) - c) / c**2``, and below
-    ``c = 1e-3``, where that cancels, its series to ``c**5``. The rows go
-    through ``exp_haar_matrix`` on the calling thread in chunks of one
-    fill block, each pair copied out of and dropped: two chunks of memory.
+    bit-identical to the formula. Column ``j = 1`` is
+    ``exp(-c) * (expm1(c) - c) / c**2``, and below ``c = 1e-3``, where that
+    cancels, its series to ``c**5``. The rows go through ``exp_haar_matrix``
+    on the calling thread in chunks of one fill block, ``[1]`` of each
+    pair copied out and the pair dropped: the result and two chunks of memory.
     """
     _rates(c)  # every rate rule, checked before the result is allocated
     _check_level("level", m, 0)
@@ -261,7 +256,7 @@ def exp_t_haar_matrix(c, m):
     out = np.empty((len(c), 2 ** m))
     step = max(1, _FILL_ENTRIES // 2 ** m)
     for r0 in range(0, len(c), step):
-        out[r0: r0 + step] = exp_haar_matrix(c[r0: r0 + step], m, pair=True)[1]
+        out[r0: r0 + step] = exp_haar_matrix(c[r0: r0 + step], m)[1]
     return out
 
 

@@ -72,8 +72,8 @@ def adjoint_pair(ops, m):
     ``[::2**(top-m), :2**m]`` of each of its two matrices, a view.
     """
     top, pair = ops._store["adjoint"]
-    step = 2 ** (top - m)
-    return pair[0][::step, : 2 ** m], pair[1][::step, : 2 ** m]
+    e0, e1 = pair[:, :: 2 ** (top - m), : 2 ** m]
+    return e0, e1
 
 
 def record_calls(monkeypatch, module, name):
@@ -303,7 +303,7 @@ def gauss_cell_nodes(m, rule=None):
 def galerkin_gather(m):
     """``galerkin_matrix(m)`` from the columns of :func:`synthesis_matrix` at the Gauss nodes."""
     s, sw = gauss_cell_nodes(m)
-    inner = exp_haar_matrix(s, m)
+    inner = exp_haar_matrix(s, m)[0]
     n = 2 ** m
     idx = np.minimum((s * n).astype(int), n - 1)
     k = (synthesis_matrix(m)[:, idx] * sw[None, :]) @ inner
@@ -335,8 +335,8 @@ def _extended_amplitudes(m):
 def extended_moments(c, m, weight):
     """``int_0^1 t**weight exp(-c t) Phi_j(t) dt``, ``j = 1..2**m``, in long double.
 
-    The closed forms of :func:`fredreg.haar.exp_haar_matrix` (``weight =
-    0``) and :func:`~fredreg.haar.exp_t_haar_matrix` (``weight = 1``),
+    The closed forms of the pair :func:`fredreg.haar.exp_haar_matrix`
+    returns: ``E`` (``weight = 0``) and ``E_t`` (``weight = 1``),
     with column 0 of the t-moment as its 40-term series below ``c = 1``
     and the ``c = 0`` row from its limits. ``c`` is read as long double.
     """

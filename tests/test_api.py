@@ -51,7 +51,7 @@ LEVEL_ENTRIES = {
     "error_budget": (1, "error budget level", lambda ops, m: fredreg.error_budget(m)),
     "assemble_gram": (1, "gram level", lambda ops, m: assemble_gram(m)),
     "galerkin_matrix": (1, "galerkin level", lambda ops, m: galerkin_matrix(m)),
-    "exp_haar_matrix": (0, "level", lambda ops, m: exp_haar_matrix([0.5], m)),
+    "exp_haar_matrix": (0, "level", lambda ops, m: exp_haar_matrix([0.5], m)[0]),
     "exp_t_haar_matrix": (0, "level", lambda ops, m: exp_t_haar_matrix([0.5], m)),
     "project": (0, "level", lambda ops, m: fredreg.project(lambda t: t, m)),
     "rank_schedule": (

@@ -155,6 +155,21 @@ def test_table_explicit_seed_list(tmp_path):
     assert sorted({r.seed for r in rows}) == [3, 5]
 
 
+def test_table_runs_seeds_beyond_the_default_range(tmp_path, capsys):
+    # 0..19 is the default, not a bound: the help states the rule and the default
+    with pytest.raises(SystemExit):
+        main(["table", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "comma-separated seeds, each an integer >= 0 (default 0..19)" in help_text
+    out = tmp_path / "rows.csv"
+    code = main([
+        "table", "--noise", "0.05", "--seed", "20,21", "--scheme", "adaptive",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert sorted({r.seed for r in rows_from_csv(out.read_text())}) == [20, 21]
+
+
 def test_config_error_exit_code(capsys):
     # q outside (0,1), a noise level above 1 and an infinite C are
     # configuration errors -> 2, each with the one prefix

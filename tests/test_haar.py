@@ -23,7 +23,7 @@ from fredreg.haar import (
     _tables,
     _trapezoid_blocks,
 )
-from fredreg.assembly import _moments, sample_grid, simpson_rule
+from fredreg.assembly import _moments, assemble_gram, sample_grid, simpson_rule
 
 from _oracles import (
     EXTENDED,
@@ -50,7 +50,7 @@ def _ref_rates(c, m):
 
 
 def _exp_haar_matrix_ref(c, m):
-    """Elementwise formula of ``exp_haar_matrix``: the bit-identity oracle."""
+    """Elementwise formula of ``E``, ``[0]`` of ``exp_haar_matrix``: the bit-identity oracle."""
     c, cs, A, T1, H = _ref_rates(c, m)
     out = np.empty((len(c), 2 ** m))
     out[:, 0] = np.where(c == 0.0, 1.0, -np.expm1(-cs) / cs)
@@ -227,14 +227,19 @@ def moment(matrix, c, j):
     return float(matrix(np.array([c]), (j - 1).bit_length())[0, j - 1])
 
 
+def _exp_matrix(c, m):
+    """``E`` alone: ``[0]`` of the pair that ``exp_haar_matrix`` returns."""
+    return exp_haar_matrix(c, m)[0]
+
+
 class TestExponentialInnerProducts:
     def test_zero_rate(self):
-        assert moment(exp_haar_matrix, 0.0, 1) == 1.0
+        assert moment(_exp_matrix, 0.0, 1) == 1.0
         for j in (2, 3, 7, 40):
-            assert moment(exp_haar_matrix, 0.0, j) == 0.0
+            assert moment(_exp_matrix, 0.0, j) == 0.0
 
     def test_unit_rate_constant(self):
-        assert moment(exp_haar_matrix, 1.0, 1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
+        assert moment(_exp_matrix, 1.0, 1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
 
     def test_t_weighted_zero_rate(self):
         assert moment(exp_t_haar_matrix, 0.0, 1) == 0.5
@@ -244,7 +249,7 @@ class TestExponentialInnerProducts:
         # column j of the level-m matrix equals column j at level (j-1).bit_length()
         c = np.array([0.0, 0.3, 1.7])
         m = 4
-        for matrix in (exp_haar_matrix, exp_t_haar_matrix):
+        for matrix in (_exp_matrix, exp_t_haar_matrix):
             full = matrix(c, m)
             for j in range(1, 2 ** m + 1):
                 coarse = matrix(c, (j - 1).bit_length())
@@ -284,7 +289,7 @@ class TestExponentialInnerProducts:
         # (underflow it ignores: column 0's series underflows harmlessly)
         zero = np.array([0.0])
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for matrix in (exp_haar_matrix, exp_t_haar_matrix):
+            for matrix in (_exp_matrix, exp_t_haar_matrix):
                 want = matrix(zero, 8)[0]
                 got = matrix(np.array([5e-324, 1e-300, 1e-160, 1e-101]), 8)
                 assert all(row.tobytes() == want.tobytes() for row in got), matrix.__name__
@@ -328,7 +333,10 @@ class TestMomentDecimalOracle:
     ) + tuple(sorted({c for c, _ in SMALL}))
     DRAWS = _draws(7) + _draws(8)
 
-    @pytest.mark.parametrize("weight, matrix", [(0, exp_haar_matrix), (1, exp_t_haar_matrix)])
+    @pytest.mark.parametrize(
+        "weight, matrix", [(0, _exp_matrix), (1, exp_t_haar_matrix)],
+        ids=["0-exp_haar_matrix", "1-exp_t_haar_matrix"],
+    )
     def test_each_row_within_2e_13_of_its_largest_entry(self, weight, matrix):
         # measured worst 1.83e-13: column 0 of the t-moment at c = 50/46080,
         # just above the series branch, where the closed form cancels about
@@ -383,34 +391,50 @@ def _fill_inputs(m):
     }
 
 
-def _pair(c, m):
-    """Both moment matrices from one pass: ``exp_haar_matrix`` with ``pair=True``."""
-    return exp_haar_matrix(c, m, pair=True)
-
-
 class TestMomentMatrixFill:
     """The whole-row blocked fill, split over two threads, against the elementwise formulas."""
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_bit_identical_to_elementwise_formula(self, m):
-        # each matrix alone and the one-pass pair; chunks of about 3000
-        # rows take more than one block from m = 4 on
+        # the one-pass pair and the t-weighted matrix alone; chunks of about
+        # 3000 rows take more than one block from m = 4 on
         for name, c in _fill_inputs(m).items():
             # the formulas are row-wise, so compare in row chunks to bound
             # the oracle's temporaries (ten full-size arrays)
             for rows in np.array_split(np.arange(len(c)), max(1, len(c) // 3000)):
                 want0 = _exp_haar_matrix_ref(c[rows], m)
                 want1 = _exp_t_haar_matrix_ref(c[rows], m)
-                assert np.array_equal(exp_haar_matrix(c[rows], m), want0), name
+                got0, got1 = exp_haar_matrix(c[rows], m)
+                assert np.array_equal(got0, want0), name
+                assert np.array_equal(got1, want1), name
                 assert np.array_equal(exp_t_haar_matrix(c[rows], m), want1), name
-                got0, got1 = _pair(c[rows], m)
-                assert np.array_equal(got0, want0), ("pair", name)
-                assert np.array_equal(got1, want1), ("pair", name)
 
     def test_no_rates_give_no_rows(self):
-        for fill in (exp_haar_matrix, exp_t_haar_matrix):
-            assert fill([], 3).shape == (0, 8)
-        assert _pair([], 3).shape == (2, 0, 8)
+        assert exp_haar_matrix([], 3).shape == (2, 0, 8)
+        assert exp_t_haar_matrix([], 3).shape == (0, 8)
+
+    @pytest.mark.parametrize(
+        "c, m",
+        [(0.7, 5), ([0.7], 5), (np.tile(_hand_rates(), 2), 6), (_hand_rates(), 0)],
+        ids=["scalar", "one_row", "blocks", "level_0"],
+    )
+    def test_every_fill_returns_the_pair_as_one_new_array(self, c, m):
+        # E in [0] and E_t in [1] of one C-contiguous array of its own, for
+        # any rates and level: the 1250 rows at m = 6 fill four blocks
+        got = exp_haar_matrix(c, m)
+        assert got.shape == (2, np.size(c), 2 ** m)
+        assert got.flags.c_contiguous and got.base is None
+        assert np.array_equal(got[0], _exp_haar_matrix_ref(c, m))
+        assert np.array_equal(got[1], _exp_t_haar_matrix_ref(c, m))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_gram_matrix_is_built_from_the_e_half(self, m):
+        # the Gram matrix reads [0] of its fill's pair: the same weighted
+        # product of the elementwise E gives it bit for bit
+        points, weights = simpson_rule(m)
+        p = _exp_haar_matrix_ref(points, m)
+        a = p.T @ (weights[:, None] * p)
+        assert np.array_equal(assemble_gram(m), 0.5 * (a + a.T))
 
     def test_concurrent_fills_under_frequent_switching(self):
         # four callers at once, switching every 1 us:
@@ -420,7 +444,7 @@ class TestMomentMatrixFill:
         results = [None] * 4
 
         def call(i):
-            results[i] = _pair(c, 6)
+            results[i] = exp_haar_matrix(c, 6)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -449,7 +473,7 @@ class TestMomentMatrixFill:
         monkeypatch.setattr(haar, "_fill_rows", failing)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError, match=half):
-            _pair(_hand_rates(), 6)  # 625 rows: two blocks of at most 384
+            exp_haar_matrix(_hand_rates(), 6)  # 625 rows: two blocks of at most 384
         assert threading.active_count() == threads
 
     def test_a_fill_of_one_block_starts_no_thread(self, monkeypatch):
@@ -458,7 +482,7 @@ class TestMomentMatrixFill:
 
         monkeypatch.setattr(threading, "Thread", no_thread)
         c = _hand_rates()[: _FILL_ENTRIES // 2 ** 6]
-        got0, got1 = _pair(c, 6)
+        got0, got1 = exp_haar_matrix(c, 6)
         assert np.array_equal(got0, _exp_haar_matrix_ref(c, 6))
         assert np.array_equal(got1, _exp_t_haar_matrix_ref(c, 6))
 
@@ -468,7 +492,7 @@ class TestMomentMatrixFill:
         for m in (6, 8):
             c = sample_grid(m)[:-1]
             _tables(m)
-            for fill in (exp_haar_matrix, exp_t_haar_matrix, _pair):
+            for fill in (exp_haar_matrix, exp_t_haar_matrix):
                 tracemalloc.start()
                 try:
                     held = fill(c, m).nbytes

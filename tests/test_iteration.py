@@ -676,7 +676,9 @@ class TestFactorCache:
         fills = record_calls(monkeypatch, assembly, "exp_haar_matrix")
         cold = run_adaptive(OperatorCache(), noisy, dabs, config)
         assert {rec.m for rec in cold.trace} == {1, 3, 5, 6}
-        assert [args[1] for args, kwargs, _ in fills if kwargs.get("pair")] == [6]
+        # an adjoint fill takes the 180 * 2**m partition ends, a Gram fill
+        # the 2**m + 1 Simpson points
+        assert [m for (c, m), _, _ in fills if len(c) == 180 * 2 ** m] == [6]
         for reference in references:
             assert np.array_equal(cold.solution, reference.solution)
             assert cold.trace == reference.trace
