@@ -20,7 +20,7 @@ builds
 * the Cholesky factor of ``a I + A`` (scipy's LAPACK) and its solves;
   a breakdown raises ``numpy.linalg.LinAlgError`` naming the pivot.
 
-Gram matrices are read-only ``(2**m, 2**m)`` arrays. The
+Gram and Galerkin matrices are read-only ``(2**m, 2**m)`` arrays. The
 :class:`OperatorCache` memoizes the level-dependent pieces and the
 factors, so that repeated solves (iterations, seeds) only pay for
 matrix-vector work and triangular solves.
@@ -78,9 +78,10 @@ def factor_spd_shifted(matrix, shift):
     With a finite ``shift > 0`` the system matrix has smallest eigenvalue at
     least ``shift``, so plain Cholesky is backward stable. The shift is
     added to the diagonal of a copy of ``M``, which is bit-identical to
-    ``M + shift * np.eye(n)``. The factor is the ``dpotrf`` output: its
-    lower triangle holds ``L``, its strict upper triangle is left as it
-    was, and :func:`solve_spd_shifted` reads the lower triangle only.
+    ``M + shift * np.eye(n)``. The factor is the ``dpotrf`` output, a
+    Fortran-ordered ``L`` with zeros above the diagonal (scipy's wrapper
+    cleans the strict upper triangle by default); :func:`solve_spd_shifted`
+    reads the lower triangle only.
     A breakdown raises ``numpy.linalg.LinAlgError`` naming the 1-based pivot.
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -257,11 +258,14 @@ def galerkin_matrix(m):
     module globals, so a tracer sees one projection and one fill. This is
     the fixed-level baseline operator (no degenerate kernel); the kernel
     is symmetric, so the matrix is symmetrized, which makes
-    ``K_m^T K_m`` equal ``K_m K_m^T``.
+    ``K_m^T K_m`` equal ``K_m K_m^T``. Returns a read-only
+    ``(2**m, 2**m)`` array, as the cache hands it out.
     """
     _check_level("galerkin level", m, 1)
     k = project(lambda s: exp_haar_matrix(s, m)[0], m)
-    return 0.5 * (k + k.T)
+    k = 0.5 * (k + k.T)
+    k.setflags(write=False)
+    return k
 
 
 class OperatorCache:

@@ -13,9 +13,10 @@ left limit so that evaluation is defined on the closed interval.
 
 The module provides the closed-form inner products of the basis against
 exponentials ``exp(-c*t)`` and their ``t``-weighted variant, always
-filled together as one pair by :func:`exp_haar_matrix`, the
-pyramid transform between the basis and the finest cells, projection
-onto the span and one evaluator, :func:`evaluate`. Coefficients are
+filled together as one pair by :func:`exp_haar_matrix` (every
+:func:`exp_t_haar_matrix` call is one such fill, its ``[1]`` copied
+out), the pyramid transform between the basis and the finest cells,
+projection onto the span and one evaluator, :func:`evaluate`. Coefficients are
 plain float64 arrays whose length ``2**m`` gives their level; the spans
 nest, so zero-padding embeds a coarser vector exactly, and ``Phi_j`` is
 ``evaluate(e_j, x)`` for the unit vector ``e_j`` of any length
@@ -38,10 +39,9 @@ _ZERO_RATE = 1e-100
 # Below this rate column 0 of the t-weighted moment is its truncated
 # series, where the closed form cancels.
 _SMALL_C_MOMENT = 1e-3
-# Entries per block of the whole-row wavelet fill, and per row chunk of
-# exp_t_haar_matrix (one block, so no thread). Each half of a fill holds one
-# block's -c*mid and exp(-c*mid), 2 x 192 KiB; 32768 entries filled no faster
-# and raised a level-8 fill's temporaries from 1.4 to 1.7 MiB.
+# Entries per block of the whole-row wavelet fill. Each half of a fill holds
+# one block's -c*mid and exp(-c*mid), 2 x 192 KiB; 32768 entries filled no
+# faster and raised a level-8 fill's temporaries from 1.4 to 1.7 MiB.
 _FILL_ENTRIES = 24576
 # Above this rate expm1(c) overflows (and sinh(c*h/2)**2 from about twice
 # it), so the moment formulas would give NaN.
@@ -240,24 +240,17 @@ def exp_t_haar_matrix(c, m):
     """Matrix of ``int_0^1 t exp(-c_k t) Phi_j(t) dt``, shape ``(len(c), 2**m)``.
 
     The t-weighted moment that appears in the first-order Taylor
-    replacement of the adjoint: ``[1]`` of :func:`exp_haar_matrix`, which
-    fills it beside ``E``. The wavelet columns are
+    replacement of the adjoint: ``[1]`` of one :func:`exp_haar_matrix`
+    fill, copied out into a new C-contiguous array, so its rates, level,
+    refusals and bits are those of the fill. The wavelet columns are
     ``((A/c**2) * exp(-c*mid)) * bracket`` with
     ``bracket = ((c*mid + 1) * 4) * sinh(c*h/2)**2 - 2*c*h*sinh(c*h)``,
     bit-identical to the formula. Column ``j = 1`` is
     ``exp(-c) * (expm1(c) - c) / c**2``, and below ``c = 1e-3``, where that
-    cancels, its series to ``c**5``. The rows go through ``exp_haar_matrix``
-    on the calling thread in chunks of one fill block, ``[1]`` of each
-    pair copied out and the pair dropped: the result and two chunks of memory.
+    cancels, its series to ``c**5``. The whole pair is alive until the
+    copy is made.
     """
-    _rates(c)  # every rate rule, checked before the result is allocated
-    _check_level("level", m, 0)
-    c = np.ravel(c)
-    out = np.empty((len(c), 2 ** m))
-    step = max(1, _FILL_ENTRIES // 2 ** m)
-    for r0 in range(0, len(c), step):
-        out[r0: r0 + step] = exp_haar_matrix(c[r0: r0 + step], m)[1]
-    return out
+    return exp_haar_matrix(c, m)[1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -491,7 +491,24 @@ class TestOperatorCache:
         assert ops.gram(3, side="range") is ops.gram(3)  # symmetric kernel
         with pytest.raises(ValueError):
             ops.gram(3, side="data")
-        assert not ops.gram(3).flags.writeable
+
+    @pytest.mark.parametrize(
+        "product",
+        [
+            lambda ops: ops.gram(3),
+            lambda ops: ops.galerkin(3),
+            lambda ops: ops.factor(2, 0.5),
+            lambda ops: ops.factor(2, 0.5, galerkin=True),
+            lambda ops: ops.data(np.exp(-sample_grid(3)), 3),
+        ],
+        ids=["gram", "galerkin", "factor", "factor_galerkin", "data"],
+    )
+    def test_products_are_read_only(self, product):
+        # a write into a cached product would change every later run on the cache
+        got = product(OperatorCache())
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got *= 2.0
 
     def test_cached_rhs_matches_direct_assembly(self):
         # direct: closed-form moment matrices against per-subinterval

@@ -32,6 +32,7 @@ from _oracles import (
     gauss_cell_nodes,
     haar_eval_piecewise,
     join_index,
+    record_calls,
     run_python,
     split_index,
     supports,
@@ -396,8 +397,8 @@ class TestMomentMatrixFill:
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_bit_identical_to_elementwise_formula(self, m):
-        # the one-pass pair and the t-weighted matrix alone; chunks of about
-        # 3000 rows take more than one block from m = 4 on
+        # the one-pass pair and exp_t_haar_matrix's copy of its [1]; chunks
+        # of about 3000 rows take more than one block from m = 4 on
         for name, c in _fill_inputs(m).items():
             # the formulas are row-wise, so compare in row chunks to bound
             # the oracle's temporaries (ten full-size arrays)
@@ -426,6 +427,19 @@ class TestMomentMatrixFill:
         assert got.flags.c_contiguous and got.base is None
         assert np.array_equal(got[0], _exp_haar_matrix_ref(c, m))
         assert np.array_equal(got[1], _exp_t_haar_matrix_ref(c, m))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_exp_t_haar_matrix_is_one_fill_copied_out(self, monkeypatch, m):
+        # each call makes one pair fill and returns its [1] as a new array;
+        # the hand rates take more than one block from m = 6 on and the
+        # partition ends from m = 4 on, so the helper thread fills part of them
+        fills = record_calls(monkeypatch, haar, "exp_haar_matrix")
+        for c in (_hand_rates(), sample_grid(m)[:-1]):
+            got = exp_t_haar_matrix(c, m)
+            (_, _, pair), = fills
+            fills.clear()
+            assert got.flags.c_contiguous and got.base is None
+            assert np.array_equal(got, pair[1])
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_gram_matrix_is_built_from_the_e_half(self, m):
@@ -487,20 +501,19 @@ class TestMomentMatrixFill:
         assert np.array_equal(got1, _exp_t_haar_matrix_ref(c, 6))
 
     def test_peak_memory_is_the_output(self):
-        # the results plus at most 2 MiB of block and rate-vector temporaries;
-        # at m = 8 that is also within a quarter of the results
+        # the pair plus at most 2 MiB of block and rate-vector temporaries;
+        # at m = 8 that is also within a quarter of the pair
         for m in (6, 8):
             c = sample_grid(m)[:-1]
             _tables(m)
-            for fill in (exp_haar_matrix, exp_t_haar_matrix):
-                tracemalloc.start()
-                try:
-                    held = fill(c, m).nbytes
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= held + 2 * 2 ** 20, (m, fill.__name__)
-                assert m < 8 or peak <= 1.25 * held, fill.__name__
+            tracemalloc.start()
+            try:
+                held = exp_haar_matrix(c, m).nbytes
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= held + 2 * 2 ** 20, m
+            assert m < 8 or peak <= 1.25 * held, m
 
     def test_column0_peak_memory_is_two_rate_vectors(self):
         # the closed form over every rate and the series over the small

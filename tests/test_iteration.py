@@ -683,10 +683,6 @@ class TestFactorCache:
             assert np.array_equal(cold.solution, reference.solution)
             assert cold.trace == reference.trace
 
-    def test_factors_are_read_only(self, bench):
-        _, ops, _ = bench
-        assert not ops.factor(2, 0.5).flags.writeable
-
     def test_breakdown_raises_every_call_and_stores_nothing(self, monkeypatch):
         # a shift far below the roundoff floor of A_3 (smallest eigenvalue ~ -1e-19)
         ops = OperatorCache()
